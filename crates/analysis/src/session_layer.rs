@@ -11,9 +11,9 @@ use crate::marginal::{display_transform, Marginal};
 use lsw_stats::fit::{
     fit_exponential, fit_lognormal, fit_zipf_points, ExponentialFit, LogNormalFit, ZipfFit,
 };
-use lsw_stats::par::Parallelism;
 use lsw_trace::session::{SessionConfig, Sessions};
 use lsw_trace::trace::Trace;
+use lsw_trace::ClientId;
 use serde::{Deserialize, Serialize};
 
 /// Fig 9: sessions identified per timeout value.
@@ -41,8 +41,9 @@ impl TimeoutSweep {
 pub struct OnTimeByHour {
     /// `(hour 0..24, mean ON time seconds)`; NaN for empty hours.
     pub points: Vec<(f64, f64)>,
-    /// Correlation coefficient between start-hour mean and the hour index
-    /// magnitude — the paper reports it as weak.
+    /// Largest relative deviation of an hourly mean from the grand mean of
+    /// the non-empty hours, `max |m_h − m̄| / m̄` — small when ON time
+    /// depends only weakly on the starting hour, as the paper reports.
     pub max_relative_deviation: f64,
 }
 
@@ -84,7 +85,7 @@ pub const TIMEOUT_SWEEP: [f64; 14] = [
 
 /// Runs the full session-layer characterization.
 pub fn analyze(trace: &Trace, sessions: &Sessions) -> SessionLayer {
-    let timeout_sweep = sweep_timeouts(trace, &TIMEOUT_SWEEP);
+    let timeout_sweep = sweep_in_order(trace, sessions.entry_order(), &TIMEOUT_SWEEP);
     let on_by_hour = on_time_by_hour(sessions);
 
     let on_raw = sessions.on_times();
@@ -123,33 +124,63 @@ pub fn analyze(trace: &Trace, sessions: &Sessions) -> SessionLayer {
     }
 }
 
-/// Fig 9: re-sessionize under each timeout.
+/// Fig 9: sessions identified under each timeout, all from one pass.
 ///
-/// Each timeout's sessionization is independent, so the sweep fans out
-/// one scoped thread per timeout; inside the sweep each `identify` runs
-/// sequentially (the outer fan-out already saturates the cores).
+/// The sessionizer splits a client's run where `start − s_end > T`, and
+/// because a transfer's `stop ≥ start` (true of every [`LogEntry`], whose
+/// stop is `start.saturating_add(duration)`; *not* guaranteed of raw
+/// `TransferColumns`), the `s_end` it resets on a split is still the
+/// client's running maximum stop. The gap sequence
+/// `g_k = start_k − runmax_{k−1}` is therefore the same for every `T ≥ 0`,
+/// and `sessions(T) = clients + #{k : g_k > T}`: one sessionization yields
+/// the canonical order, one walk the gaps, one sort and a binary search
+/// per timeout the whole figure. The per-timeout re-sessionization this
+/// replaces is the oracle in `tests/proptests.rs`.
+///
+/// [`LogEntry`]: lsw_trace::LogEntry
+///
+/// # Panics
+///
+/// On a negative or NaN timeout, like the sessionizer itself.
 pub fn sweep_timeouts(trace: &Trace, timeouts: &[f64]) -> TimeoutSweep {
-    let points = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = timeouts
-            .iter()
-            .map(|&t| {
-                s.spawn(move || {
-                    let config = SessionConfig { timeout: t };
-                    (
-                        t,
-                        Sessions::identify_with(trace, config, Parallelism::sequential()).len(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(point) => point,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
+    let sessions = Sessions::identify(trace, SessionConfig::default());
+    sweep_in_order(trace, sessions.entry_order(), timeouts)
+}
+
+/// The sweep over `order`, which must be the sessionizer's canonical
+/// `(client, start, timestamp, index)` order ([`Sessions::entry_order`]
+/// under any timeout).
+fn sweep_in_order(trace: &Trace, order: &[u32], timeouts: &[f64]) -> TimeoutSweep {
+    let entries = trace.entries();
+    let mut clients = 0usize;
+    // Silent gaps to the client's running maximum stop; only positive
+    // ones can exceed a timeout `T ≥ 0`.
+    let mut gaps: Vec<u32> = Vec::new();
+    let mut run: Option<(ClientId, u32)> = None;
+    for &i in order {
+        let e = &entries[i as usize];
+        match run {
+            Some((client, max_stop)) if client == e.client => {
+                if e.start > max_stop {
+                    gaps.push(e.start - max_stop);
+                }
+                run = Some((client, max_stop.max(e.stop())));
+            }
+            _ => {
+                clients += 1;
+                run = Some((e.client, e.stop()));
+            }
+        }
+    }
+    gaps.sort_unstable();
+    let points = timeouts
+        .iter()
+        .map(|&t| {
+            assert!(t >= 0.0, "negative session timeout");
+            let within = gaps.partition_point(|&g| f64::from(g) <= t);
+            (t, clients + gaps.len() - within)
+        })
+        .collect();
     TimeoutSweep { points }
 }
 

@@ -5,7 +5,10 @@ use lsw_analysis::marginal::{display_transform, Marginal};
 use lsw_analysis::{characterize_with, session_layer};
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
+use lsw_stats::par::Parallelism;
+use lsw_trace::event::LogEntryBuilder;
 use lsw_trace::session::{SessionConfig, Sessions};
+use lsw_trace::{ClientId, LogEntry, Trace};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,15 +92,96 @@ proptest! {
     }
 
     #[test]
-    fn timeout_sweep_matches_direct_sessionization(
+    fn paper_timeout_sweep_matches_oracle_on_generated_traces(
         seed in 0u64..200,
     ) {
         let config = WorkloadConfig::paper().scaled(800, 43_200, 1_500);
         let trace = Generator::new(config, seed).unwrap().generate().render();
-        let sweep = session_layer::sweep_timeouts(&trace, &[600.0, 1_500.0]);
-        for &(t, n) in &sweep.points {
-            let direct = Sessions::identify(&trace, SessionConfig { timeout: t }).len();
-            prop_assert_eq!(n, direct);
-        }
+        assert_sweep_matches_oracle(&trace, &session_layer::TIMEOUT_SWEEP);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn timeout_sweep_matches_per_timeout_oracle(
+        // (client, start, duration): a handful of clients so runs are long
+        // and overlap; durations mix zero-length, short and long (long ones
+        // cover later starts, so the running maximum stop matters); a few
+        // starts sit at the top of the u32 range, where `stop` saturates.
+        // Random starts make the input order a shuffle of the canonical one.
+        transfers in prop::collection::vec(
+            (
+                0u32..6,
+                prop_oneof![0u32..20_000, (u32::MAX - 50)..u32::MAX],
+                prop_oneof![Just(0u32), 0u32..40, 0u32..5_000],
+            ),
+            0..80,
+        ),
+        duplicates in prop::collection::vec(0usize..1_000, 0..6),
+        // Unsorted, possibly repeated timeouts: zero, fractional, integral.
+        sampled in prop::collection::vec(
+            prop_oneof![Just(0.0f64), 0.0..6_000.0f64, (0u32..6_000).prop_map(f64::from)],
+            0..10,
+        ),
+        gap_picks in prop::collection::vec(0usize..1_000, 0..6),
+    ) {
+        let mut entries: Vec<LogEntry> = transfers
+            .iter()
+            .map(|&(client, start, duration)| {
+                LogEntryBuilder::new()
+                    .span(start, duration)
+                    .client(ClientId(client))
+                    .build()
+            })
+            .collect();
+        for &d in &duplicates {
+            if !entries.is_empty() {
+                entries.push(entries[d % entries.len()]);
+            }
+        }
+        let trace = Trace::from_entries(entries, u32::MAX);
+
+        // Every silent gap that can split a session is an OFF time at
+        // T = 0; sweeping exactly those values hits `gap == T`, and half a
+        // second either side brackets it.
+        let gaps = Sessions::identify_with(
+            &trace,
+            SessionConfig { timeout: 0.0 },
+            Parallelism::sequential(),
+        )
+        .off_times();
+        let mut timeouts = sampled;
+        for &g in &gap_picks {
+            if !gaps.is_empty() {
+                let gap = gaps[g % gaps.len()];
+                timeouts.extend([gap, gap - 0.5, gap + 0.5]);
+            }
+        }
+        assert_sweep_matches_oracle(&trace, &timeouts);
+    }
+}
+
+/// The differential oracle for Fig 9: what the sweep computed before it
+/// became one pass — a full sessionization per timeout. It lives here only.
+fn sessions_by_sessionizing(trace: &Trace, timeout: f64) -> usize {
+    Sessions::identify_with(trace, SessionConfig { timeout }, Parallelism::sequential()).len()
+}
+
+fn assert_sweep_matches_oracle(trace: &Trace, timeouts: &[f64]) {
+    let sweep = session_layer::sweep_timeouts(trace, timeouts);
+    assert_eq!(sweep.points.len(), timeouts.len());
+    for (&(t, n), &asked) in sweep.points.iter().zip(timeouts) {
+        assert_eq!(t, asked, "points must keep the order asked for");
+        assert_eq!(n, sessions_by_sessionizing(trace, t), "T_o = {t}");
+    }
+}
+
+#[test]
+fn timeout_sweep_of_the_empty_trace_is_all_zero() {
+    let trace = Trace::from_entries(Vec::new(), 86_400);
+    assert_sweep_matches_oracle(&trace, &[0.0, 1_500.0]);
+    let sweep = session_layer::sweep_timeouts(&trace, &[0.0, 1_500.0]);
+    assert_eq!(sweep.points, vec![(0.0, 0), (1_500.0, 0)]);
 }

@@ -146,6 +146,21 @@ fn parse_or<T: std::str::FromStr>(v: Option<&str>, default: T, name: &str) -> T 
     }
 }
 
+/// `--timeout TO`: the session timeout, finite and non-negative (the
+/// sessionizer asserts as much), defaulting to the paper's 1,500 s.
+fn session_timeout(args: &[String]) -> f64 {
+    let timeout: f64 = parse_or(
+        flag_value(args, "--timeout"),
+        lsw::stats::paper::SESSION_TIMEOUT_SECS,
+        "--timeout",
+    );
+    if !timeout.is_finite() || timeout < 0.0 {
+        eprintln!("bad value for --timeout: {timeout} (expected a finite number of seconds >= 0)");
+        exit(2);
+    }
+    timeout
+}
+
 /// On-disk log encodings the reading commands accept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LogFormat {
@@ -414,12 +429,8 @@ fn load(
 }
 
 fn cmd_characterize(args: &[String]) {
+    let timeout = session_timeout(args);
     let (trace, _, ingest) = load(args);
-    let timeout: f64 = parse_or(
-        flag_value(args, "--timeout"),
-        lsw::stats::paper::SESSION_TIMEOUT_SECS,
-        "--timeout",
-    );
     let report = characterize_with(&trace, SessionConfig { timeout }, 0).with_ingest(ingest);
     println!("{}", report.headline());
     if let Some(json_path) = flag_value(args, "--json") {
@@ -433,11 +444,7 @@ fn cmd_characterize(args: &[String]) {
 
 fn stream_config(args: &[String]) -> StreamConfig {
     let mut cfg = StreamConfig {
-        timeout: parse_or(
-            flag_value(args, "--timeout"),
-            lsw::stats::paper::SESSION_TIMEOUT_SECS,
-            "--timeout",
-        ),
+        timeout: session_timeout(args),
         ..StreamConfig::default()
     };
     if let Some(h) = flag_value(args, "--horizon") {
@@ -494,12 +501,10 @@ fn cmd_analyze(args: &[String]) {
     }
 
     let (trace, horizon, ingest) = load(args);
-    let timeout: f64 = parse_or(
-        flag_value(args, "--timeout"),
-        lsw::stats::paper::SESSION_TIMEOUT_SECS,
-        "--timeout",
-    );
-    let batch = characterize_with(&trace, SessionConfig { timeout }, 0).with_ingest(ingest);
+    let config = SessionConfig {
+        timeout: stream_cfg.timeout,
+    };
+    let batch = characterize_with(&trace, config, 0).with_ingest(ingest);
 
     if comparing {
         // Pin the streaming horizon to the batch one so both pipelines

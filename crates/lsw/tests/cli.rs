@@ -1,0 +1,83 @@
+//! Drives the built `lsw` binary: the only place flag validation and
+//! run-to-run output determinism are checked at the real surface.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn lsw(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lsw"))
+        .args(args)
+        .output()
+        .expect("the lsw binary runs")
+}
+
+/// A fresh per-test directory (tests run in parallel and must not share
+/// files) holding one small generated `ltc` log.
+fn generated_ltc(test: &str) -> (PathBuf, String) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{test}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("the test directory is creatable");
+    let log = dir.join("t.ltc").to_str().expect("utf-8 path").to_owned();
+    let out = lsw(&[
+        "generate",
+        "--days",
+        "0.25",
+        "--clients",
+        "300",
+        "--sessions",
+        "500",
+        "--seed",
+        "3",
+        "--emit",
+        "ltc",
+        "--out",
+        &log,
+    ]);
+    assert!(out.status.success(), "generate failed: {out:?}");
+    (dir, log)
+}
+
+#[test]
+fn characterize_json_is_byte_identical_run_to_run() {
+    let (dir, log) = generated_ltc("determinism");
+    let reports: Vec<Vec<u8>> = ["a.json", "b.json"]
+        .iter()
+        .map(|name| {
+            let json = dir.join(name);
+            let out = lsw(&["characterize", &log, "--json", json.to_str().unwrap()]);
+            assert!(out.status.success(), "characterize failed: {out:?}");
+            std::fs::read(json).unwrap()
+        })
+        .collect();
+    assert!(reports[0].len() > 10_000, "report suspiciously small");
+    assert!(reports[0] == reports[1], "two runs wrote different reports");
+}
+
+#[test]
+fn bad_timeout_exits_2_in_every_mode_without_panicking() {
+    let (_dir, log) = generated_ltc("timeout");
+    let modes: [&[&str]; 4] = [
+        &["characterize"],
+        &["analyze"],
+        &["analyze", "--stream"],
+        &["analyze", "--compare"],
+    ];
+    for mode in modes {
+        for bad in ["-5", "nan", "inf"] {
+            let mut args = vec![mode[0], log.as_str()];
+            args.extend(&mode[1..]);
+            args.extend(["--timeout", bad]);
+            let out = lsw(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("bad value for --timeout"),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+    // The boundary itself is a valid timeout.
+    let out = lsw(&["characterize", &log, "--timeout", "0"]);
+    assert!(out.status.success(), "--timeout 0 refused: {out:?}");
+}

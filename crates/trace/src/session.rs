@@ -142,7 +142,7 @@ impl Sessions {
 
     /// Identifies sessions with an explicit worker count. The result is
     /// identical at every worker count: transfers are ordered by the
-    /// canonical total key `(client, start, stop, index)`, the ordered
+    /// canonical total key `(client, start, timestamp, index)`, the ordered
     /// index list is partitioned at client boundaries, and each worker
     /// sessionizes whole clients independently.
     pub fn identify_with(trace: &Trace, config: SessionConfig, par: Parallelism) -> Self {
@@ -171,8 +171,9 @@ impl Sessions {
     /// The shared core behind both identify paths.
     fn identify_view<V: TransferView>(view: &V, config: SessionConfig, par: Parallelism) -> Self {
         assert!(config.timeout >= 0.0, "negative session timeout");
-        // Canonical order: (client, start, stop, index) is a total key, so
-        // the unstable sort is deterministic even on duplicate entries.
+        // Canonical order: (client, start, timestamp, index) is a total
+        // key, so the unstable sort is deterministic even on duplicate
+        // entries.
         let mut order: Vec<u32> = (0..view.len() as u32).collect();
         order.sort_unstable_by_key(|&i| (view.client(i), view.start(i), view.timestamp(i), i));
 
@@ -245,6 +246,9 @@ impl Sessions {
     }
 
     /// The session-grouped transfer index order (into `Trace::entries()`).
+    ///
+    /// Sessions only cut the canonical `(client, start, timestamp, index)`
+    /// order into runs, so this is that order itself, whatever the timeout.
     pub fn entry_order(&self) -> &[u32] {
         &self.entry_order
     }

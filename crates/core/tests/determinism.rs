@@ -6,6 +6,7 @@ use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
 use lsw_stats::dist::SamplerBackend;
 use lsw_stats::par::Parallelism;
+use lsw_trace::ltc::codec::crc32;
 use lsw_trace::wms;
 
 fn config() -> WorkloadConfig {
@@ -49,6 +50,27 @@ fn rendered_log_bytes_identical_across_thread_counts() {
     let base = render(1);
     assert_eq!(base, render(2));
     assert_eq!(base, render(8));
+}
+
+/// `(transfers, len, crc32)` of `format_log` on the seed-17 fixture above,
+/// captured on the commit before the WMS writer stopped going through
+/// `std::fmt`. A change to the log bytes on purpose updates these and says
+/// so in CHANGES.md.
+const GOLDEN_LOG: (usize, usize, u32) = (13_967, 1_200_139, 703_354_633);
+
+#[test]
+fn rendered_log_bytes_match_the_pinned_parent() {
+    let trace = Generator::new(config(), 17)
+        .unwrap()
+        .with_parallelism(Parallelism::fixed(2))
+        .generate()
+        .render();
+    let text = wms::format_log(trace.entries());
+    assert_eq!(
+        (trace.len(), text.len(), crc32(&text)),
+        GOLDEN_LOG,
+        "log bytes changed: (transfers, len, crc32) differ from the pinned parent"
+    );
 }
 
 #[test]

@@ -301,23 +301,17 @@ fn cmd_generate(args: &[String]) {
             exit(2);
         }
     };
-    match emit {
-        LogFormat::Wms => {
-            let text = wms::format_log(trace.entries());
-            std::fs::write(out, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                exit(1);
-            });
+    let written = std::fs::File::create(out).and_then(|f| {
+        let sink = std::io::BufWriter::new(f);
+        match emit {
+            LogFormat::Wms => wms::write_log(trace.entries(), sink),
+            LogFormat::Ltc => ltc::write_entries(trace.entries(), sink).map(drop),
         }
-        LogFormat::Ltc => {
-            std::fs::File::create(out)
-                .and_then(|f| ltc::write_entries(trace.entries(), std::io::BufWriter::new(f)))
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot write {out}: {e}");
-                    exit(1);
-                });
-        }
-    }
+    });
+    written.unwrap_or_else(|e| {
+        eprintln!("cannot write {out}: {e}");
+        exit(1);
+    });
     eprintln!("wrote {} entries to {out}", trace.len());
 }
 
@@ -374,18 +368,19 @@ fn cmd_convert(args: &[String]) {
             );
         }
         LogFormat::Ltc => {
-            // ltc -> wms: decode every block, render the text log.
+            // ltc -> wms: decode every block, stream the text log out.
             let (entries, stats) = ltc::FileSource::open(Path::new(input.as_str()))
                 .and_then(|src| ltc::BlockReader::open(src)?.read_all())
                 .unwrap_or_else(|e| {
                     eprintln!("cannot read {input}: {e}");
                     exit(1);
                 });
-            let text = wms::format_log(&entries);
-            std::fs::write(output, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {output}: {e}");
-                exit(1);
-            });
+            std::fs::File::create(output)
+                .and_then(|f| wms::write_log(&entries, std::io::BufWriter::new(f)))
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot write {output}: {e}");
+                    exit(1);
+                });
             eprintln!("wrote {} entries to {output}", entries.len());
             if stats.corrupt_blocks > 0 {
                 // Data was lost in transit: say how much, and make the

@@ -54,6 +54,42 @@ fn characterize_json_is_byte_identical_run_to_run() {
 }
 
 #[test]
+fn generated_and_converted_text_logs_are_the_same_bytes() {
+    // `generate --emit wms` and `convert` ltc -> wms both stream the text
+    // through `wms::write_log`; from the same seed they must agree with
+    // each other and with the in-memory `format_log`.
+    let (dir, ltc) = generated_ltc("text");
+    let direct = dir.join("direct.wms");
+    let converted = dir.join("converted.wms");
+    let out = lsw(&[
+        "generate",
+        "--days",
+        "0.25",
+        "--clients",
+        "300",
+        "--sessions",
+        "500",
+        "--seed",
+        "3",
+        "--out",
+        direct.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "generate failed: {out:?}");
+    let out = lsw(&["convert", &ltc, converted.to_str().unwrap()]);
+    assert!(out.status.success(), "convert failed: {out:?}");
+
+    let text = std::fs::read(&direct).unwrap();
+    assert!(text.len() > 10_000, "log suspiciously small");
+    assert!(text == std::fs::read(&converted).unwrap());
+    let (entries, _) = lsw::trace::ltc::BlockReader::open(lsw::trace::ltc::SliceSource::new(
+        &std::fs::read(&ltc).unwrap(),
+    ))
+    .and_then(|r| r.read_all())
+    .unwrap();
+    assert!(text[..] == lsw::trace::wms::format_log(&entries)[..]);
+}
+
+#[test]
 fn bad_timeout_exits_2_in_every_mode_without_panicking() {
     let (_dir, log) = generated_ltc("timeout");
     let modes: [&[&str]; 4] = [

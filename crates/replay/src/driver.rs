@@ -324,33 +324,23 @@ fn pump(
                 return true;
             }
             Ok(n) if conn.expected.is_none() => {
-                // Capacity check BEFORE growth, on the status *line*
-                // only: the server streams payload right behind the
-                // newline, so the chunk itself may legitimately exceed
-                // MAX_REQUEST_LINE. Bytes past the newline are drained
-                // out of `header` below, so the buffer stays bounded.
-                let nl_in_chunk = scratch[..n].iter().position(|&b| b == b'\n');
-                if conn.header.len() + nl_in_chunk.unwrap_or(n) > proto::MAX_REQUEST_LINE {
-                    out.short += 1; // protocol garbage
-                    return true;
+                match status_line(&mut conn.header, &scratch[..n]) {
+                    StatusLine::Partial => {}
+                    StatusLine::Ok { budget, payload } => {
+                        conn.expected = Some(budget);
+                        conn.received += payload;
+                        out.bytes_received += payload;
+                        bytes_received.add(payload);
+                    }
+                    StatusLine::Busy => {
+                        out.rejected += 1;
+                        return true;
+                    }
+                    StatusLine::Garbage => {
+                        out.short += 1;
+                        return true;
+                    }
                 }
-                conn.header.extend_from_slice(&scratch[..n]);
-                let Some(nl) = conn.header.iter().position(|&b| b == b'\n') else {
-                    continue;
-                };
-                let line = String::from_utf8_lossy(&conn.header[..nl]).into_owned();
-                let Some(budget) = line.strip_prefix("OK ").and_then(|v| v.parse().ok()) else {
-                    // BUSY (or unparseable): admission turned us away.
-                    out.rejected += 1;
-                    return true;
-                };
-                conn.expected = Some(budget);
-                // Bytes past the status line are already payload.
-                let rest = (conn.header.len() - nl - 1) as u64;
-                conn.header.clear();
-                conn.received += rest;
-                out.bytes_received += rest;
-                bytes_received.add(rest);
             }
             Ok(n) => {
                 conn.received += n as u64;
@@ -364,6 +354,52 @@ fn pump(
                 return true;
             }
         }
+    }
+}
+
+/// What one read before the status line was complete amounts to.
+#[derive(Debug, PartialEq, Eq)]
+enum StatusLine {
+    /// No newline yet; the partial line waits in the header buffer.
+    Partial,
+    /// `OK <budget>`; the read's `payload` bytes past the newline are
+    /// already payload.
+    Ok { budget: u64, payload: u64 },
+    /// `BUSY` (or unparseable): admission turned the transfer away.
+    Busy,
+    /// No newline within [`proto::MAX_REQUEST_LINE`]: protocol garbage.
+    Garbage,
+}
+
+/// Feeds one read into a connection's status-line buffer.
+///
+/// Only the bytes up to the newline are copied: the server streams
+/// payload right behind it, so a first read may carry hundreds of KiB
+/// that the driver only counts. The capacity check comes before growth
+/// and covers the line alone, and once the line is parsed the buffer is
+/// released, so a connection holds at most `MAX_REQUEST_LINE` bytes of
+/// header for as long as it lives.
+fn status_line(header: &mut Vec<u8>, read: &[u8]) -> StatusLine {
+    let nl = read.iter().position(|&b| b == b'\n');
+    if header.len() + nl.unwrap_or(read.len()) > proto::MAX_REQUEST_LINE {
+        return StatusLine::Garbage;
+    }
+    let Some(p) = nl else {
+        header.extend_from_slice(read);
+        return StatusLine::Partial;
+    };
+    header.extend_from_slice(&read[..p]);
+    let line = std::mem::take(header);
+    let budget = std::str::from_utf8(&line)
+        .ok()
+        .and_then(|l| l.strip_prefix("OK "))
+        .and_then(|v| v.parse().ok());
+    match budget {
+        Some(budget) => StatusLine::Ok {
+            budget,
+            payload: (read.len() - p - 1) as u64,
+        },
+        None => StatusLine::Busy,
     }
 }
 
@@ -396,6 +432,38 @@ mod tests {
             assert!(!splice_unsupported(&io::Error::from_raw_os_error(errno)));
         }
         assert!(!splice_unsupported(&io::Error::other("no raw errno")));
+    }
+
+    #[test]
+    fn status_line_buffer_holds_the_line_only() {
+        // A first read carrying the status line and a 256 KiB payload.
+        let mut read = b"OK 300000\n".to_vec();
+        read.resize(256 * 1024, b'x');
+        let mut header = Vec::new();
+        assert_eq!(
+            status_line(&mut header, &read),
+            StatusLine::Ok {
+                budget: 300_000,
+                payload: 256 * 1024 - 10
+            }
+        );
+        assert!(header.capacity() <= proto::MAX_REQUEST_LINE);
+
+        // A line split across reads, then payload behind its newline.
+        let mut header = Vec::new();
+        assert_eq!(status_line(&mut header, b"OK 12"), StatusLine::Partial);
+        assert_eq!(
+            status_line(&mut header, b"34\nabc"),
+            StatusLine::Ok {
+                budget: 1234,
+                payload: 3
+            }
+        );
+        assert_eq!(header.capacity(), 0);
+
+        assert_eq!(status_line(&mut Vec::new(), b"BUSY\n"), StatusLine::Busy);
+        let long = vec![b'O'; proto::MAX_REQUEST_LINE + 1];
+        assert_eq!(status_line(&mut Vec::new(), &long), StatusLine::Garbage);
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! 150 100 50 7 200.17.34.5 42 BR /live/feed1.asf 12 500000 34000 0.0100 0.050 200
 //! ```
 //!
-//! The encoder writes into a [`bytes::BytesMut`] so large traces serialize
-//! without intermediate `String` churn.
+//! The encoder builds each line in a stack buffer without going through
+//! `std::fmt`: integers and the dotted IP are written two digits at a
+//! time, and the two fractions are rounded exactly (see [`format_entry`]).
+//! [`write_log`] streams lines to any [`std::io::Write`];
+//! [`format_log`] is the same writer aimed at an in-memory buffer.
 //!
 //! # Zero-copy parsing
 //!
@@ -56,44 +59,187 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Serializes one entry as a log line (no trailing newline).
+///
+/// The bytes are those of the `std::fmt` pattern
+/// `"{} {} {} {} {} {} {} {} {} {} {} {:.4} {:.3} {}"` over the fields in
+/// header order, without its cost: the line is built on the stack and
+/// appended with one `put_slice`. The two fractions are rounded from the
+/// exact product `f64::from(v) * 10^d`, which is `std`'s rounding (DESIGN.md
+/// §11, "WMS writer").
 pub fn format_entry(e: &LogEntry, out: &mut BytesMut) {
-    use std::fmt::Write as _;
-    // itoa-style manual formatting is overkill here; fmt::Write into a
-    // reused stack string keeps allocations at zero per line.
-    let mut line = String::with_capacity(96);
-    let written = write!(
-        line,
-        "{} {} {} {} {} {} {} {} {} {} {} {:.4} {:.3} {}",
-        e.timestamp,
-        e.start,
-        e.duration,
-        e.client.0,
-        e.ip,
-        e.as_id.0,
-        e.country,
-        e.object.uri(),
-        e.camera,
-        e.bytes,
-        e.avg_bandwidth,
-        e.packet_loss,
-        e.cpu_util,
-        e.status
-    );
-    debug_assert!(written.is_ok(), "fmt::Write to String cannot fail");
+    let mut line = Line::new();
+    line.entry(e);
     out.put_slice(line.as_bytes());
 }
 
-/// Serializes a whole trace body with headers.
-pub fn format_log(entries: &[LogEntry]) -> BytesMut {
-    let mut out = BytesMut::with_capacity(entries.len() * 96 + 256);
-    out.put_slice(b"#Software: lsw-sim\n#Version: 1.0\n");
-    out.put_slice(FIELDS_HEADER.as_bytes());
-    out.put_u8(b'\n');
+/// Streams a whole trace body with headers to `out`, one `write_all` per
+/// line, and flushes it. Give it a buffered writer: every line is a
+/// separate call.
+pub fn write_log<W: std::io::Write>(entries: &[LogEntry], mut out: W) -> std::io::Result<()> {
+    out.write_all(b"#Software: lsw-sim\n#Version: 1.0\n")?;
+    out.write_all(FIELDS_HEADER.as_bytes())?;
+    out.write_all(b"\n")?;
+    let mut line = Line::new();
     for e in entries {
-        format_entry(e, &mut out);
-        out.put_u8(b'\n');
+        line.entry(e);
+        line.push(b"\n");
+        out.write_all(line.as_bytes())?;
     }
-    out
+    out.flush()
+}
+
+/// Serializes a whole trace body with headers ([`write_log`] into memory).
+pub fn format_log(entries: &[LogEntry]) -> BytesMut {
+    let mut out = Vec::with_capacity(entries.len() * 96 + 256);
+    let written = write_log(entries, &mut out);
+    debug_assert!(written.is_ok(), "io::Write to Vec cannot fail");
+    BytesMut::from(out)
+}
+
+/// Room for the longest line [`Line::entry`] can build, newline included:
+/// 222 bytes, reached only when both fractions take the `std` fallback at
+/// `-f32::MAX` (45 and 44 bytes); every other field is bounded by its type.
+const MAX_LINE: usize = 256;
+
+/// `"00" "01" … "99"`: the two ASCII digits of `i` at `2i..2i + 2`, so
+/// integers are written a digit pair per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// `10^d` for the decimal counts the log uses, as integer and as `f64`.
+const POW10_U64: [u64; 5] = [1, 10, 100, 1_000, 10_000];
+const POW10_F64: [f64; 5] = [1e0, 1e1, 1e2, 1e3, 1e4];
+
+/// One log line under construction, in a stack buffer that is reused
+/// from line to line.
+struct Line {
+    buf: [u8; MAX_LINE],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Self {
+        Line {
+            buf: [0; MAX_LINE],
+            len: 0,
+        }
+    }
+
+    /// Replaces the contents with the line for `e` (no trailing newline).
+    #[inline]
+    fn entry(&mut self, e: &LogEntry) {
+        self.len = 0;
+        self.uint(u64::from(e.timestamp));
+        self.push(b" ");
+        self.uint(u64::from(e.start));
+        self.push(b" ");
+        self.uint(u64::from(e.duration));
+        self.push(b" ");
+        self.uint(u64::from(e.client.0));
+        self.push(b" ");
+        let [a, b, c, d] = e.ip.octets();
+        self.uint(u64::from(a));
+        self.push(b".");
+        self.uint(u64::from(b));
+        self.push(b".");
+        self.uint(u64::from(c));
+        self.push(b".");
+        self.uint(u64::from(d));
+        self.push(b" ");
+        self.uint(u64::from(e.as_id.0));
+        self.push(b" ");
+        self.push(e.country.as_str().as_bytes());
+        self.push(b" /live/feed");
+        self.uint(u64::from(e.object.0));
+        self.push(b".asf ");
+        self.uint(u64::from(e.camera));
+        self.push(b" ");
+        self.uint(e.bytes);
+        self.push(b" ");
+        self.uint(u64::from(e.avg_bandwidth));
+        self.push(b" ");
+        self.fixed::<4>(e.packet_loss);
+        self.push(b" ");
+        self.fixed::<3>(e.cpu_util);
+        self.push(b" ");
+        self.uint(u64::from(e.status));
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    #[inline]
+    fn push(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        self.buf[self.len..end].copy_from_slice(bytes);
+        self.len = end;
+    }
+
+    /// Appends `n` in decimal, as `{}` does.
+    #[inline]
+    fn uint(&mut self, mut n: u64) {
+        let digits = n.checked_ilog10().map_or(1, |l| l as usize + 1);
+        let out = &mut self.buf[self.len..self.len + digits];
+        let mut i = digits;
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            i -= 2;
+            out[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        let pair = n as usize * 2;
+        if n >= 10 {
+            out[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            out[0] = DIGIT_PAIRS[pair + 1];
+        }
+        self.len += digits;
+    }
+
+    /// Appends `v` with `D` decimals, as `{:.D}` does.
+    ///
+    /// `std` prints the exact binary value rounded half-to-even at the
+    /// `D`-th decimal. For a finite, non-negative `v` below `10^6`,
+    /// `f64::from(v) * 10^D` is exact (a 24-bit mantissa times a 14-bit
+    /// `10^4` fits in 53 bits), so rounding that product half-to-even to an
+    /// integer is the same rounding: `0.03125` gives `0.0312`, `0.09375`
+    /// gives `0.0938`. Every other value (NaN, ±inf, `-0.0`, negatives,
+    /// `>= 10^6`) is written by `std` itself.
+    #[inline]
+    fn fixed<const D: usize>(&mut self, v: f32) {
+        if !(v.is_sign_positive() && v < 1e6) {
+            return self.fixed_std(v, D);
+        }
+        // At most 10^6 * 10^4 < 2^64, and already integral: the cast is exact.
+        let n = (f64::from(v) * POW10_F64[D]).round_ties_even() as u64;
+        self.uint(n / POW10_U64[D]);
+        self.push(b".");
+        let mut frac = n % POW10_U64[D];
+        for slot in self.buf[self.len..self.len + D].iter_mut().rev() {
+            *slot = DIGIT_PAIRS[(frac % 10) as usize * 2 + 1];
+            frac /= 10;
+        }
+        self.len += D;
+    }
+
+    #[cold]
+    fn fixed_std(&mut self, v: f32, decimals: usize) {
+        use std::fmt::Write as _;
+        let written = write!(self, "{v:.decimals$}");
+        debug_assert!(written.is_ok(), "MAX_LINE holds every field");
+    }
+}
+
+impl std::fmt::Write for Line {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.push(s.as_bytes());
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,11 +14,9 @@ use lsw_stats::process::{PiecewisePoisson, PiecewiseRate};
 use lsw_stats::rng::SeedStream;
 use lsw_stats::timeseries::{autocorrelation, BinnedSeries};
 use lsw_trace::concurrency::ConcurrencyProfile;
-use lsw_trace::ids::{AsId, Ipv4Addr};
 use lsw_trace::session::{transfer_counts_per_client, Sessions};
 use lsw_trace::trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Client diversity over ASes and countries (Fig 2).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -112,28 +110,40 @@ pub fn analyze(trace: &Trace, sessions: &Sessions, seed: u64) -> ClientLayer {
 
 /// Fig 2: AS and country popularity.
 pub fn analyze_geo(trace: &Trace) -> GeoAnalysis {
-    // BTreeMaps: RankFrequency::from_counts sorts by count only, so equal
-    // counts keep insertion order — iteration order must not depend on the
-    // process-random hash seed.
-    let mut transfers_per_as: BTreeMap<AsId, u64> = BTreeMap::new();
-    let mut ips_per_as: BTreeMap<AsId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-    let mut transfers_per_country: BTreeMap<[u8; 2], u64> = BTreeMap::new();
-    for e in trace.entries() {
-        *transfers_per_as.entry(e.as_id).or_insert(0) += 1;
-        ips_per_as.entry(e.as_id).or_default().insert(e.ip);
-        *transfers_per_country.entry(e.country.0).or_insert(0) += 1;
+    // One `(as << 32) | ip` key per transfer. Sorted, the keys run by AS in
+    // ascending order and by IP within an AS, so one walk counts transfers
+    // and distinct IPs per AS, and the count vectors never depend on the
+    // trace's record order.
+    let mut keys: Vec<u64> = trace
+        .entries()
+        .iter()
+        .map(|e| u64::from(e.as_id.0) << 32 | u64::from(e.ip.0))
+        .collect();
+    keys.sort_unstable();
+    let mut transfers_per_as = Vec::new();
+    let mut ips_per_as = Vec::new();
+    for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+        transfers_per_as.push(run.len() as u64);
+        ips_per_as.push(run.chunk_by(|a, b| a == b).count() as u64);
     }
     let n_ases = transfers_per_as.len();
-    let as_by_transfers =
-        RankFrequency::from_counts(transfers_per_as.into_values().collect()).points();
-    let as_by_ips =
-        RankFrequency::from_counts(ips_per_as.values().map(|s| s.len() as u64).collect()).points();
-    let total: u64 = transfers_per_country.values().sum();
-    let mut country_transfers: Vec<(String, f64)> = transfers_per_country
-        .into_iter()
-        .map(|(c, n)| {
+    let as_by_transfers = RankFrequency::from_counts(transfers_per_as).points();
+    let as_by_ips = RankFrequency::from_counts(ips_per_as).points();
+
+    // One slot per two-byte country code.
+    let mut transfers_per_country = vec![0u64; 1 << 16];
+    for e in trace.entries() {
+        transfers_per_country[usize::from(u16::from_be_bytes(e.country.0))] += 1;
+    }
+    let total: u64 = transfers_per_country.iter().sum();
+    let mut country_transfers: Vec<(String, f64)> = (0..=u16::MAX)
+        .zip(&transfers_per_country)
+        .filter(|&(_, &n)| n > 0)
+        .map(|(code, &n)| {
             (
-                std::str::from_utf8(&c).unwrap_or("??").to_string(),
+                std::str::from_utf8(&code.to_be_bytes())
+                    .unwrap_or("??")
+                    .to_string(),
                 n as f64 / total.max(1) as f64,
             )
         })

@@ -33,7 +33,8 @@ impl Marginal {
     /// from the log histogram but kept in the ECDF and summary — callers
     /// that applied `⌊t⌋+1` have none anyway.
     pub fn log_binned(data: &[f64], per_decade: usize) -> Option<Self> {
-        let summary = Summary::from_data(data)?;
+        let ecdf = Ecdf::new(data.to_vec());
+        let summary = Summary::with_ecdf(data, &ecdf)?;
         let positive_min = data
             .iter()
             .copied()
@@ -53,7 +54,6 @@ impl Marginal {
             // Degenerate spread: one atom.
             vec![(summary.max.max(positive_min), 1.0)]
         };
-        let ecdf = Ecdf::new(data.to_vec());
         Some(Self {
             summary,
             frequency,
@@ -65,14 +65,14 @@ impl Marginal {
     /// Builds a marginal with linear frequency bins (for counts like
     /// concurrency, Figs 3/15).
     pub fn linear_binned(data: &[f64], nbins: usize) -> Option<Self> {
-        let summary = Summary::from_data(data)?;
+        let ecdf = Ecdf::new(data.to_vec());
+        let summary = Summary::with_ecdf(data, &ecdf)?;
         let (lo, hi) = (summary.min, summary.max);
         let frequency = if hi > lo {
             Histogram::from_data(Binning::Linear { lo, hi, nbins }, data).frequency_points()
         } else {
             vec![(lo, 1.0)]
         };
-        let ecdf = Ecdf::new(data.to_vec());
         Some(Self {
             summary,
             frequency,

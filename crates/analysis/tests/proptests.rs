@@ -1,15 +1,19 @@
 //! Property-based tests for the characterizer: any trace the pipeline can
 //! produce must yield a structurally sound report.
 
+use lsw_analysis::client_layer::{analyze_geo, GeoAnalysis};
 use lsw_analysis::marginal::{display_transform, Marginal};
 use lsw_analysis::{characterize_with, session_layer};
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
+use lsw_stats::empirical::{RankFrequency, Summary};
 use lsw_stats::par::Parallelism;
 use lsw_trace::event::LogEntryBuilder;
-use lsw_trace::session::{SessionConfig, Sessions};
+use lsw_trace::ids::{AsId, CountryCode, Ipv4Addr};
+use lsw_trace::session::{transfer_counts_per_client, SessionConfig, Sessions};
 use lsw_trace::{ClientId, LogEntry, Trace};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -89,6 +93,12 @@ proptest! {
         prop_assert!(m.frequency.iter().all(|&(_, f)| f > 0.0));
         let mass: f64 = m.frequency.iter().map(|&(_, f)| f).sum();
         prop_assert!((mass - 1.0).abs() < 1e-6, "mass {}", mass);
+        // The summary read off the marginal's one sort is the standalone
+        // summary, bit for bit, at either binning.
+        let alone = summary_bits(&Summary::from_data(&data).unwrap());
+        prop_assert_eq!(summary_bits(&m.summary), alone);
+        let linear = Marginal::linear_binned(&data, per_decade).unwrap();
+        prop_assert_eq!(summary_bits(&linear.summary), alone);
     }
 
     #[test]
@@ -103,6 +113,50 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Few clients, ASes and IPs, with the extremes of each id space mixed
+    // in, so one IP shows up under several ASes and one AS holds many IPs;
+    // country bytes are arbitrary, so some are not UTF-8 and render "??".
+    #[test]
+    fn per_client_and_geo_counts_match_the_ordered_map_oracles(
+        transfers in prop::collection::vec(
+            (
+                prop_oneof![0u32..8, Just(u32::MAX)],
+                0u32..50_000,
+                prop_oneof![0u16..4, Just(u16::MAX)],
+                prop_oneof![0u32..6, Just(u32::MAX), 0u32..=u32::MAX],
+                prop_oneof![
+                    Just(*b"BR"),
+                    Just(*b"US"),
+                    (0u8..=255, 0u8..=255).prop_map(|(a, b)| [a, b]),
+                ],
+            ),
+            0..120,
+        ),
+    ) {
+        let entries = transfers
+            .iter()
+            .map(|&(client, start, as_id, ip, country)| {
+                LogEntryBuilder::new()
+                    .span(start, 30)
+                    .client(ClientId(client))
+                    .origin(Ipv4Addr(ip), AsId(as_id), CountryCode(country))
+                    .build()
+            })
+            .collect();
+        let trace = Trace::from_entries(entries, 86_400);
+        let sessions =
+            Sessions::identify_with(&trace, SessionConfig::default(), Parallelism::sequential());
+        prop_assert_eq!(
+            transfer_counts_per_client(&trace),
+            transfers_per_client_by_map(&trace)
+        );
+        prop_assert_eq!(
+            sessions.session_counts_per_client(),
+            sessions_per_client_by_map(&sessions)
+        );
+        assert_geo_bits_eq(&analyze_geo(&trace), &geo_by_maps(&trace));
+    }
 
     #[test]
     fn timeout_sweep_matches_per_timeout_oracle(
@@ -176,6 +230,105 @@ fn assert_sweep_matches_oracle(trace: &Trace, timeouts: &[f64]) {
         assert_eq!(t, asked, "points must keep the order asked for");
         assert_eq!(n, sessions_by_sessionizing(trace, t), "T_o = {t}");
     }
+}
+
+/// Every field of a summary as bits, so `NaN`s compare too.
+fn summary_bits(s: &Summary) -> Vec<u64> {
+    let floats = [
+        s.mean, s.variance, s.std_dev, s.cv, s.min, s.max, s.median, s.p25, s.p75, s.p95, s.p99,
+        s.skewness,
+    ];
+    std::iter::once(s.n as u64)
+        .chain(floats.iter().map(|x| x.to_bits()))
+        .collect()
+}
+
+/// The ordered-map counts that `transfer_counts_per_client` computed before
+/// it sorted ids: the oracle for it. It lives here only.
+fn transfers_per_client_by_map(trace: &Trace) -> Vec<u64> {
+    let mut counts: BTreeMap<ClientId, u64> = BTreeMap::new();
+    for e in trace.entries() {
+        *counts.entry(e.client).or_insert(0) += 1;
+    }
+    counts.into_values().collect()
+}
+
+/// The ordered-map body of `Sessions::session_counts_per_client`: the
+/// oracle for it. It lives here only.
+fn sessions_per_client_by_map(sessions: &Sessions) -> Vec<u64> {
+    let mut counts: BTreeMap<ClientId, u64> = BTreeMap::new();
+    for s in sessions.all() {
+        *counts.entry(s.client).or_insert(0) += 1;
+    }
+    counts.into_values().collect()
+}
+
+/// The ordered-map body of `analyze_geo` (Fig 2), before it sorted packed
+/// `(AS, IP)` keys and counted countries in a flat table: the oracle for
+/// it. It lives here only.
+fn geo_by_maps(trace: &Trace) -> GeoAnalysis {
+    let mut transfers_per_as: BTreeMap<AsId, u64> = BTreeMap::new();
+    let mut ips_per_as: BTreeMap<AsId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+    let mut transfers_per_country: BTreeMap<[u8; 2], u64> = BTreeMap::new();
+    for e in trace.entries() {
+        *transfers_per_as.entry(e.as_id).or_insert(0) += 1;
+        ips_per_as.entry(e.as_id).or_default().insert(e.ip);
+        *transfers_per_country.entry(e.country.0).or_insert(0) += 1;
+    }
+    let n_ases = transfers_per_as.len();
+    let as_by_transfers =
+        RankFrequency::from_counts(transfers_per_as.into_values().collect()).points();
+    let as_by_ips =
+        RankFrequency::from_counts(ips_per_as.values().map(|s| s.len() as u64).collect()).points();
+    let total: u64 = transfers_per_country.values().sum();
+    let mut country_transfers: Vec<(String, f64)> = transfers_per_country
+        .into_iter()
+        .map(|(c, n)| {
+            (
+                std::str::from_utf8(&c).unwrap_or("??").to_string(),
+                n as f64 / total.max(1) as f64,
+            )
+        })
+        .collect();
+    country_transfers.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    GeoAnalysis {
+        as_by_transfers,
+        as_by_ips,
+        n_countries: country_transfers.len(),
+        country_transfers,
+        n_ases,
+    }
+}
+
+fn assert_geo_bits_eq(got: &GeoAnalysis, want: &GeoAnalysis) {
+    let bits = |points: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        points
+            .iter()
+            .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+            .collect()
+    };
+    let countries = |g: &GeoAnalysis| -> Vec<(String, u64)> {
+        g.country_transfers
+            .iter()
+            .map(|(c, s)| (c.clone(), s.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&got.as_by_transfers), bits(&want.as_by_transfers));
+    assert_eq!(bits(&got.as_by_ips), bits(&want.as_by_ips));
+    assert_eq!(countries(got), countries(want));
+    assert_eq!(got.n_ases, want.n_ases);
+    assert_eq!(got.n_countries, want.n_countries);
+}
+
+#[test]
+fn counts_and_geo_of_the_empty_trace_match_the_oracles() {
+    let trace = Trace::from_entries(Vec::new(), 86_400);
+    let sessions = Sessions::identify(&trace, SessionConfig::default());
+    assert!(transfer_counts_per_client(&trace).is_empty());
+    assert!(sessions.session_counts_per_client().is_empty());
+    let geo = analyze_geo(&trace);
+    assert_geo_bits_eq(&geo, &geo_by_maps(&trace));
+    assert_eq!((geo.n_ases, geo.n_countries), (0, 0));
 }
 
 #[test]

@@ -161,6 +161,17 @@ fn session_timeout(args: &[String]) -> f64 {
     timeout
 }
 
+/// `--horizon SECS`: the trace horizon in whole seconds, at least 1 (the
+/// binned analyses need a non-empty range); `None` when the flag is absent.
+fn horizon_flag(args: &[String]) -> Option<u32> {
+    let horizon: u32 = parse_or(Some(flag_value(args, "--horizon")?), 0, "--horizon");
+    if horizon == 0 {
+        eprintln!("bad value for --horizon: 0 (expected whole seconds >= 1)");
+        exit(2);
+    }
+    Some(horizon)
+}
+
 /// On-disk log encodings the reading commands accept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LogFormat {
@@ -397,8 +408,11 @@ fn cmd_convert(args: &[String]) {
     }
 }
 
+/// Loads and sanitizes the LOG argument's trace over `horizon` seconds,
+/// inferred from the last stop time when `None`.
 fn load(
     args: &[String],
+    horizon: Option<u32>,
 ) -> (
     lsw::trace::trace::Trace,
     u32,
@@ -409,9 +423,8 @@ fn load(
         exit(2);
     };
     let entries = read_entries(path, resolve_format(args, path));
-    // Horizon: explicit flag, or inferred from the last stop time.
-    let inferred = entries.iter().map(|e| e.stop()).max().unwrap_or(0) + 1;
-    let horizon: u32 = parse_or(flag_value(args, "--horizon"), inferred, "--horizon");
+    let horizon =
+        horizon.unwrap_or_else(|| entries.iter().map(|e| e.stop()).max().unwrap_or(0) + 1);
     let (trace, report) = sanitize(entries, horizon);
     if report.rejected() > 0 {
         eprintln!(
@@ -425,7 +438,7 @@ fn load(
 
 fn cmd_characterize(args: &[String]) {
     let timeout = session_timeout(args);
-    let (trace, _, ingest) = load(args);
+    let (trace, _, ingest) = load(args, horizon_flag(args));
     let report = characterize_with(&trace, SessionConfig { timeout }, 0).with_ingest(ingest);
     println!("{}", report.headline());
     if let Some(json_path) = flag_value(args, "--json") {
@@ -440,11 +453,9 @@ fn cmd_characterize(args: &[String]) {
 fn stream_config(args: &[String]) -> StreamConfig {
     let mut cfg = StreamConfig {
         timeout: session_timeout(args),
+        horizon: horizon_flag(args),
         ..StreamConfig::default()
     };
-    if let Some(h) = flag_value(args, "--horizon") {
-        cfg.horizon = Some(parse_or(Some(h), 0u32, "--horizon"));
-    }
     if let Some(s) = flag_value(args, "--shards") {
         cfg.shards = parse_or(Some(s), 1usize, "--shards").max(1);
     }
@@ -495,7 +506,7 @@ fn cmd_analyze(args: &[String]) {
         return;
     }
 
-    let (trace, horizon, ingest) = load(args);
+    let (trace, horizon, ingest) = load(args, stream_cfg.horizon);
     let config = SessionConfig {
         timeout: stream_cfg.timeout,
     };
@@ -529,7 +540,7 @@ fn cmd_analyze(args: &[String]) {
 }
 
 fn cmd_summary(args: &[String]) {
-    let (trace, _, _) = load(args);
+    let (trace, _, _) = load(args, horizon_flag(args));
     println!("{}", trace.summary());
 }
 

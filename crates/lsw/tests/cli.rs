@@ -89,9 +89,10 @@ fn generated_and_converted_text_logs_are_the_same_bytes() {
     assert!(text[..] == lsw::trace::wms::format_log(&entries)[..]);
 }
 
-#[test]
-fn bad_timeout_exits_2_in_every_mode_without_panicking() {
-    let (_dir, log) = generated_ltc("timeout");
+/// Runs every trace-reading mode on `log` with `flag` set to each of `bad`
+/// (each must exit 2 naming the flag, without a panic) and to `boundary`
+/// (each must succeed).
+fn check_flag_in_every_mode(log: &str, flag: &str, bad: &[&str], boundary: &str) {
     let modes: [&[&str]; 4] = [
         &["characterize"],
         &["analyze"],
@@ -99,21 +100,36 @@ fn bad_timeout_exits_2_in_every_mode_without_panicking() {
         &["analyze", "--compare"],
     ];
     for mode in modes {
-        for bad in ["-5", "nan", "inf"] {
-            let mut args = vec![mode[0], log.as_str()];
+        for value in bad.iter().chain([&boundary]) {
+            let mut args = vec![mode[0], log];
             args.extend(&mode[1..]);
-            args.extend(["--timeout", bad]);
+            args.extend([flag, value]);
             let out = lsw(&args);
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-            assert!(
-                stderr.contains("bad value for --timeout"),
-                "{args:?}: {stderr}"
-            );
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            if *value == boundary {
+                assert!(out.status.success(), "{args:?} refused: {stderr}");
+            } else {
+                assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains(&format!("bad value for {flag}")),
+                    "{args:?}: {stderr}"
+                );
+            }
         }
     }
+}
+
+#[test]
+fn bad_timeout_exits_2_in_every_mode_without_panicking() {
+    let (_dir, log) = generated_ltc("timeout");
     // The boundary itself is a valid timeout.
-    let out = lsw(&["characterize", &log, "--timeout", "0"]);
-    assert!(out.status.success(), "--timeout 0 refused: {out:?}");
+    check_flag_in_every_mode(&log, "--timeout", &["-5", "nan", "inf"], "0");
+}
+
+#[test]
+fn bad_horizon_exits_2_in_every_mode_without_panicking() {
+    let (_dir, log) = generated_ltc("horizon");
+    // A one-second horizon drops every transfer and still characterizes.
+    check_flag_in_every_mode(&log, "--horizon", &["0", "-1", "x"], "1");
 }

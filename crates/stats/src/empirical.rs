@@ -42,6 +42,26 @@ pub struct Summary {
 impl Summary {
     /// Computes a summary of `data`. Returns `None` for empty input.
     pub fn from_data(data: &[f64]) -> Option<Self> {
+        let mut sorted: Vec<f64> = data.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        Self::from_data_sorted(data, &sorted)
+    }
+
+    /// Computes a summary of `data` whose ECDF is already built, reading
+    /// the quantiles from its sorted copy instead of sorting another. The
+    /// result equals [`from_data`](Self::from_data) exactly.
+    ///
+    /// # Panics
+    /// If `ecdf` holds a different number of observations than `data`.
+    pub fn with_ecdf(data: &[f64], ecdf: &Ecdf) -> Option<Self> {
+        assert_eq!(ecdf.n(), data.len(), "the ECDF must be built from data");
+        Self::from_data_sorted(data, ecdf.sorted())
+    }
+
+    /// The shared body. Moments are summed in `data`'s own order, which
+    /// sets their bits; quantiles come from `sorted`, which is `data`
+    /// sorted by `f64::total_cmp`.
+    fn from_data_sorted(data: &[f64], sorted: &[f64]) -> Option<Self> {
         if data.is_empty() {
             return None;
         }
@@ -66,9 +86,7 @@ impl Summary {
         } else {
             0.0
         };
-        let mut sorted: Vec<f64> = data.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let q = |p: f64| quantile_sorted(&sorted, p);
+        let q = |p: f64| quantile_sorted(sorted, p);
         Some(Self {
             n,
             mean,

@@ -207,12 +207,24 @@ proptest! {
         prop_assert!((m1 - m2).abs() < 1e-6 * (1.0 + m1.abs()));
     }
 
+    // Lags straddle the 8-lag blocks (one short of, at and one past each
+    // of the first two block ends) and the series end (n − 2, n − 1, and
+    // past it, which clamps); a constant series takes the zero-variance
+    // branch.
     #[test]
-    fn acf_lag0_is_one(series in prop::collection::vec(-1e3..1e3f64, 2..200)) {
-        let acf = autocorrelation(&series, 5);
-        prop_assert!((acf[0] - 1.0).abs() < 1e-9 || acf[0] == 1.0);
-        for &r in &acf {
-            prop_assert!(r.abs() <= 1.0 + 1e-6);
+    fn acf_matches_the_direct_loop_bit_for_bit(
+        series in prop::collection::vec(-1e3..1e3f64, 2..=200),
+        constant in prop_oneof![Just(false), Just(true)],
+    ) {
+        let n = series.len();
+        let series = if constant { vec![series[0]; n] } else { series };
+        for max_lag in [0, 1, 7, 8, 9, 15, 16, n - 2, n - 1, n, n + 9] {
+            let acf = autocorrelation(&series, max_lag);
+            prop_assert!((acf[0] - 1.0).abs() < 1e-9 || acf[0] == 1.0);
+            for &r in &acf {
+                prop_assert!(r.abs() <= 1.0 + 1e-6);
+            }
+            assert_acf_matches_direct_loop(&series, max_lag);
         }
     }
 
@@ -307,4 +319,65 @@ proptest! {
         let merged = merge_sorted_runs(runs, |&x| F64Key(x));
         prop_assert_eq!(merged, expected);
     }
+}
+
+/// The direct double loop `autocorrelation` computed before it was blocked:
+/// the bit-exact oracle for the blocked version. It lives here only.
+fn acf_direct(series: &[f64], max_lag: usize) -> Vec<f64> {
+    let n = series.len();
+    let max_lag = max_lag.min(n - 1);
+    let mean = series.iter().sum::<f64>() / n as f64;
+    let denom: f64 = series.iter().map(|&x| (x - mean).powi(2)).sum();
+    if denom == 0.0 {
+        let mut out = vec![0.0; max_lag + 1];
+        out[0] = 1.0;
+        return out;
+    }
+    let mut out = Vec::with_capacity(max_lag + 1);
+    for lag in 0..=max_lag {
+        let mut num = 0.0;
+        for t in 0..n - lag {
+            num += (series[t] - mean) * (series[t + lag] - mean);
+        }
+        out.push(num / denom);
+    }
+    out
+}
+
+fn assert_acf_matches_direct_loop(series: &[f64], max_lag: usize) {
+    let got = autocorrelation(series, max_lag);
+    let want = acf_direct(series, max_lag);
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "n = {}, max_lag = {max_lag}",
+        series.len()
+    );
+    for (lag, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "lag {lag}: {g} vs {w} (n = {}, max_lag = {max_lag})",
+            series.len()
+        );
+    }
+}
+
+/// The Fig 8 shape: a week of per-minute client counts (10,081 minutes)
+/// with a daily cycle and noise, at the 4,600 lags the client layer asks
+/// for.
+#[test]
+fn acf_of_a_week_of_minutes_matches_the_direct_loop() {
+    let mut x = 12_345u64;
+    let series: Vec<f64> = (0..10_081)
+        .map(|minute| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let noise = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let day = 2.0 * std::f64::consts::PI * f64::from(minute) / 1_440.0;
+            (400.0 + 300.0 * day.sin() + 40.0 * noise).round()
+        })
+        .collect();
+    assert_acf_matches_direct_loop(&series, 4_600);
 }

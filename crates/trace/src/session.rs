@@ -329,16 +329,10 @@ impl Sessions {
         out
     }
 
-    /// Sessions per client, as counts keyed by client (Fig 7 right).
+    /// Sessions per client, one count per client in ascending
+    /// [`ClientId`] order (Fig 7 right).
     pub fn session_counts_per_client(&self) -> Vec<u64> {
-        // BTreeMap: RankFrequency keeps insertion order for tied counts, so
-        // the count vector must come out in a process-independent order.
-        let mut counts: std::collections::BTreeMap<ClientId, u64> =
-            std::collections::BTreeMap::new();
-        for s in &self.sessions {
-            *counts.entry(s.client).or_insert(0) += 1;
-        }
-        counts.into_values().collect()
+        counts_per_client(self.sessions.iter().map(|s| s.client.0).collect())
     }
 }
 
@@ -433,16 +427,21 @@ fn sessionize_run<V: TransferView>(
     (sessions, entry_order)
 }
 
-/// Transfers per client, as counts (Fig 7 left). Lives here (not on
-/// [`Sessions`]) because it needs only the trace.
+/// Transfers per client, one count per client in ascending [`ClientId`]
+/// order (Fig 7 left). Lives here (not on [`Sessions`]) because it needs
+/// only the trace.
 pub fn transfer_counts_per_client(trace: &Trace) -> Vec<u64> {
-    // BTreeMap for the same reason as `session_counts_per_client`: tied
-    // counts must rank in a process-independent order.
-    let mut counts: std::collections::BTreeMap<ClientId, u64> = std::collections::BTreeMap::new();
-    for e in trace.entries() {
-        *counts.entry(e.client).or_insert(0) += 1;
-    }
-    counts.into_values().collect()
+    counts_per_client(trace.entries().iter().map(|e| e.client.0).collect())
+}
+
+/// Run lengths of the sorted client ids: one count per distinct client, in
+/// ascending id order, so the vector never depends on the input order.
+fn counts_per_client(mut clients: Vec<u32>) -> Vec<u64> {
+    clients.sort_unstable();
+    clients
+        .chunk_by(|a, b| a == b)
+        .map(|run| run.len() as u64)
+        .collect()
 }
 
 #[cfg(test)]

@@ -423,24 +423,33 @@ fn main() {
         "ltc and text ingest must keep the same transfers"
     );
 
-    // DES event pump: schedule every transfer's start, then pop in time
-    // order scheduling its stop — the simulator's exact queue churn
-    // pattern, isolated from server/network bookkeeping.
-    let (des_pops, des_secs, des_cpu) = time(|| {
-        let mut q = lsw_sim::des::EventQueue::with_capacity(n_transfers * 2);
-        for t in workload.transfers() {
-            q.schedule(t.start, (t.duration, false));
-        }
-        let mut pops = 0u64;
-        while let Some((now, (dur, is_stop))) = q.pop() {
-            pops += 1;
-            if !is_stop {
-                q.schedule(now + dur, (0.0, true));
+    // DES event pump: merge each transfer's start from the start-sorted
+    // list (winning ties with the queue head) and queue only its stop —
+    // the simulator's queue churn pattern, isolated from server/network
+    // bookkeeping. Every start and every stop counts as one event.
+    let (des_events, des_secs, des_cpu) = time(|| {
+        let mut q = lsw_sim::des::EventQueue::new();
+        let mut starts = workload.transfers().iter().peekable();
+        let mut events = 0u64;
+        loop {
+            let start = starts.next_if(|t| {
+                q.peek_time()
+                    .map_or(true, |head| t.start.total_cmp(&head).is_le())
+            });
+            match start {
+                Some(t) => q.schedule(t.start + t.duration, ()),
+                None if q.pop().is_none() => break,
+                None => {}
             }
+            events += 1;
         }
-        pops
+        events
     });
-    assert_eq!(des_pops as usize, n_transfers * 2, "every event pops once");
+    assert_eq!(
+        des_events as usize,
+        n_transfers * 2,
+        "every start and stop runs once"
+    );
 
     // Live replay over real loopback sockets, reactor plane vs the
     // tick-scan baseline at equal connection count. elements = wire
@@ -544,7 +553,7 @@ fn main() {
         Stage {
             name: "des_pump",
             threads: 1,
-            elements: des_pops as usize,
+            elements: des_events as usize,
             secs: des_secs,
             cpu_secs: des_cpu,
             sketch_bytes: None,

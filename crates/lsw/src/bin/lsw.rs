@@ -245,8 +245,25 @@ fn read_entries(path: &str, format: LogFormat) -> Vec<LogEntry> {
     }
 }
 
-fn cmd_generate(args: &[String]) {
+/// `--days D`: the horizon in days, finite, and at least one second but
+/// no more than `u32::MAX` seconds once converted. Returns the days as
+/// given and the horizon in whole seconds.
+fn days_flag(args: &[String]) -> (f64, u32) {
     let days: f64 = parse_or(flag_value(args, "--days"), 1.0, "--days");
+    let secs = days * 86_400.0;
+    if !(1.0..=f64::from(u32::MAX)).contains(&secs) {
+        eprintln!(
+            "bad value for --days: {days} (expected a finite number of days \
+             spanning 1 to {} seconds)",
+            u32::MAX
+        );
+        exit(2);
+    }
+    (days, secs as u32)
+}
+
+fn cmd_generate(args: &[String]) {
+    let (days, horizon) = days_flag(args);
     let clients: usize = parse_or(flag_value(args, "--clients"), 20_000, "--clients");
     let sessions: usize = parse_or(flag_value(args, "--sessions"), 30_000, "--sessions");
     let seed: u64 = parse_or(flag_value(args, "--seed"), 42, "--seed");
@@ -257,7 +274,6 @@ fn cmd_generate(args: &[String]) {
         exit(2);
     };
 
-    let horizon = (days * 86_400.0) as u32;
     let base = if scale_matched {
         WorkloadConfig::paper_scale_matched()
     } else {

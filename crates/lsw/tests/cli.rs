@@ -133,3 +133,37 @@ fn bad_horizon_exits_2_in_every_mode_without_panicking() {
     // A one-second horizon drops every transfer and still characterizes.
     check_flag_in_every_mode(&log, "--horizon", &["0", "-1", "x"], "1");
 }
+
+#[test]
+fn bad_days_exits_2_without_panicking() {
+    // 100000 days is more seconds than a u32 horizon holds; it used to
+    // saturate silently to a 49,710-day run.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-days");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("the test directory is creatable");
+    let log = dir.join("t.wms").to_str().expect("utf-8 path").to_owned();
+    for value in ["0", "-1", "nan", "100000", "1"] {
+        let out = lsw(&[
+            "generate",
+            "--days",
+            value,
+            "--clients",
+            "300",
+            "--sessions",
+            "500",
+            "--out",
+            &log,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "--days {value}: {stderr}");
+        if value == "1" {
+            assert!(out.status.success(), "--days 1 refused: {stderr}");
+        } else {
+            assert_eq!(out.status.code(), Some(2), "--days {value}: {stderr}");
+            assert!(
+                stderr.contains("bad value for --days"),
+                "--days {value}: {stderr}"
+            );
+        }
+    }
+}

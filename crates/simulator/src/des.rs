@@ -1,36 +1,15 @@
 //! Minimal discrete-event simulation core.
 //!
-//! A time-ordered queue of opaque events. Ties are broken by insertion
-//! sequence so simulation runs are deterministic. The event payload is a
-//! type parameter; the driver in [`crate::sim`] uses start/stop markers.
+//! A time-ordered queue of opaque events: a binary min-heap keyed by
+//! `(time, seq)`, where `seq` is the insertion sequence number, so events
+//! at the same instant pop in the order they were scheduled and
+//! simulation runs are deterministic. The payload is a type parameter and
+//! never takes part in the ordering.
 //!
-//! # Calendar-queue scheduling
-//!
-//! The queue is a calendar queue (Brown 1988): simulation time is cut
-//! into fixed-width "days", day `d` hashes to bucket `d % n_buckets`, and
-//! each bucket is a small [`BinaryHeap`] ordered by `(time, seq)`. Under
-//! the steady event population of a paper-scale run, a schedule lands in
-//! its bucket in O(log bucket_len) ≈ O(1) and a pop inspects one bucket,
-//! replacing the O(log n) sift of one global heap over millions of
-//! events.
-//!
-//! Correctness rests on two invariants:
-//!
-//! - **Day monotonicity.** `day(t)` is non-decreasing in `t` and all
-//!   events of one day share one bucket, so draining days in ascending
-//!   order and each bucket-heap in `(time, seq)` order yields the global
-//!   `(time, seq)` order — exactly the ordering the old global heap
-//!   produced, tie-by-insertion-seq included.
-//! - **Cursor soundness.** `current_day` never exceeds the day of the
-//!   earliest pending event: pops advance it only through verified-empty
-//!   days, and an out-of-order schedule into the past pulls it back.
-//!
-//! When a full scan round finds every bucket day-empty (a sparse region),
-//! the cursor jumps straight to the earliest pending day instead of
-//! spinning second by second. The bucket count doubles or halves with the
-//! event population; redistribution only moves events between bucket
-//!  heaps, and since `(time, seq)` keys are unique the pop sequence is
-//! independent of any heap's internal layout.
+//! The driver in [`crate::sim`] does not queue transfer starts: it merges
+//! them in from the workload's start-sorted list, so the queue holds only
+//! in-flight stops and pending retries — a set bounded by concurrency, not
+//! by trace length.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,28 +33,10 @@ impl Ord for SimTime {
     }
 }
 
-/// Seconds per calendar day. One sim-second per day fits the paper's
-/// workloads (event times are second-scaled), keeps `day()` a cheap
-/// floor, and leaves sparse stretches to the direct-jump path.
-const DAY_WIDTH: f64 = 1.0;
-
-/// Bucket-count bounds: floors allocation for tiny queues, caps the
-/// redistribution cost for huge ones.
-const MIN_BUCKETS: usize = 16;
-const MAX_BUCKETS: usize = 1 << 20;
-
-/// One pending event; the key is `(time, seq)` and the payload never
-/// participates in ordering.
-type Slot<E> = Reverse<(SimTime, u64, EventBox<E>)>;
-
 /// A deterministic, time-ordered event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<BinaryHeap<Slot<E>>>,
-    /// Day of the earliest event not yet proven popped-past; a lower
-    /// bound on the day of every pending event.
-    current_day: u64,
-    len: usize,
+    heap: BinaryHeap<Reverse<(SimTime, u64, EventBox<E>)>>,
     seq: u64,
 }
 
@@ -100,13 +61,6 @@ impl<E> Ord for EventBox<E> {
     }
 }
 
-/// Day index of time `t`. Monotone non-decreasing in `t` over every
-/// non-NaN float: negatives clamp to day 0, +inf saturates to the last
-/// day (the `as u64` cast saturates on both ends).
-fn day_of(t: f64) -> u64 {
-    (t / DAY_WIDTH).floor() as u64
-}
-
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
@@ -121,11 +75,8 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue sized for `n` pending events.
     pub fn with_capacity(n: usize) -> Self {
-        let buckets = (n / 2).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         Self {
-            buckets: (0..buckets).map(|_| BinaryHeap::new()).collect(),
-            current_day: 0,
-            len: 0,
+            heap: BinaryHeap::with_capacity(n),
             seq: 0,
         }
     }
@@ -136,104 +87,29 @@ impl<E> EventQueue<E> {
     /// Panics when `t` is NaN.
     pub fn schedule(&mut self, t: f64, event: E) {
         assert!(!t.is_nan(), "cannot schedule an event at NaN");
-        if self.len + 1 > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.resize(self.buckets.len() * 2);
-        }
-        let day = day_of(t);
-        // A schedule into the past (relative to the scan cursor) must
-        // pull the cursor back or the event would be skipped.
-        self.current_day = self.current_day.min(day);
-        let b = (day % self.buckets.len() as u64) as usize;
-        self.buckets[b].push(Reverse((SimTime(t), self.seq, EventBox(event))));
+        self.heap
+            .push(Reverse((SimTime(t), self.seq, EventBox(event))));
         self.seq += 1;
-        self.len += 1;
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.len * 8 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        let nb = self.buckets.len() as u64;
-        let mut checked = 0u64;
-        loop {
-            let b = (self.current_day % nb) as usize;
-            // The bucket heap's top is its (time, seq) minimum, so if its
-            // day is not `current_day`, no current-day event is in this
-            // bucket at all.
-            let hit = self.buckets[b]
-                .peek()
-                .is_some_and(|Reverse((t, _, _))| day_of(t.0) == self.current_day);
-            if hit {
-                if let Some(Reverse((t, _, e))) = self.buckets[b].pop() {
-                    self.len -= 1;
-                    return Some((t.0, e.0));
-                }
-            }
-            checked += 1;
-            self.current_day = self.current_day.saturating_add(1);
-            if checked >= nb {
-                // A whole round of day-empty buckets: jump the cursor
-                // straight to the earliest pending day instead of walking
-                // a sparse region one day at a time.
-                let min_day = self
-                    .buckets
-                    .iter()
-                    .filter_map(|h| h.peek().map(|Reverse((t, _, _))| day_of(t.0)))
-                    .min();
-                match min_day {
-                    Some(d) => self.current_day = d,
-                    None => return None, // unreachable: len > 0
-                }
-                checked = 0;
-            }
-        }
+        self.heap.pop().map(|Reverse((t, _, e))| (t.0, e.0))
     }
 
-    /// Time of the earliest pending event.
-    ///
-    /// Scans every bucket top (the queue keeps no global heap), so this
-    /// is O(buckets) — fine for its observational uses, not for a
-    /// pop-loop.
+    /// Time of the earliest pending event, in O(1).
     pub fn peek_time(&self) -> Option<f64> {
-        self.buckets
-            .iter()
-            .filter_map(|h| h.peek().map(|Reverse((t, s, _))| (*t, *s)))
-            .min()
-            .map(|(t, _)| t.0)
+        self.heap.peek().map(|Reverse((t, _, _))| t.0)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Rebuckets every pending event into `new_size` buckets. Pop results
-    /// are unaffected: `(time, seq)` keys are unique, so the total pop
-    /// order never depends on heap layout or redistribution order.
-    fn resize(&mut self, new_size: usize) {
-        let new_size = new_size.clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if new_size == self.buckets.len() {
-            return;
-        }
-        let old = std::mem::replace(
-            &mut self.buckets,
-            (0..new_size).map(|_| BinaryHeap::new()).collect(),
-        );
-        for heap in old {
-            for Reverse((t, s, e)) in heap {
-                let b = (day_of(t.0) % new_size as u64) as usize;
-                self.buckets[b].push(Reverse((t, s, e)));
-            }
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -266,9 +142,8 @@ mod tests {
 
     #[test]
     fn sub_day_ties_order_by_time_then_seq() {
-        // Several distinct fractional times inside one calendar day (one
-        // bucket) plus exact ties: the heap inside the bucket must order
-        // by (time, seq).
+        // Several distinct fractional times within one second plus exact
+        // ties: the order is (time, seq).
         let mut q = EventQueue::new();
         q.schedule(0.75, "d");
         q.schedule(0.25, "a");
@@ -312,8 +187,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(1_000.0, "far");
         assert_eq!(q.pop(), Some((1_000.0, "far")));
-        // The cursor sits at day 1000 now; an earlier event must still
-        // come out first.
+        // An event earlier than the last one popped must still come out
+        // first.
         q.schedule(3.0, "early");
         q.schedule(2_000.0, "later");
         assert_eq!(q.pop(), Some((3.0, "early")));
@@ -322,8 +197,7 @@ mod tests {
 
     #[test]
     fn sparse_days_use_the_direct_jump() {
-        // Events separated by far more than the bucket count force the
-        // full-round jump path.
+        // Widely spaced times still pop in time order.
         let mut q = EventQueue::new();
         for i in 0..8u64 {
             q.schedule(1e6 * i as f64, i);
@@ -347,9 +221,9 @@ mod tests {
 
     #[test]
     fn grows_and_shrinks_without_reordering() {
-        // Deterministic pseudo-random times, enough volume to trigger
-        // both grow and shrink resizes; pop order must match a sort by
-        // (time, insertion seq).
+        // Deterministic pseudo-random times, enough volume to grow the
+        // heap well past its first allocation; pop order must match a sort
+        // by (time, insertion seq).
         let mut state = 0x0123_4567_89ab_cdefu64;
         let mut next = move || {
             state ^= state << 13;
@@ -360,7 +234,7 @@ mod tests {
         let mut q = EventQueue::new();
         let mut expect: Vec<(f64, u64)> = Vec::new();
         for i in 0..5_000u64 {
-            // Cluster times so day-ties are common.
+            // Cluster times so exact ties are common.
             let t = f64::from((next() % 700) as u32) / 3.0;
             q.schedule(t, i);
             expect.push((t, i));
@@ -373,8 +247,8 @@ mod tests {
     #[test]
     fn matches_reference_heap_under_interleaving() {
         // Differential test against a plain BinaryHeap reference, with
-        // interleaved schedules and pops (including re-scheduling behind
-        // the cursor).
+        // interleaved schedules and pops (including schedules earlier than
+        // the last time popped).
         let mut state = 0xfeed_f00d_dead_beefu64;
         let mut next = move || {
             state ^= state << 13;

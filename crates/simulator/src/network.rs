@@ -86,10 +86,7 @@ impl FairShareNetwork {
 
     /// Recomputes the waterfill level and per-class rates.
     fn recompute_rates(&mut self) {
-        let caps: Vec<f64> = AccessClass::ALL
-            .iter()
-            .map(|c| f64::from(c.capacity_bps()))
-            .collect();
+        let caps = AccessClass::ALL.map(|c| f64::from(c.capacity_bps()));
         let demand: f64 = (0..7).map(|i| self.active[i] as f64 * caps[i]).sum();
         if demand <= self.config.uplink_bps {
             for ((rate, &cap), &n) in self.rate.iter_mut().zip(&caps).zip(&self.active) {

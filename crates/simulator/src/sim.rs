@@ -1,9 +1,12 @@
 //! The simulation driver: workload in, server log out.
 //!
 //! Plays a generated [`Workload`] through the [`MediaServer`] and the
-//! [`FairShareNetwork`] as a discrete-event simulation: a start event per
-//! transfer (admission + fair-share join) and a stop event (byte
-//! accounting + log emission). The emitted trace is what the paper's
+//! [`FairShareNetwork`] as a discrete-event simulation. A transfer's start
+//! (admission + fair-share join) is pulled from the workload's
+//! start-sorted transfer list when its time comes; only what happens later
+//! is queued — its stop (byte accounting + log emission) and, after a
+//! rejection, its retry — so the pending set is bounded by concurrency,
+//! not by trace length. The emitted trace is what the paper's
 //! authors received from the real server — including, when configured,
 //! the §2.4 *harvest-spanning anomaly*: a small fraction of transfers
 //! active at a daily log-harvest boundary are written with a corrupted
@@ -14,7 +17,7 @@ use crate::network::{FairShareNetwork, NetworkConfig};
 use crate::server::{MediaServer, ServerConfig, ServerStats};
 use lsw_core::Workload;
 use lsw_stats::rng::{u01, SeedStream};
-use lsw_trace::event::LogEntry;
+use lsw_trace::event::{LogEntry, LogEntryBuilder};
 use lsw_trace::trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -92,12 +95,29 @@ pub struct SimOutput {
     pub bytes_delivered: u64,
 }
 
-/// Event payload: index into the workload's transfer list plus the
-/// attempt number (for admission retries).
+/// A queued event. Workload starts are never queued; a queued start is a
+/// retry.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
+    /// Another admission attempt for transfer `idx`.
     Start { idx: u32, attempt: u32 },
-    Stop(u32),
+    /// An admitted transfer's stop.
+    Stop(InFlight),
+}
+
+/// What an admitted transfer carries from admission to its stop.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    /// Index into the workload's transfer list.
+    idx: u32,
+    /// Number of transfers admitted before this one.
+    rank: u32,
+    /// Admission time (after the scheduled start when a retry got in).
+    admitted_at: f64,
+    /// The class-integral snapshot taken at admission.
+    snapshot: f64,
+    /// The uplink was congested at admission.
+    congested: bool,
 }
 
 /// The simulator.
@@ -107,18 +127,37 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator.
+    ///
+    /// # Panics
+    /// Panics when the anomaly rate is outside `[0, 1]` or a retry delay is
+    /// negative or NaN (a retry never runs before the rejection it follows).
     pub fn new(config: SimConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&config.harvest_anomaly_rate),
             "anomaly rate must be in [0,1]"
         );
+        if let RetryPolicy::RetryAfter { delay_secs, .. } = config.retry {
+            assert!(delay_secs >= 0.0, "retry delay must be >= 0");
+        }
         Self { config }
     }
 
     /// Runs the workload and produces the server log.
+    ///
+    /// Events run in `(time, seq)` order, as if every workload start had
+    /// been queued up front before anything else: at equal times a
+    /// workload start runs before any queued stop or retry, workload
+    /// starts keep their list order, and queued events keep their
+    /// scheduling order. Event times never decrease (stops and retries lie
+    /// at or after the event that scheduled them), so admission order is
+    /// start order.
+    ///
+    /// # Panics
+    /// Panics when a transfer starts at NaN.
     pub fn run(&self, workload: &Workload, seed: u64) -> SimOutput {
         let horizon = workload.config().horizon_secs;
         let population = workload.population();
+        let transfers = workload.transfers();
         let seeds = SeedStream::new(seed);
         let mut anomaly_rng = seeds.rng("harvest-anomaly");
         let mut loss_rng = seeds.rng("loss");
@@ -132,31 +171,43 @@ impl Simulator {
 
         let mut server = MediaServer::new(self.config.server);
         let mut network = FairShareNetwork::new(self.config.network);
-        let mut queue = EventQueue::with_capacity(workload.len() * 2);
-        for (i, t) in workload.transfers().iter().enumerate() {
-            queue.schedule(
-                t.start,
-                Ev::Start {
-                    idx: i as u32,
-                    attempt: 1,
-                },
-            );
-        }
+        let mut queue = EventQueue::new();
+        let mut next_start = 0;
 
-        // Per-transfer state: the class-integral snapshot at admission,
-        // the actual admission time (for retries), and congestion flags.
-        let mut snapshot = vec![f64::NAN; workload.len()];
-        let mut admitted_at = vec![f64::NAN; workload.len()];
-        let mut saw_congestion = vec![false; workload.len()];
+        // One entry per admitted transfer, in admission order: the slot is
+        // taken at admission and filled at the stop. `stop_ranks[r]` is the
+        // number of stops before that of slot `r`.
         let mut entries: Vec<LogEntry> = Vec::with_capacity(workload.len());
+        let mut stop_ranks: Vec<u32> = Vec::with_capacity(workload.len());
+        let unfilled = LogEntryBuilder::new().build();
+        let mut stops = 0u32;
         let mut congested_transfers = 0u64;
         let mut bytes_delivered = 0u64;
         let mut retries = 0u64;
 
-        while let Some((now, ev)) = queue.pop() {
+        loop {
+            // The next workload start wins a tie with the queue head: queued
+            // up front, it would have had the lower sequence number.
+            let next = transfers.get(next_start).filter(|t| {
+                queue
+                    .peek_time()
+                    .map_or(true, |head| t.start.total_cmp(&head).is_le())
+            });
+            let (now, ev) = match next {
+                Some(t) => {
+                    assert!(!t.start.is_nan(), "cannot schedule an event at NaN");
+                    let idx = next_start as u32;
+                    next_start += 1;
+                    (t.start, Ev::Start { idx, attempt: 1 })
+                }
+                None => match queue.pop() {
+                    Some(event) => event,
+                    None => break,
+                },
+            };
             match ev {
-                Ev::Start { idx: i, attempt } => {
-                    let t = &workload.transfers()[i as usize];
+                Ev::Start { idx, attempt } => {
+                    let t = &transfers[idx as usize];
                     // Live semantics: the intended stop is fixed wall-clock.
                     let intended_stop = (t.start + t.duration).min(f64::from(horizon));
                     let remaining = intended_stop - now;
@@ -175,7 +226,7 @@ impl Simulator {
                                 queue.schedule(
                                     now + delay_secs,
                                     Ev::Start {
-                                        idx: i,
+                                        idx,
                                         attempt: attempt + 1,
                                     },
                                 );
@@ -184,20 +235,26 @@ impl Simulator {
                         continue;
                     }
                     let info = population.get(t.client);
-                    snapshot[i as usize] = network.start(now, info.access);
-                    admitted_at[i as usize] = now;
-                    saw_congestion[i as usize] = network.congested();
-                    queue.schedule(intended_stop, Ev::Stop(i));
+                    let snapshot = network.start(now, info.access);
+                    let in_flight = InFlight {
+                        idx,
+                        rank: entries.len() as u32,
+                        admitted_at: now,
+                        snapshot,
+                        congested: network.congested(),
+                    };
+                    entries.push(unfilled);
+                    stop_ranks.push(0);
+                    queue.schedule(intended_stop, Ev::Stop(in_flight));
                 }
-                Ev::Stop(i) => {
-                    let t = &workload.transfers()[i as usize];
-                    let t_start = admitted_at[i as usize];
+                Ev::Stop(f) => {
+                    let t = &transfers[f.idx as usize];
                     let info = population.get(t.client);
-                    let bits = network.stop(now, info.access, snapshot[i as usize]);
+                    let bits = network.stop(now, info.access, f.snapshot);
                     server.release();
 
                     // Quantize to log resolution.
-                    let start = (t_start as u32).min(horizon.saturating_sub(1));
+                    let start = (f.admitted_at as u32).min(horizon.saturating_sub(1));
                     let stop = (now as u32).clamp(start, horizon);
                     let mut duration = stop - start;
                     // §2.4 anomaly injection: spans a midnight boundary?
@@ -210,20 +267,21 @@ impl Simulator {
                         duration = horizon + 86_400 + start % 86_400;
                     }
 
-                    let wall = (now - t_start).max(1e-9);
+                    let wall = (now - f.admitted_at).max(1e-9);
                     // Remote-path congestion: the bottleneck is out in the
                     // network, capping the achieved rate below what server
                     // and access link would deliver.
                     let mut bits = bits;
+                    let mut congested = f.congested;
                     if self.config.path_congestion_rate > 0.0
                         && u01(&mut path_rng) < self.config.path_congestion_rate
                     {
                         use lsw_stats::dist::Sample as _;
                         let path_bps = path_dist.sample(&mut path_rng);
                         bits = bits.min(path_bps * wall);
-                        saw_congestion[i as usize] = true;
+                        congested = true;
                     }
-                    if saw_congestion[i as usize] || network.congested() {
+                    if congested || network.congested() {
                         congested_transfers += 1;
                     }
                     let avg_bw = (bits / wall).max(1.0) as u32;
@@ -235,7 +293,9 @@ impl Simulator {
                         + 0.25 * squeeze * u01(&mut loss_rng))
                     .min(1.0) as f32;
                     bytes_delivered += (bits / 8.0) as u64;
-                    entries.push(LogEntry {
+                    stop_ranks[f.rank as usize] = stops;
+                    stops += 1;
+                    entries[f.rank as usize] = LogEntry {
                         timestamp: start.saturating_add(duration),
                         start,
                         duration,
@@ -250,11 +310,12 @@ impl Simulator {
                         packet_loss: loss,
                         cpu_util: server.cpu_util() as f32,
                         status: 200,
-                    });
+                    };
                 }
             }
         }
 
+        order_within_seconds(&mut entries, &stop_ranks);
         let mut server_stats = server.stats().clone();
         server_stats.retries = retries;
         SimOutput {
@@ -262,6 +323,32 @@ impl Simulator {
             server_stats,
             congested_transfers,
             bytes_delivered,
+        }
+    }
+}
+
+/// Orders the entries of each start second the way a stable sort of the
+/// stop-order log by `(start, timestamp, client)` would.
+///
+/// `entries` is in admission order, which is start order, so only entries
+/// of one start second need comparing. `stop_ranks[i]` is the place of
+/// `entries[i]` in stop order and breaks the stable sort's ties.
+fn order_within_seconds(entries: &mut [LogEntry], stop_ranks: &[u32]) {
+    let mut keyed = Vec::new();
+    let mut at = 0;
+    for second in entries.chunk_by_mut(|a, b| a.start == b.start) {
+        let ranks = &stop_ranks[at..at + second.len()];
+        at += second.len();
+        keyed.clear();
+        keyed.extend(
+            second
+                .iter()
+                .zip(ranks)
+                .map(|(e, &rank)| ((e.timestamp, e.client, rank), *e)),
+        );
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        for (slot, &(_, e)) in second.iter_mut().zip(&keyed) {
+            *slot = e;
         }
     }
 }

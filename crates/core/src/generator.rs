@@ -21,7 +21,7 @@ use crate::diurnal::DiurnalProfile;
 use crate::interest::InterestProfile;
 use crate::objects::LiveObjects;
 use crate::workload::{GeneratedSession, ScheduledTransfer, Workload};
-use lsw_stats::dist::{Discrete, Geometric, LogNormal, Sample, SamplerBackend, Zeta};
+use lsw_stats::dist::{Discrete, Geometric, LogNormal, Sample, Zeta};
 use lsw_stats::par::{merge_sorted_runs, F64Key, Parallelism};
 use lsw_stats::rng::{u01, SeedStream};
 use lsw_topology::{AsRegistry, AsRegistryConfig, ClientPopulation, ClientPopulationConfig};
@@ -154,31 +154,6 @@ impl Generator {
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
-    }
-
-    /// Selects the discrete-sampling backend for the client interest
-    /// profile. A builder rather than a config field: backend choice
-    /// changes how the RNG stream is consumed (one uniform per draw vs
-    /// two), so switching it produces a different — identically
-    /// distributed — workload from the same seed. It is an execution
-    /// concern like [`with_parallelism`](Self::with_parallelism), except
-    /// that unlike thread count it IS part of the determinism contract,
-    /// which is why fixtures select it explicitly instead of inheriting a
-    /// silent default. Output remains bit-identical across thread counts
-    /// for either backend.
-    pub fn with_sampler_backend(mut self, backend: SamplerBackend) -> Result<Self, String> {
-        self.interest = InterestProfile::with_backend(
-            self.config.n_clients,
-            self.config.interest_alpha,
-            backend,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(self)
-    }
-
-    /// The interest-profile sampling backend in force.
-    pub fn sampler_backend(&self) -> SamplerBackend {
-        self.interest.backend()
     }
 
     /// Generates the full workload.

@@ -7,7 +7,7 @@
 //! drawn from a bounded Zipf over that population — the mirror image of
 //! stored-media object popularity.
 
-use lsw_stats::dist::{Discrete, ParamError, SamplerBackend, ZipfTable};
+use lsw_stats::dist::{Discrete, ParamError, ZipfTable};
 use lsw_trace::ids::ClientId;
 use rand::Rng;
 
@@ -21,28 +21,9 @@ impl InterestProfile {
     /// Creates a profile over `n_clients` with interest exponent `alpha`
     /// (paper: 0.4704). `alpha = 0` degenerates to uniform interest.
     pub fn new(n_clients: usize, alpha: f64) -> Result<Self, ParamError> {
-        Self::with_backend(n_clients, alpha, SamplerBackend::InverseCdf)
-    }
-
-    /// Creates a profile with an explicit rank-sampling backend.
-    ///
-    /// [`SamplerBackend::Alias`] makes every draw O(1) (the inverse-CDF
-    /// default is O(log n)) at the cost of consuming two uniforms per draw
-    /// instead of one, so the two backends yield different — identically
-    /// distributed — client sequences from the same seed. Fixtures pin one.
-    pub fn with_backend(
-        n_clients: usize,
-        alpha: f64,
-        backend: SamplerBackend,
-    ) -> Result<Self, ParamError> {
         Ok(Self {
-            zipf: ZipfTable::with_backend(n_clients as u64, alpha, backend)?,
+            zipf: ZipfTable::new(n_clients as u64, alpha)?,
         })
-    }
-
-    /// The rank-sampling backend in force.
-    pub fn backend(&self) -> SamplerBackend {
-        self.zipf.backend()
     }
 
     /// Number of clients.
@@ -128,6 +109,24 @@ mod tests {
             "recovered {} vs configured {alpha}",
             fit.alpha
         );
+    }
+
+    #[test]
+    fn sample_consumes_exactly_one_draw() {
+        // Each session's substream continues with the transfer draws, so
+        // the client pick must advance it by exactly one uniform whatever
+        // the exponent.
+        for alpha in [0.0, 0.4704, 1.5] {
+            let p = InterestProfile::new(2_000, alpha).unwrap();
+            let seeds = SeedStream::new(44);
+            let mut a = seeds.rng("interest-one");
+            let mut b = seeds.rng("interest-one");
+            for _ in 0..500 {
+                let _ = p.sample(&mut a);
+                b.next_u64();
+                assert_eq!(a.next_u64(), b.next_u64(), "alpha {alpha}: diverged");
+            }
+        }
     }
 
     #[test]

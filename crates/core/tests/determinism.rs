@@ -4,7 +4,7 @@
 
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
-use lsw_stats::dist::SamplerBackend;
+use lsw_core::workload::Workload;
 use lsw_stats::par::Parallelism;
 use lsw_trace::ltc::codec::crc32;
 use lsw_trace::wms;
@@ -74,49 +74,33 @@ fn rendered_log_bytes_match_the_pinned_parent() {
 }
 
 #[test]
-fn alias_backend_identical_across_thread_counts() {
-    // The O(1) alias sampler must uphold the same guarantee: for a fixed
-    // backend, thread count never changes a byte.
-    let gen = |threads: usize| {
-        Generator::new(config(), 5)
-            .unwrap()
-            .with_sampler_backend(SamplerBackend::Alias)
-            .unwrap()
-            .with_parallelism(Parallelism::fixed(threads))
-            .generate()
+fn interest_exponent_changes_only_the_clients() {
+    // The client pick is one uniform at the head of each session's
+    // substream, so a different interest exponent reassigns clients and
+    // leaves every arrival, transfer count, time, object and duration as
+    // it was.
+    let uniform = WorkloadConfig {
+        interest_alpha: 0.0,
+        ..config()
     };
-    let base = gen(1);
-    assert!(base.len() > 5_000, "fixture too small to exercise chunking");
-    for threads in [2, 8] {
-        let w = gen(threads);
-        assert_eq!(
-            base.sessions(),
-            w.sessions(),
-            "sessions differ at {threads} threads"
-        );
-        assert_eq!(
-            base.transfers(),
-            w.transfers(),
-            "transfers differ at {threads} threads"
-        );
+    let zipf = Generator::new(config(), 5).unwrap().generate();
+    let flat = Generator::new(uniform, 5).unwrap().generate();
+    let shape = |w: &Workload| -> Vec<(f64, u32)> {
+        w.sessions()
+            .iter()
+            .map(|s| (s.start, s.n_transfers))
+            .collect()
+    };
+    assert_eq!(shape(&zipf), shape(&flat));
+    assert_eq!(zipf.transfers().len(), flat.transfers().len());
+    let mut moved = 0;
+    for (a, b) in zipf.transfers().iter().zip(flat.transfers()) {
+        let mut b = *b;
+        moved += usize::from(b.client != a.client);
+        b.client = a.client;
+        assert_eq!(*a, b);
     }
-}
-
-#[test]
-fn backends_produce_distinct_but_equally_sized_workloads() {
-    // Alias consumes two uniforms per interest draw, inverse-CDF one: the
-    // same seed must therefore yield *different* concrete workloads (the
-    // backend is part of the determinism contract, not a transparent
-    // optimization) while preserving the arrival process, which is drawn
-    // from an independent substream.
-    let cdf = Generator::new(config(), 5).unwrap().generate();
-    let alias = Generator::new(config(), 5)
-        .unwrap()
-        .with_sampler_backend(SamplerBackend::Alias)
-        .unwrap()
-        .generate();
-    assert_eq!(cdf.sessions().len(), alias.sessions().len());
-    assert_ne!(cdf.transfers(), alias.transfers());
+    assert!(moved > 0, "no transfer changed client");
 }
 
 #[test]

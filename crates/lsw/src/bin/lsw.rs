@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! lsw generate  [--days D] [--clients N] [--sessions N] [--seed S]
-//!               [--threads T] [--sampler cdf|alias] [--simulate]
-//!               [--scale-matched] [--emit wms|ltc] --out LOG
+//!               [--threads T] [--simulate] [--scale-matched]
+//!               [--emit wms|ltc] --out LOG
 //! lsw characterize LOG [--format auto|wms|ltc] [--horizon SECS]
 //!                 [--timeout TO] [--json FILE]
 //! lsw analyze     LOG [--format auto|wms|ltc] [--stream] [--compare]
@@ -14,13 +14,15 @@
 //! lsw replay      LOG [--format auto|wms|ltc] [--compression C]
 //!                 [--virtual-time] [--admission N] [--workers N]
 //!                 [--topology origin[:R[:as|country|client]]]
-//!                 [--origin-admission N]
-//!                 [--data-plane reactor|tick] [--expose SECS]
+//!                 [--origin-admission N] [--expose SECS]
 //!                 [--json FILE] [--no-assert]
 //! lsw serve       LOG [--format auto|wms|ltc] [--listen ADDR]
 //!                 [--compression C] [--admission N] [--workers N]
-//!                 [--data-plane reactor|tick] [--for SECS] [--expose SECS]
+//!                 [--for SECS] [--expose SECS]
 //! ```
+//!
+//! Each subcommand accepts exactly the flags listed for it; any other
+//! `--flag` exits 2 rather than being silently ignored.
 //!
 //! `analyze` is the streaming front end: with `--stream` the log is
 //! consumed one chunk at a time through the bounded-memory sketch engine
@@ -51,10 +53,8 @@
 //! wall clock — with bit-identical output on every run. `serve` runs the
 //! paced serving harness standalone on `--listen` for `--for` seconds so
 //! an external driver can connect. `--admission N` caps concurrent
-//! transfers (`RejectAbove`); 0 or absent accepts everything.
-//! `--data-plane` picks the server's pacing engine: `reactor` (default,
-//! epoll readiness + timing wheel) or `tick` (the 2 ms scan baseline) —
-//! same protocol, admission, and closed-loop semantics either way.
+//! transfers (`RejectAbove`); 0 or absent accepts everything. The
+//! server is an epoll reactor per worker shard, paced by a timing wheel.
 //!
 //! `--topology origin:R[:key]` interposes `R` relay nodes between the
 //! origin and the trace clients (`lsw_edge`): each relay subscribes to
@@ -71,10 +71,6 @@
 //! `--threads` (or the `LSW_THREADS` environment variable) sets the
 //! worker count; the default is the number of available cores. Output is
 //! bit-identical at every thread count — the setting only changes speed.
-//! `--sampler` picks the interest-profile sampling backend (`cdf`, the
-//! default, or the O(1) `alias` table); unlike `--threads` the backend IS
-//! part of the output's determinism contract — the two settings produce
-//! different, identically distributed, workloads from one seed.
 
 use lsw::analysis::characterize_with;
 use lsw::core::config::WorkloadConfig;
@@ -82,7 +78,6 @@ use lsw::core::generator::Generator;
 use lsw::replay::Registry;
 use lsw::sim::server::AdmissionPolicy;
 use lsw::sim::{SimConfig, Simulator};
-use lsw::stats::dist::SamplerBackend;
 use lsw::stats::par::Parallelism;
 use lsw::stream::{StreamAnalyzer, StreamConfig};
 use lsw::trace::event::LogEntry;
@@ -97,17 +92,17 @@ use std::process::exit;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("summary") => cmd_summary(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
+        Some("generate") => cmd_generate(known_flags(&args, GENERATE)),
+        Some("characterize") => cmd_characterize(known_flags(&args, CHARACTERIZE)),
+        Some("analyze") => cmd_analyze(known_flags(&args, ANALYZE)),
+        Some("summary") => cmd_summary(known_flags(&args, SUMMARY)),
+        Some("convert") => cmd_convert(known_flags(&args, CONVERT)),
+        Some("replay") => cmd_replay(known_flags(&args, REPLAY)),
+        Some("serve") => cmd_serve(known_flags(&args, SERVE)),
         Some("--help") | Some("-h") | None => {
             eprintln!(
                 "usage:\n  lsw generate [--days D] [--clients N] [--sessions N] [--seed S] \
-                 [--threads T] [--sampler cdf|alias] [--simulate] [--scale-matched] \
+                 [--threads T] [--simulate] [--scale-matched] \
                  [--emit wms|ltc] --out LOG\n  lsw characterize LOG [--format auto|wms|ltc] \
                  [--horizon SECS] [--timeout TO] [--json FILE]\n  lsw analyze LOG \
                  [--format auto|wms|ltc] [--stream] \
@@ -116,10 +111,10 @@ fn main() {
                  lsw convert IN OUT [--format auto|wms|ltc]\n  lsw replay LOG \
                  [--format auto|wms|ltc] [--compression C] [--virtual-time] [--admission N] \
                  [--workers N] [--topology origin[:R[:as|country|client]]] \
-                 [--origin-admission N] [--data-plane reactor|tick] [--expose SECS] \
+                 [--origin-admission N] [--expose SECS] \
                  [--json FILE] [--no-assert]\n  lsw serve LOG \
                  [--format auto|wms|ltc] [--listen ADDR] [--compression C] [--admission N] \
-                 [--workers N] [--data-plane reactor|tick] [--for SECS] [--expose SECS]"
+                 [--workers N] [--for SECS] [--expose SECS]"
             );
         }
         Some(other) => {
@@ -127,6 +122,91 @@ fn main() {
             exit(2);
         }
     }
+}
+
+/// The flags one subcommand accepts.
+struct Flags {
+    /// Flags followed by a value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+}
+
+const GENERATE: Flags = Flags {
+    values: &[
+        "--days",
+        "--clients",
+        "--sessions",
+        "--seed",
+        "--threads",
+        "--emit",
+        "--out",
+    ],
+    switches: &["--simulate", "--scale-matched"],
+};
+const CHARACTERIZE: Flags = Flags {
+    values: &["--format", "--horizon", "--timeout", "--json"],
+    switches: &[],
+};
+const ANALYZE: Flags = Flags {
+    values: &[
+        "--format",
+        "--shards",
+        "--memory-budget",
+        "--horizon",
+        "--timeout",
+        "--json",
+    ],
+    switches: &["--stream", "--compare"],
+};
+const SUMMARY: Flags = Flags {
+    values: &["--format", "--horizon"],
+    switches: &[],
+};
+const CONVERT: Flags = Flags {
+    values: &["--format"],
+    switches: &[],
+};
+const REPLAY: Flags = Flags {
+    values: &[
+        "--format",
+        "--compression",
+        "--admission",
+        "--workers",
+        "--topology",
+        "--origin-admission",
+        "--expose",
+        "--json",
+    ],
+    switches: &["--virtual-time", "--no-assert"],
+};
+const SERVE: Flags = Flags {
+    values: &[
+        "--format",
+        "--listen",
+        "--compression",
+        "--admission",
+        "--workers",
+        "--for",
+        "--expose",
+    ],
+    switches: &[],
+};
+
+/// Returns the subcommand `args[0]`'s arguments after exiting 2 on any
+/// `--flag` it does not know, so a mistyped or retired flag is never
+/// silently ignored.
+fn known_flags(args: &[String], flags: Flags) -> &[String] {
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if flags.values.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") && !flags.switches.contains(&arg.as_str()) {
+            eprintln!("unknown flag {arg} for {}; try --help", args[0]);
+            exit(2);
+        }
+    }
+    &args[1..]
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -284,22 +364,9 @@ fn cmd_generate(args: &[String]) {
         Some(s) => Parallelism::fixed(parse_or(Some(s), 0usize, "--threads").max(1)),
     };
     let config = base.scaled(clients, horizon, sessions);
-    let backend = match flag_value(args, "--sampler") {
-        None | Some("cdf") => SamplerBackend::InverseCdf,
-        Some("alias") => SamplerBackend::Alias,
-        Some(other) => {
-            eprintln!("bad value for --sampler: {other:?} (expected cdf or alias)");
-            exit(2);
-        }
-    };
-    let workload = Generator::new(config, seed).unwrap_or_else(|e| {
-        eprintln!("invalid configuration: {e}");
-        exit(2);
-    });
-    let workload = workload
-        .with_sampler_backend(backend)
+    let workload = Generator::new(config, seed)
         .unwrap_or_else(|e| {
-            eprintln!("invalid sampler backend: {e}");
+            eprintln!("invalid configuration: {e}");
             exit(2);
         })
         .with_parallelism(par)
@@ -619,17 +686,6 @@ fn topology_flag(args: &[String]) -> lsw::edge::Topology {
     }
 }
 
-fn data_plane_flag(args: &[String]) -> lsw::replay::DataPlane {
-    match flag_value(args, "--data-plane") {
-        None | Some("reactor") => lsw::replay::DataPlane::Reactor,
-        Some("tick") => lsw::replay::DataPlane::Tick,
-        Some(other) => {
-            eprintln!("unknown --data-plane {other:?}; expected reactor or tick");
-            exit(2);
-        }
-    }
-}
-
 /// A background thread printing metric snapshots to stderr on a cadence.
 struct Exposition {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -789,7 +845,6 @@ fn run_replay_edge(
                 compression,
                 admission: origin_admission,
                 workers,
-                data_plane: data_plane_flag(args),
                 stream: stream_cfg,
                 ..ServerConfig::default()
             },
@@ -880,7 +935,6 @@ fn cmd_replay(args: &[String]) {
                 compression,
                 admission,
                 workers,
-                data_plane: data_plane_flag(args),
                 stream: stream_cfg,
                 lookahead: schedule.max_duration(),
                 ..ServerConfig::default()
@@ -955,7 +1009,6 @@ fn cmd_serve(args: &[String]) {
             compression,
             admission: admission_flag(args, "--admission"),
             workers,
-            data_plane: data_plane_flag(args),
             lookahead: schedule.max_duration(),
             ..ServerConfig::default()
         },

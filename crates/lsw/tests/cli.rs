@@ -1,7 +1,7 @@
 //! Drives the built `lsw` binary: the only place flag validation and
 //! run-to-run output determinism are checked at the real surface.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn lsw(args: &[&str]) -> Output {
@@ -165,5 +165,137 @@ fn bad_days_exits_2_without_panicking() {
                 "--days {value}: {stderr}"
             );
         }
+    }
+}
+
+#[test]
+fn unknown_flags_exit_2_without_panicking() {
+    // Flags are looked up by name, so without this check an unknown one
+    // is ignored: a retired `--sampler alias` would quietly generate the
+    // default workload and `--data-plane tick` would quietly serve on the
+    // reactor.
+    let (dir, log) = generated_ltc("unknown-flags");
+    let out = dir.join("never.wms");
+    let out = out.to_str().expect("utf-8 path");
+    let cases: [(&str, &str, &[&str]); 4] = [
+        (
+            "generate",
+            "--sampler",
+            &["generate", "--sampler", "alias", "--out", out],
+        ),
+        (
+            "generate",
+            "--seeds",
+            &["generate", "--seeds", "3", "--out", out],
+        ),
+        (
+            "replay",
+            "--data-plane",
+            &["replay", &log, "--virtual-time", "--data-plane", "tick"],
+        ),
+        (
+            "serve",
+            "--data-plane",
+            &["serve", &log, "--data-plane", "tick", "--for", "0"],
+        ),
+    ];
+    for (cmd, flag, args) in cases {
+        let run = lsw(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for {cmd}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!dir.join("never.wms").exists(), "generate ran anyway");
+}
+
+/// Runs each argument list in `dir` and requires it to succeed.
+fn accepted(dir: &Path, runs: &[&[&str]]) {
+    for args in runs {
+        let out = Command::new(env!("CARGO_BIN_EXE_lsw"))
+            .args(*args)
+            .current_dir(dir)
+            .output()
+            .expect("the lsw binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} refused: {stderr}");
+    }
+}
+
+#[test]
+fn ci_generate_and_analyze_flags_are_accepted() {
+    // The flag sets the CI workflow passes, at a tiny scale.
+    let (dir, _log) = generated_ltc("ci-generate");
+    accepted(
+        &dir,
+        &[
+            &[
+                "generate",
+                "--threads",
+                "2",
+                "--seed",
+                "7",
+                "--sessions",
+                "500",
+                "--clients",
+                "300",
+                "--days",
+                "0.25",
+                "--out",
+                "a.wms",
+            ],
+            &[
+                "generate",
+                "--simulate",
+                "--threads",
+                "1",
+                "--seed",
+                "7",
+                "--sessions",
+                "500",
+                "--clients",
+                "300",
+                "--days",
+                "0.25",
+                "--out",
+                "sim.wms",
+            ],
+            &["characterize", "a.wms", "--json", "report.json"],
+            &["analyze", "a.wms", "--stream"],
+            &["convert", "a.wms", "a.ltc"],
+            &["convert", "a.ltc", "round.wms"],
+            &["analyze", "a.ltc", "--stream", "--shards", "4"],
+        ],
+    );
+    assert_eq!(
+        std::fs::read(dir.join("a.wms")).expect("generated log"),
+        std::fs::read(dir.join("round.wms")).expect("round-tripped log"),
+    );
+}
+
+#[test]
+fn ci_replay_flags_are_accepted() {
+    // The virtual-time flag sets the CI workflow passes, at a tiny scale.
+    let (dir, log) = generated_ltc("ci-replay");
+    accepted(
+        &dir,
+        &[
+            &["replay", &log, "--virtual-time", "--json", "v.json"],
+            &[
+                "replay",
+                &log,
+                "--virtual-time",
+                "--topology",
+                "origin:3:country",
+                "--json",
+                "e.json",
+            ],
+        ],
+    );
+    for json in ["v.json", "e.json"] {
+        assert!(dir.join(json).exists(), "{json} not written");
     }
 }

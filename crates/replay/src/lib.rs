@@ -48,7 +48,7 @@ pub use clock::WallClock;
 pub use diff::{closed_loop, reference_report, LoopDiff};
 pub use driver::{drive, DriveOutcome, DriverConfig};
 pub use metrics::{Registry, Snapshot};
-pub use server::{DataPlane, ReplayServer, ServeOutcome, ServerConfig, SlowClientPolicy};
+pub use server::{ReplayServer, ServeOutcome, ServerConfig, SlowClientPolicy};
 pub use slab::{Key, Slab};
 pub use virt::{pacing_profile, run_virtual, PacingProfile, VirtualOutcome};
 pub use wheel::{TimerId, TimingWheel};

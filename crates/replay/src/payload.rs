@@ -4,8 +4,7 @@
 //! on the wire matter — so every connection streams slices of one
 //! `'static` preformatted pattern block via vectored writes. The arena
 //! is borrowed, never copied: a `write_vectored` call covers up to
-//! [`MAX_SLICES`] × [`BLOCK`]-byte iovecs (2 MiB) in one syscall,
-//! against the tick loop's one 8 KiB `write` per call.
+//! [`MAX_SLICES`] × [`BLOCK`]-byte iovecs (2 MiB) in one syscall.
 //!
 //! **Lifetime argument.** The block is a `static` item: it lives for
 //! the program, is never written after initialization (it is a `const`
@@ -27,12 +26,6 @@ static PATTERN: [u8; BLOCK] = [0x5A; BLOCK];
 
 /// Rejection line sent when admission turns a request away.
 pub const BUSY_LINE: &[u8] = b"BUSY\n";
-
-/// The whole pattern block, for callers doing plain (non-vectored)
-/// writes — the tick plane slices its historical 8 KiB chunk off this.
-pub fn block() -> &'static [u8] {
-    &PATTERN
-}
 
 /// Fills `out` with arena slices covering `want` bytes (capped at
 /// `MAX_SLICES * BLOCK`); returns how many slices and bytes it staged.

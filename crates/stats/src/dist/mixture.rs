@@ -9,15 +9,10 @@
 //! Components are stored behind the object-safe [`DynContinuous`] view
 //! (the generic [`Continuous`] trait is not dyn-compatible); the mixture
 //! itself still implements the generic traits, so it composes — e.g.
-//! inside [`super::Truncated`].
-//!
-//! The component pick defaults to a cumulative-weight search (one uniform)
-//! and can be switched to a Vose alias table (two uniforms, `O(1)`) via
-//! [`Mixture::with_backend`]. As with [`super::ZipfTable`], the backends
-//! consume the RNG stream differently, so the choice is explicit and part
-//! of a workload's determinism contract.
+//! inside [`super::Truncated`]. The component pick is a cumulative-weight
+//! search (one uniform).
 
-use super::{AliasTable, Continuous, DynContinuous, ParamError, Sample, SamplerBackend};
+use super::{Continuous, DynContinuous, ParamError, Sample};
 use crate::rng::u01;
 use rand::Rng;
 
@@ -27,8 +22,6 @@ pub struct Mixture {
     /// Cumulative, normalized weights; same length as `components`.
     cum_weights: Vec<f64>,
     weights: Vec<f64>,
-    /// Present iff the alias picker was selected.
-    picker: Option<AliasTable>,
 }
 
 impl std::fmt::Debug for Mixture {
@@ -36,14 +29,12 @@ impl std::fmt::Debug for Mixture {
         f.debug_struct("Mixture")
             .field("k", &self.components.len())
             .field("weights", &self.weights)
-            .field("backend", &self.backend())
             .finish()
     }
 }
 
 impl Mixture {
-    /// Creates a mixture from `(weight, component)` pairs with the default
-    /// inverse-CDF component picker.
+    /// Creates a mixture from `(weight, component)` pairs.
     ///
     /// Weights must be positive; they are normalized internally.
     pub fn new(
@@ -75,26 +66,7 @@ impl Mixture {
             components,
             cum_weights: cum,
             weights,
-            picker: None,
         })
-    }
-
-    /// Switches the component picker to the requested backend.
-    pub fn with_backend(mut self, backend: SamplerBackend) -> Result<Self, ParamError> {
-        self.picker = match backend {
-            SamplerBackend::InverseCdf => None,
-            SamplerBackend::Alias => Some(AliasTable::new(&self.weights)?),
-        };
-        Ok(self)
-    }
-
-    /// The component-pick backend in force.
-    pub fn backend(&self) -> SamplerBackend {
-        if self.picker.is_some() {
-            SamplerBackend::Alias
-        } else {
-            SamplerBackend::InverseCdf
-        }
     }
 
     /// Number of components.
@@ -109,14 +81,11 @@ impl Mixture {
 
     /// Samples and also reports which component produced the draw.
     pub fn sample_labeled<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, f64) {
-        let idx = if let Some(picker) = &self.picker {
-            picker.sample(rng)
-        } else {
-            let u = u01(rng);
-            self.cum_weights
-                .partition_point(|&c| c < u)
-                .min(self.components.len() - 1)
-        };
+        let u = u01(rng);
+        let idx = self
+            .cum_weights
+            .partition_point(|&c| c < u)
+            .min(self.components.len() - 1);
         // `&mut R` (sized) implements `Rng`, so a double reborrow erases
         // the generic parameter for the dyn-typed component.
         (idx, self.components[idx].sample_dyn(&mut &mut *rng))
@@ -261,13 +230,49 @@ mod tests {
     }
 
     #[test]
-    fn alias_picker_component_frequencies() {
-        let m = bimodal().with_backend(SamplerBackend::Alias).unwrap();
-        assert_eq!(m.backend(), SamplerBackend::Alias);
-        let mut rng = SeedStream::new(91).rng("mix");
-        const N: usize = 50_000;
-        let low = (0..N).filter(|_| m.sample_labeled(&mut rng).0 == 1).count() as f64 / N as f64;
-        assert!((low - 0.1).abs() < 0.01, "congestion fraction {low}");
+    fn single_component_always_wins() {
+        let m = Mixture::new(vec![(42.0, Box::new(Normal::standard()) as _)]).unwrap();
+        let mut rng = SeedStream::new(92).rng("mix-one");
+        for _ in 0..100 {
+            assert_eq!(m.sample_labeled(&mut rng).0, 0);
+        }
+    }
+
+    #[test]
+    fn pick_is_one_uniform_then_the_component_draw() {
+        // The component pick consumes exactly one uniform, and the chosen
+        // component draws from the stream right after it.
+        let m = bimodal();
+        let high = Normal::new(56_000.0, 3_000.0).unwrap();
+        let low = LogNormal::new(8.0, 1.0).unwrap();
+        let seeds = SeedStream::new(93);
+        let mut a = seeds.rng("mix-pick");
+        let mut b = seeds.rng("mix-pick");
+        let mut picked = [0u32; 2];
+        for _ in 0..2_000 {
+            let (idx, x) = m.sample_labeled(&mut a);
+            let u = u01(&mut b);
+            assert_eq!(idx, usize::from(u > m.weights()[0]), "u {u} picked {idx}");
+            let twin = if idx == 0 {
+                high.sample(&mut b)
+            } else {
+                low.sample(&mut b)
+            };
+            assert_eq!(x, twin);
+            picked[idx] += 1;
+        }
+        assert!(picked.iter().all(|&c| c > 0), "one component never drawn");
+    }
+
+    #[test]
+    fn sample_is_the_labeled_draw() {
+        let m = bimodal();
+        let seeds = SeedStream::new(94);
+        let mut a = seeds.rng("mix-same");
+        let mut b = seeds.rng("mix-same");
+        for _ in 0..1_000 {
+            assert_eq!(m.sample(&mut a), m.sample_labeled(&mut b).1);
+        }
     }
 
     #[test]

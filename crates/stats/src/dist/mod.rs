@@ -23,7 +23,6 @@
 //! | [`Empirical`] | replaying measured marginals |
 //! | [`Truncated`] | bounding sampled durations to the trace horizon |
 
-mod alias;
 mod empirical;
 mod exponential;
 mod gamma;
@@ -38,8 +37,6 @@ mod weibull;
 mod zeta;
 mod zipf;
 
-pub use alias::AliasTable;
-pub use alias::SamplerBackend;
 pub use empirical::Empirical;
 pub use exponential::Exponential;
 pub use gamma::Gamma;

@@ -3,13 +3,10 @@
 //! The paper's *client interest profile* (Fig 7) is Zipf-like with exponent
 //! α = 0.4704 — below 1, so an unbounded zeta law would not normalize; the
 //! population is finite (~692k clients) and a *bounded* Zipf is the right
-//! object. [`ZipfTable`] precomputes the cumulative weights once; draws use
-//! either a binary search on that table (`O(log n)`, one uniform) or a
-//! Vose [`AliasTable`] (`O(1)`, two uniforms), selected explicitly via
-//! [`SamplerBackend`] — see the alias module for why backend choice is
-//! part of the determinism contract.
+//! object. [`ZipfTable`] precomputes the cumulative weights once; a draw
+//! is one uniform and a binary search on that table (`O(log n)`).
 
-use super::{AliasTable, Discrete, ParamError, Sample, SamplerBackend};
+use super::{Discrete, ParamError, Sample};
 use crate::rng::u01;
 use rand::Rng;
 
@@ -28,27 +25,14 @@ pub struct ZipfTable {
     /// `mean()` in a loop must not re-walk the table.
     mean: f64,
     variance: f64,
-    /// Present iff the alias backend was selected.
-    alias: Option<AliasTable>,
 }
 
 impl ZipfTable {
-    /// Creates a bounded Zipf over `1..=n` with exponent `s >= 0`, using
-    /// the default inverse-CDF backend.
+    /// Creates a bounded Zipf over `1..=n` with exponent `s >= 0`.
     ///
     /// Cost: `O(n)` time and memory. For the paper's populations
     /// (n ≈ 7×10⁵) this is a few megabytes built once per generator.
     pub fn new(n: u64, s: f64) -> Result<Self, ParamError> {
-        Self::with_backend(n, s, SamplerBackend::InverseCdf)
-    }
-
-    /// Creates a bounded Zipf with an explicit sampling backend.
-    ///
-    /// Both backends draw from exactly this distribution but consume the
-    /// RNG stream differently (one uniform per draw vs two), so the same
-    /// seed produces different — identically distributed — rank sequences.
-    /// Determinism fixtures must pin the backend they assert against.
-    pub fn with_backend(n: u64, s: f64, backend: SamplerBackend) -> Result<Self, ParamError> {
         if n == 0 {
             return Err(ParamError::new("ZipfTable requires n >= 1"));
         }
@@ -78,13 +62,6 @@ impl ZipfTable {
         }
         let mean = m1 / norm;
         let variance = m2 / norm - mean * mean;
-        let alias = match backend {
-            SamplerBackend::InverseCdf => None,
-            SamplerBackend::Alias => {
-                let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-s)).collect();
-                Some(AliasTable::new(&weights)?)
-            }
-        };
         Ok(Self {
             n,
             s,
@@ -92,7 +69,6 @@ impl ZipfTable {
             norm,
             mean,
             variance,
-            alias,
         })
     }
 
@@ -104,15 +80,6 @@ impl ZipfTable {
     /// Exponent.
     pub fn s(&self) -> f64 {
         self.s
-    }
-
-    /// The sampling backend in force.
-    pub fn backend(&self) -> SamplerBackend {
-        if self.alias.is_some() {
-            SamplerBackend::Alias
-        } else {
-            SamplerBackend::InverseCdf
-        }
     }
 
     /// Normalization constant `H_{n,s}` (generalized harmonic number).
@@ -130,9 +97,6 @@ impl ZipfTable {
 impl Discrete for ZipfTable {
     #[inline]
     fn sample_k<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if let Some(alias) = &self.alias {
-            return alias.sample(rng) as u64 + 1;
-        }
         let u = u01(rng);
         // First index whose cumulative mass reaches u.
         let idx = self.cum.partition_point(|&c| c < u);
@@ -183,7 +147,6 @@ mod tests {
         assert!(ZipfTable::new(0, 1.0).is_err());
         assert!(ZipfTable::new(10, -0.5).is_err());
         assert!(ZipfTable::new(10, f64::NAN).is_err());
-        assert!(ZipfTable::with_backend(0, 1.0, SamplerBackend::Alias).is_err());
     }
 
     #[test]
@@ -251,29 +214,16 @@ mod tests {
     }
 
     #[test]
-    fn alias_backend_frequencies_match_pmf() {
-        // The alias backend must reproduce the same pmf as the inverse-CDF
-        // backend within the tolerance `sample_frequencies_match_pmf` uses.
-        let d = ZipfTable::with_backend(50, 1.0, SamplerBackend::Alias).unwrap();
-        assert_eq!(d.backend(), SamplerBackend::Alias);
-        let mut rng = SeedStream::new(61).rng("zipf");
+    fn sample_frequencies_pass_chi_square() {
+        // Full-support goodness of fit against the exact pmf must accept
+        // at the 1% level.
+        let d = ZipfTable::new(50, 1.0).unwrap();
+        let mut rng = SeedStream::new(63).rng("zipf-chi2");
         let mut counts = [0u32; 51];
         const N: usize = 200_000;
         for _ in 0..N {
-            let k = d.sample_k(&mut rng);
-            assert!((1..=50).contains(&k));
-            counts[k as usize] += 1;
+            counts[d.sample_k(&mut rng) as usize] += 1;
         }
-        for k in [1u64, 2, 5, 10, 25] {
-            let emp = counts[k as usize] as f64 / N as f64;
-            let theo = d.pmf(k);
-            assert!(
-                (emp - theo).abs() < 0.01,
-                "rank {k}: empirical {emp} vs pmf {theo}"
-            );
-        }
-        // Stronger: full-support chi-square goodness of fit against the
-        // exact pmf must accept at the 1% level.
         let observed: Vec<f64> = (1..=50).map(|k| f64::from(counts[k as usize])).collect();
         let expected: Vec<f64> = (1..=50).map(|k| d.pmf(k) * N as f64).collect();
         let r = chi_square_test(&observed, &expected, 0).unwrap();
@@ -281,16 +231,48 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_static_queries() {
-        let cdf = ZipfTable::new(200, 0.7).unwrap();
-        let alias = ZipfTable::with_backend(200, 0.7, SamplerBackend::Alias).unwrap();
-        assert_eq!(cdf.backend(), SamplerBackend::InverseCdf);
-        for k in [1u64, 2, 10, 100, 200] {
-            assert_eq!(cdf.pmf(k), alias.pmf(k));
-            assert_eq!(cdf.cdf_k(k), alias.cdf_k(k));
+    fn sample_inverts_the_cdf() {
+        // A draw is the first rank whose cumulative mass reaches the one
+        // uniform it consumed.
+        let d = ZipfTable::new(200, 0.7).unwrap();
+        let seeds = SeedStream::new(64);
+        let mut a = seeds.rng("zipf-inverse");
+        let mut b = seeds.rng("zipf-inverse");
+        for _ in 0..5_000 {
+            let k = d.sample_k(&mut a);
+            let u = u01(&mut b);
+            assert!(u <= d.cdf_k(k), "rank {k}: u {u} above cdf {}", d.cdf_k(k));
+            assert!(
+                k == 1 || d.cdf_k(k - 1) < u,
+                "rank {k}: u {u} already reached at rank {}",
+                k - 1
+            );
         }
-        assert_eq!(cdf.mean(), alias.mean());
-        assert_eq!(cdf.variance(), alias.variance());
+    }
+
+    #[test]
+    fn consumes_exactly_one_draw_per_sample() {
+        // Interleaving samples with raw draws must line up exactly with a
+        // hand-advanced twin stream: the generator's substreams rely on it.
+        let d = ZipfTable::new(1_000, 0.4704).unwrap();
+        let seeds = SeedStream::new(65);
+        let mut a = seeds.rng("zipf-one");
+        let mut b = seeds.rng("zipf-one");
+        for _ in 0..500 {
+            let _ = d.sample_k(&mut a);
+            b.next_u64();
+            assert_eq!(a.next_u64(), b.next_u64(), "streams diverged");
+        }
+    }
+
+    #[test]
+    fn construction_is_deterministic() {
+        let t1 = ZipfTable::new(1_000, 0.7).unwrap();
+        let t2 = ZipfTable::new(1_000, 0.7).unwrap();
+        assert_eq!(t1.cum, t2.cum);
+        assert_eq!(t1.norm, t2.norm);
+        assert_eq!(t1.mean, t2.mean);
+        assert_eq!(t1.variance, t2.variance);
     }
 
     #[test]
@@ -299,12 +281,6 @@ mod tests {
         let mut rng = SeedStream::new(62).rng("zipf-bounds");
         for _ in 0..10_000 {
             let k = d.sample_k(&mut rng);
-            assert!((1..=3).contains(&k));
-        }
-        let a = ZipfTable::with_backend(3, 2.0, SamplerBackend::Alias).unwrap();
-        let mut rng = SeedStream::new(62).rng("zipf-bounds");
-        for _ in 0..10_000 {
-            let k = a.sample_k(&mut rng);
             assert!((1..=3).contains(&k));
         }
     }

@@ -25,8 +25,8 @@
 //! `split_ascii_whitespace` iterator machinery, and no formatting on the
 //! non-error path. [`LineChunks`] likewise yields raw byte chunks — the
 //! streaming reader never materializes a chunk twice. The original
-//! string-based parser is retained as [`legacy::parse_line_str`] purely as
-//! a differential-testing oracle (see `trace/tests/parser_differential.rs`).
+//! string-based parser lives on only as the differential-testing oracle in
+//! `trace/tests/parser_differential.rs`.
 
 use crate::event::LogEntry;
 use crate::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
@@ -574,8 +574,9 @@ fn trailing_error() -> ParseError {
 ///
 /// This is the hot-path parser: a hand-rolled field scanner over `&[u8]`
 /// with zero allocations and zero formatting on the success path. Accepts
-/// exactly the same lines as the legacy string parser
-/// ([`legacy::parse_line_str`]); the two are differentially tested.
+/// exactly the same lines as the original `split_ascii_whitespace` +
+/// `FromStr` parser, which `tests/parser_differential.rs` keeps as its
+/// oracle.
 pub fn parse_line_bytes(line: &[u8]) -> Result<LogEntry, ParseError> {
     let mut sc = FieldScanner::new(line);
     // Monomorphic scan, one traversal per field: the typed scanner methods
@@ -633,87 +634,6 @@ pub fn parse_line(line: &str) -> Result<LogEntry, ParseError> {
     parse_line_bytes(line.as_bytes())
 }
 
-/// The original string-based parser, retained as a differential-testing
-/// oracle for the zero-copy scanner. Not used on any hot path.
-pub mod legacy {
-    use super::{ParseError, ParsedLines};
-    use crate::event::LogEntry;
-    use crate::ids::{AsId, ClientId, CountryCode, Ipv4Addr};
-    use std::str::FromStr;
-
-    /// Parses one log line through `split_ascii_whitespace` + `FromStr`,
-    /// exactly as the pre-zero-copy implementation did.
-    pub fn parse_line_str(line: &str) -> Result<LogEntry, ParseError> {
-        let err = |msg: String| ParseError {
-            line: 0,
-            message: msg,
-        };
-        let mut it = line.split_ascii_whitespace();
-        let mut next = |name: &str| {
-            it.next()
-                .ok_or_else(|| err(format!("missing field {name}")))
-        };
-
-        fn num<T: FromStr>(s: &str, name: &str) -> Result<T, ParseError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            s.parse::<T>().map_err(|e| ParseError {
-                line: 0,
-                message: format!("bad {name} {s:?}: {e}"),
-            })
-        }
-
-        let timestamp: u32 = num(next("x-timestamp")?, "x-timestamp")?;
-        let start: u32 = num(next("c-start")?, "c-start")?;
-        let duration: u32 = num(next("x-duration")?, "x-duration")?;
-        let client = ClientId(num(next("c-playerid")?, "c-playerid")?);
-        let ip = Ipv4Addr::from_str(next("c-ip")?).map_err(|e| err(format!("bad c-ip: {e}")))?;
-        let as_id = AsId(num(next("c-as")?, "c-as")?);
-        let country =
-            CountryCode::new(next("c-country")?).map_err(|e| err(format!("bad c-country: {e}")))?;
-        let uri = next("cs-uri-stem")?;
-        let object =
-            super::parse_uri(uri).ok_or_else(|| err(format!("bad cs-uri-stem {uri:?}")))?;
-        let camera: u8 = num(next("x-camera")?, "x-camera")?;
-        let bytes: u64 = num(next("sc-bytes")?, "sc-bytes")?;
-        let avg_bandwidth: u32 = num(next("x-avg-bandwidth")?, "x-avg-bandwidth")?;
-        let packet_loss: f32 = num(next("c-pkts-lost-rate")?, "c-pkts-lost-rate")?;
-        let cpu_util: f32 = num(next("s-cpu-util")?, "s-cpu-util")?;
-        let status: u16 = num(next("sc-status")?, "sc-status")?;
-        if it.next().is_some() {
-            return Err(err("trailing fields".into()));
-        }
-        Ok(LogEntry {
-            timestamp,
-            start,
-            duration,
-            client,
-            ip,
-            as_id,
-            country,
-            object,
-            camera,
-            bytes,
-            avg_bandwidth,
-            packet_loss,
-            cpu_util,
-            status,
-        })
-    }
-
-    /// Streams `text` line by line through the legacy parser — the
-    /// differential counterpart of [`super::parse_lines_bytes`].
-    pub fn parse_lines_str(text: &str) -> ParsedLines<'_> {
-        ParsedLines::legacy(text)
-    }
-}
-
-/// Extracts the object id from a `/live/feedN.asf` URI stem.
-fn parse_uri(uri: &str) -> Option<ObjectId> {
-    parse_uri_bytes(uri.as_bytes())
-}
-
 /// Streaming line parser: yields one `Result` per non-comment line.
 ///
 /// Unlike [`parse_log`] this iterator *recovers* from malformed lines:
@@ -726,18 +646,6 @@ pub struct ParsedLines<'a> {
     inner: std::str::Lines<'a>,
     /// 1-based number of the *next* line `inner` will yield.
     next_line: usize,
-    /// Route through the legacy string parser (differential oracle).
-    use_legacy: bool,
-}
-
-impl<'a> ParsedLines<'a> {
-    fn legacy(text: &'a str) -> Self {
-        Self {
-            inner: text.lines(),
-            next_line: 1,
-            use_legacy: true,
-        }
-    }
 }
 
 impl Iterator for ParsedLines<'_> {
@@ -752,12 +660,7 @@ impl Iterator for ParsedLines<'_> {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let parsed = if self.use_legacy {
-                legacy::parse_line_str(line)
-            } else {
-                parse_line(line)
-            };
-            return Some(match parsed {
+            return Some(match parse_line(line) {
                 Ok(e) => Ok((line_no, e)),
                 Err(mut e) => {
                     e.line = line_no;
@@ -780,7 +683,6 @@ pub fn parse_lines_from(text: &str, first_line: usize) -> ParsedLines<'_> {
     ParsedLines {
         inner: text.lines(),
         next_line: first_line.max(1),
-        use_legacy: false,
     }
 }
 
@@ -1038,8 +940,6 @@ mod tests {
         let line = std::str::from_utf8(&buf).unwrap();
         let parsed = parse_line(line).unwrap();
         assert_eq!(parsed, e);
-        // The legacy oracle agrees.
-        assert_eq!(legacy::parse_line_str(line).unwrap(), e);
     }
 
     #[test]
@@ -1111,7 +1011,7 @@ mod tests {
     #[test]
     fn integer_fields_follow_std_acceptance_rules() {
         // Optional '+', no '-', no empty, overflow rejected — exactly
-        // str::parse::<uN> semantics, so the legacy oracle agrees.
+        // str::parse::<uN> semantics, so the string-parser oracle agrees.
         assert_eq!(scan_u32(b"+5"), Some(5));
         assert_eq!(scan_u32(b"0"), Some(0));
         assert_eq!(scan_u32(b"4294967295"), Some(u32::MAX));
@@ -1180,36 +1080,6 @@ mod tests {
                 slow.map(f32::to_bits),
                 "f32 {s:?}: {fast:?} vs {slow:?}"
             );
-        }
-    }
-
-    #[test]
-    fn byte_and_str_parsers_agree_on_pathologies() {
-        let mut buf = BytesMut::new();
-        format_entry(&sample_entry(), &mut buf);
-        let good = std::str::from_utf8(&buf).unwrap().to_string();
-        let cases = [
-            good.clone(),
-            good.replace("200.17.34.5", "999.1.1.1"),
-            good.replace(" BR ", " br "),
-            good.replace(" BR ", " BRA "),
-            format!("{good} trailing"),
-            "1 2 3".to_string(),
-            String::new(),
-            "   \t  ".to_string(),
-            good.replace("0.0100", "abc"),
-        ];
-        for case in &cases {
-            let fast = parse_line_bytes(case.as_bytes());
-            let slow = legacy::parse_line_str(case);
-            assert_eq!(
-                fast.is_ok(),
-                slow.is_ok(),
-                "parsers disagree on {case:?}: {fast:?} vs {slow:?}"
-            );
-            if let (Ok(a), Ok(b)) = (fast, slow) {
-                assert_eq!(a, b, "payloads differ on {case:?}");
-            }
         }
     }
 

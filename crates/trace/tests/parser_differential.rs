@@ -1,18 +1,111 @@
 //! Differential tests: the zero-copy byte parser must accept exactly the
-//! lines the legacy string parser accepts, producing identical entries and
-//! flagging errors on identical line numbers.
+//! lines the original string parser accepts, producing identical entries
+//! and flagging errors on identical line numbers.
 //!
-//! The legacy `split_ascii_whitespace` + `FromStr` implementation is kept
-//! in `wms::legacy` purely as the oracle for these tests; the zero-copy
-//! scanner is the only parser on any hot path. Error *messages* are not
-//! compared — the scanner reports positional field names from a static
-//! table while the oracle formats `FromStr` errors — but Ok/Err shape,
-//! line numbers, and parsed entries must agree byte for byte.
+//! The original `split_ascii_whitespace` + `FromStr` implementation lives
+//! in the [`oracle`] module below, purely as the reference for these
+//! tests; the zero-copy scanner is the only parser in the library. Error
+//! *messages* are not compared — the scanner reports positional field
+//! names from a static table while the oracle formats `FromStr` errors —
+//! but Ok/Err shape, line numbers, and parsed entries must agree byte for
+//! byte.
 
 use lsw_trace::event::{LogEntry, LogEntryBuilder};
 use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::wms;
 use proptest::prelude::*;
+
+/// The original string-based WMS line parser.
+mod oracle {
+    use lsw_trace::event::LogEntry;
+    use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
+    use lsw_trace::wms::ParseError;
+    use std::str::FromStr;
+
+    /// Extracts the object id from a `/live/feedN.asf` URI stem.
+    fn parse_uri(uri: &str) -> Option<ObjectId> {
+        let digits = uri.strip_prefix("/live/feed")?.strip_suffix(".asf")?;
+        digits.parse().ok().map(ObjectId)
+    }
+
+    /// Parses one log line through `split_ascii_whitespace` + `FromStr`,
+    /// exactly as the pre-zero-copy implementation did.
+    pub fn parse_line_str(line: &str) -> Result<LogEntry, ParseError> {
+        let err = |msg: String| ParseError {
+            line: 0,
+            message: msg,
+        };
+        let mut it = line.split_ascii_whitespace();
+        let mut next = |name: &str| {
+            it.next()
+                .ok_or_else(|| err(format!("missing field {name}")))
+        };
+
+        fn num<T: FromStr>(s: &str, name: &str) -> Result<T, ParseError>
+        where
+            T::Err: std::fmt::Display,
+        {
+            s.parse::<T>().map_err(|e| ParseError {
+                line: 0,
+                message: format!("bad {name} {s:?}: {e}"),
+            })
+        }
+
+        let timestamp: u32 = num(next("x-timestamp")?, "x-timestamp")?;
+        let start: u32 = num(next("c-start")?, "c-start")?;
+        let duration: u32 = num(next("x-duration")?, "x-duration")?;
+        let client = ClientId(num(next("c-playerid")?, "c-playerid")?);
+        let ip = Ipv4Addr::from_str(next("c-ip")?).map_err(|e| err(format!("bad c-ip: {e}")))?;
+        let as_id = AsId(num(next("c-as")?, "c-as")?);
+        let country =
+            CountryCode::new(next("c-country")?).map_err(|e| err(format!("bad c-country: {e}")))?;
+        let uri = next("cs-uri-stem")?;
+        let object = parse_uri(uri).ok_or_else(|| err(format!("bad cs-uri-stem {uri:?}")))?;
+        let camera: u8 = num(next("x-camera")?, "x-camera")?;
+        let bytes: u64 = num(next("sc-bytes")?, "sc-bytes")?;
+        let avg_bandwidth: u32 = num(next("x-avg-bandwidth")?, "x-avg-bandwidth")?;
+        let packet_loss: f32 = num(next("c-pkts-lost-rate")?, "c-pkts-lost-rate")?;
+        let cpu_util: f32 = num(next("s-cpu-util")?, "s-cpu-util")?;
+        let status: u16 = num(next("sc-status")?, "sc-status")?;
+        if it.next().is_some() {
+            return Err(err("trailing fields".into()));
+        }
+        Ok(LogEntry {
+            timestamp,
+            start,
+            duration,
+            client,
+            ip,
+            as_id,
+            country,
+            object,
+            camera,
+            bytes,
+            avg_bandwidth,
+            packet_loss,
+            cpu_util,
+            status,
+        })
+    }
+
+    /// Streams `text` line by line through the string parser, skipping
+    /// blank and `#` lines and numbering from 1 — the counterpart of
+    /// `wms::parse_lines_bytes`.
+    pub fn parse_lines_str(text: &str) -> Vec<Result<(usize, LogEntry), ParseError>> {
+        text.lines()
+            .enumerate()
+            .map(|(i, raw)| (i + 1, raw.trim()))
+            .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+            .map(|(line_no, line)| match parse_line_str(line) {
+                Ok(e) => Ok((line_no, e)),
+                Err(mut e) => {
+                    e.line = line_no;
+                    Err(e)
+                }
+            })
+            .collect()
+    }
+}
 
 /// Strategy producing a valid log entry spanning the full field ranges the
 /// wire format can carry (not just paper-plausible values).
@@ -55,13 +148,13 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
 /// carry identical line numbers.
 fn assert_streams_agree(text: &str) {
     let fast: Vec<_> = wms::parse_lines_bytes(text.as_bytes()).collect();
-    let slow: Vec<_> = wms::legacy::parse_lines_str(text).collect();
+    let slow = oracle::parse_lines_str(text);
     assert_eq!(fast.len(), slow.len(), "stream lengths differ");
     for (f, s) in fast.iter().zip(&slow) {
         match (f, s) {
             (Ok(fe), Ok(se)) => assert_eq!(fe, se, "entries differ"),
             (Err(fe), Err(se)) => assert_eq!(fe.line, se.line, "error lines differ"),
-            _ => panic!("classification differs: fast {f:?} vs legacy {s:?}"),
+            _ => panic!("classification differs: fast {f:?} vs oracle {s:?}"),
         }
     }
 }
@@ -77,6 +170,50 @@ fn record_lines(entries: &[LogEntry]) -> Vec<String> {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(String::from)
         .collect()
+}
+
+fn sample_entry() -> LogEntry {
+    LogEntryBuilder::new()
+        .span(100, 50)
+        .client(ClientId(7))
+        .origin(
+            Ipv4Addr::from_octets(200, 17, 34, 5),
+            AsId(42),
+            CountryCode(*b"BR"),
+        )
+        .object(ObjectId(1), 12)
+        .transfer_stats(500_000, 34_000, 0.01)
+        .server(0.05, 200)
+        .build()
+}
+
+#[test]
+fn byte_and_str_parsers_agree_on_pathologies() {
+    let good = record_lines(&[sample_entry()]).remove(0);
+    assert_eq!(oracle::parse_line_str(&good).unwrap(), sample_entry());
+    let cases = [
+        good.clone(),
+        good.replace("200.17.34.5", "999.1.1.1"),
+        good.replace(" BR ", " br "),
+        good.replace(" BR ", " BRA "),
+        format!("{good} trailing"),
+        "1 2 3".to_string(),
+        String::new(),
+        "   \t  ".to_string(),
+        good.replace("0.0100", "abc"),
+    ];
+    for case in &cases {
+        let fast = wms::parse_line_bytes(case.as_bytes());
+        let slow = oracle::parse_line_str(case);
+        assert_eq!(
+            fast.is_ok(),
+            slow.is_ok(),
+            "parsers disagree on {case:?}: {fast:?} vs {slow:?}"
+        );
+        if let (Ok(a), Ok(b)) = (fast, slow) {
+            assert_eq!(a, b, "payloads differ on {case:?}");
+        }
+    }
 }
 
 proptest! {

@@ -184,7 +184,8 @@ pub struct FileClass {
 
 /// Crates whose library code must be free of ambient nondeterminism
 /// (L002). These are the crates on the deterministic generate/analyze
-/// path; `figures` and `bench` time themselves with `Instant` by design.
+/// path; `figures` (whose `repro` binary times its own run with
+/// `Instant`), `lsw` and `xtask` are not.
 /// `replay` is listed even though wall time and sockets are its whole
 /// point: the rule forces every such site to carry a reasoned
 /// line-scoped `lsw::allow(L002)` instead of escaping review wholesale.

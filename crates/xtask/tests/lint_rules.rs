@@ -280,6 +280,29 @@ fn json_output_is_well_formed_and_ordered() {
     assert_eq!(json, report2.render_json());
 }
 
+/// L008 finds its roots by name and returns quietly when none matches, so
+/// a renamed or deleted data-plane loop would switch the rule off unseen.
+#[test]
+fn every_l008_root_is_defined_in_a_lock_scope_file() {
+    let root = workspace::workspace_root();
+    let files = workspace::workspace_files(&root).expect("workspace walk");
+    let defined: Vec<String> = files
+        .iter()
+        .filter(|f| f.class.lock_scope)
+        .flat_map(|f| {
+            let src = std::fs::read_to_string(&f.abs_path).expect("readable source");
+            xtask::items::extract(&xtask::lexer::lex(&src).tokens).fns
+        })
+        .map(|item| item.name)
+        .collect();
+    for name in xtask::graph::L008_ENTRY_FNS {
+        assert!(
+            defined.iter().any(|d| d == name),
+            "L008 root `{name}` is not defined in any lock-scope file"
+        );
+    }
+}
+
 /// The acceptance invariant: the workspace's own first-party code passes
 /// every rule. If this test fails, either fix the violation or annotate
 /// it with `// lsw::allow(L00X): <reason>` — see DESIGN.md §10.

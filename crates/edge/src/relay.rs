@@ -5,15 +5,16 @@
 //! LSW1 *subscription* connection to the origin per live object it is
 //! responsible for, counts the paced payload bytes into that object's
 //! broadcast [`ring`](crate::ring), and re-serves its own clients over
-//! the same LSW1 protocol — each client's entitlement is driven by the
-//! ring's live edge (bytes that actually arrived from upstream), not by
-//! a local clock, so the relay genuinely forwards the origin's pacing
-//! instead of re-deriving it. Payload written to clients is staged from
-//! the shared position-independent pattern arena, so backlog memory is
-//! O(1) per connection regardless of lag.
+//! the same LSW1 [lifecycle](lsw_replay::reactor) the origin's shards
+//! run. What differs is what a client is owed: its entitlement is driven
+//! by the ring's live edge (bytes that actually arrived from upstream),
+//! not by a local clock, so the relay genuinely forwards the origin's
+//! pacing instead of re-deriving it. Payload written to clients is
+//! staged from the shared position-independent pattern arena, so
+//! backlog memory is O(1) per connection regardless of lag.
 //!
-//! **Per-tier policy.** Each relay runs its own [`MediaServer`]
-//! admission instance and its own [`SlowClientPolicy`]: under `Drop`, a
+//! **Per-tier policy.** Each relay runs its own admission [`Gate`] and
+//! its own [`SlowClientPolicy`]: under `Drop`, a
 //! client the ring *laps* (its cursor fell out of the retention window)
 //! is truncated; under `Backpressure`, the lapped range is re-served
 //! from the arena — position-independent payload makes the skipped
@@ -35,35 +36,27 @@
 //! stays visible in the closed-loop diff.
 
 use crate::ring::{Broadcast, Cursor, Poll as RingPoll};
-use lsw_replay::clock::{trace_to_nanos, Nanos, WallClock};
-use lsw_replay::metrics::{Counter, Gauge, LogHistogram, Registry};
-use lsw_replay::payload::{self, MAX_SLICES};
-use lsw_replay::proto::{self, MAX_REQUEST_LINE};
+use lsw_replay::clock::{Nanos, WallClock};
+use lsw_replay::metrics::{Counter, LogHistogram, Registry};
+use lsw_replay::proto::{self, Request, StatusLine};
+use lsw_replay::reactor::{
+    peer_gone, read_request, write_arena, Conn, Gate, Reactor, Transfer, LISTEN_TOKEN,
+};
 use lsw_replay::slab::{Key, Slab};
-use lsw_replay::wheel::{TimerId, TimingWheel};
-use lsw_replay::{SlowClientPolicy, STATUS_REJECTED, STATUS_TRUNCATED};
-use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerStats};
+use lsw_replay::{SlowClientPolicy, STATUS_TRUNCATED};
+use lsw_sim::server::{AdmissionPolicy, ServerStats};
 use lsw_stream::MultiTap;
 use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::schedule::{Schedule, ScheduledTransfer};
 use mio::unix::SourceFd;
-use mio::{Events, Interest, Poll, Token, Waker};
+use mio::{Interest, Waker};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use timerfd::{TimerFd, TimerState};
-
-/// Reactor token for the cross-thread shutdown waker.
-const WAKER_TOKEN: Token = Token(usize::MAX);
-/// Reactor token for the timing-wheel timerfd.
-const TIMER_TOKEN: Token = Token(usize::MAX - 1);
-/// Reactor token for the client listener.
-const LISTEN_TOKEN: Token = Token(usize::MAX - 2);
 
 /// Extra trace seconds a subscription outlives its last client's stop:
 /// covers the `⌊t⌋+1` display rounding at both span edges so the feed
@@ -185,15 +178,10 @@ impl Default for RelayConfig {
     }
 }
 
-/// Relay-tier metrics; every relay registers the same names in the
-/// shared registry, so the counters aggregate across the tier.
+/// The relay's own metrics, beside the [`Gate`]'s `edge.*` lifecycle
+/// counters; every relay registers the same names in the shared
+/// registry, so the counters aggregate across the tier.
 struct EdgeMetrics {
-    conns: Arc<Counter>,
-    active: Arc<Gauge>,
-    completed: Arc<Counter>,
-    rejected: Arc<Counter>,
-    truncated: Arc<Counter>,
-    bad_requests: Arc<Counter>,
     delivered_bytes: Arc<Counter>,
     upstream_bytes: Arc<Counter>,
     subscriptions: Arc<Counter>,
@@ -205,12 +193,6 @@ struct EdgeMetrics {
 impl EdgeMetrics {
     fn register(r: &Registry) -> Self {
         Self {
-            conns: r.counter("edge.conns"),
-            active: r.gauge("edge.active"),
-            completed: r.counter("edge.completed"),
-            rejected: r.counter("edge.rejected"),
-            truncated: r.counter("edge.truncated"),
-            bad_requests: r.counter("edge.bad_requests"),
             delivered_bytes: r.counter("edge.delivered_bytes"),
             upstream_bytes: r.counter("edge.upstream_bytes"),
             subscriptions: r.counter("edge.subscriptions"),
@@ -225,7 +207,8 @@ struct RelayShared {
     cfg: RelayConfig,
     /// Planned subscriptions, by object id.
     plans: BTreeMap<u16, FeedPlan>,
-    admission: Mutex<MediaServer>,
+    /// Client-tier admission and the `edge.*` lifecycle counters.
+    gate: Gate,
     tap: Arc<Mutex<MultiTap>>,
     clock: Arc<WallClock>,
     metrics: EdgeMetrics,
@@ -248,12 +231,14 @@ impl RelayShared {
         self.tap.lock().ingest(self.cfg.index as usize, &e);
     }
 
-    /// Releases the admission slot and logs the tap entry for a client
-    /// transfer that is ending (complete or truncated).
-    fn finish_client(&self, s: &CStream, status: u16) {
-        // lsw::allow(L008): slot release is an O(1) counter update under the lock
-        self.admission.lock().release();
-        self.log_tap(&s.t, status);
+    /// Releases the admission slot, logs the tap entry and counts the
+    /// outcome of a client transfer that is ending (complete or
+    /// truncated). Returns true: the connection is finished.
+    fn close(&self, s: &CStream, status: u16, count: &Counter) -> bool {
+        self.gate.release();
+        self.log_tap(&s.x.t, status);
+        count.inc();
+        true
     }
 }
 
@@ -272,30 +257,15 @@ struct Feed {
     complete: bool,
 }
 
-impl Feed {
-    fn new(capacity: u64) -> Self {
-        Self {
-            ring: Broadcast::new(capacity),
-            subscribers: Vec::new(),
-            expected: None,
-            received: 0,
-            complete: false,
-        }
-    }
-}
-
-/// A streaming client connection's serving state.
+/// A streaming client: owed what its ring cursor can read, plus arena
+/// debt.
 struct CStream {
-    t: ScheduledTransfer,
+    x: Transfer,
     object: u16,
     cursor: Cursor,
-    budget: u64,
-    sent: u64,
     /// Bytes entitled but not (or no longer) in the ring — Backpressure
     /// lap debt or the complete-feed top-up — served from the arena.
     behind: u64,
-    hold_until: Nanos,
-    timer: Option<TimerId>,
 }
 
 enum ConnState {
@@ -303,25 +273,10 @@ enum ConnState {
     Request { buf: Vec<u8> },
     /// A client being served from a ring.
     Client(Box<CStream>),
-    /// Upstream subscription: reading the origin's status line.
-    UpstreamHeader { object: u16, buf: Vec<u8> },
-    /// Upstream subscription: counting paced payload into the ring.
-    UpstreamBody { object: u16 },
-}
-
-struct RConn {
-    stream: TcpStream,
-    state: ConnState,
-    /// Last write hit `WouldBlock`; waiting on EPOLLOUT.
-    blocked: bool,
-    /// EPOLLOUT currently registered for this socket.
-    registered_write: bool,
-}
-
-impl RConn {
-    fn is_client(&self) -> bool {
-        matches!(self.state, ConnState::Request { .. } | ConnState::Client(_))
-    }
+    /// Upstream subscription: reading the origin's status line into
+    /// `header` until the feed learns its expected budget, then counting
+    /// paced payload into the ring.
+    Upstream { object: u16, header: Vec<u8> },
 }
 
 /// A running relay node.
@@ -349,18 +304,15 @@ impl Relay {
         let _ = mio::widen_listen_backlog(&listener, 4096);
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        // lsw::allow(L002): the relay reactor acquires its epoll endpoint by design
-        let poll = Poll::new()?;
-        // lsw::allow(L002): the shutdown eventfd waker is a reactor endpoint by design
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
-        // lsw::allow(L002): the deadline timerfd is a reactor endpoint by design
-        let timer = TimerFd::new()?;
+        let (reactor, waker) = Reactor::new(cfg.wheel_resolution)?;
+        reactor.poll.registry().register(
+            &mut SourceFd(&listener.as_raw_fd()),
+            LISTEN_TOKEN,
+            Interest::READABLE,
+        )?;
 
         let shared = Arc::new(RelayShared {
-            admission: Mutex::new(MediaServer::new(lsw_sim::server::ServerConfig {
-                admission: cfg.admission,
-                ..lsw_sim::server::ServerConfig::default()
-            })),
+            gate: Gate::new(cfg.admission, cfg.compression, registry, "edge"),
             plans,
             tap,
             clock,
@@ -375,7 +327,7 @@ impl Relay {
         let index = shared.cfg.index;
         let handle = std::thread::Builder::new()
             .name(format!("lsw-relay-{index}"))
-            .spawn(move || relay_loop(&thread_shared, &listener, poll, timer))?;
+            .spawn(move || relay_loop(&thread_shared, &listener, reactor))?;
         Ok(Self {
             shared,
             addr,
@@ -410,80 +362,42 @@ impl Relay {
         if let Err(payload) = self.handle.join() {
             std::panic::resume_unwind(payload);
         }
-        self.shared.admission.lock().stats().clone()
+        self.shared.gate.admission.lock().stats().clone()
     }
-}
-
-/// What kind of connection a slab slot holds (drives dispatch without
-/// holding a borrow across the step).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ConnKind {
-    Client,
-    Upstream,
 }
 
 /// The relay reactor: accepts clients, subscribes upstream on first
 /// demand per object, fans ring bytes out on readiness, and paces
 /// nothing itself — upstream arrival *is* the pacing signal, so the
 /// wheel holds only display-duration hold deadlines.
-fn relay_loop(shared: &RelayShared, listener: &TcpListener, mut poll: Poll, mut timer: TimerFd) {
-    let mut events = Events::with_capacity(1024);
-    let mut wheel: TimingWheel<Key> = TimingWheel::with_resolution(shared.cfg.wheel_resolution);
-    let mut conns: Slab<RConn> = Slab::new();
+fn relay_loop(shared: &RelayShared, listener: &TcpListener, mut r: Reactor) {
+    let mut conns: Slab<Conn<ConnState>> = Slab::new();
     let mut feeds: BTreeMap<u16, Feed> = BTreeMap::new();
-    let mut fired: Vec<(Nanos, Key)> = Vec::new();
-    let mut keys: Vec<Key> = Vec::new();
-    let mut slices = [IoSlice::new(&[]); MAX_SLICES];
+    let mut ready: Vec<(Key, bool)> = Vec::new();
+    let mut due: Vec<(Nanos, Key)> = Vec::new();
     let mut scratch = vec![0u8; 256 * 1024];
-    let mut clients = 0usize;
-    let mut armed: Option<Nanos> = None;
-    let listener_fd = listener.as_raw_fd();
-    if poll
-        .registry()
-        .register(
-            &mut SourceFd(&listener_fd),
-            LISTEN_TOKEN,
-            Interest::READABLE,
-        )
-        .is_err()
-    {
-        return;
-    }
-    let timer_fd = timer.as_raw_fd();
-    if poll
-        .registry()
-        .register(&mut SourceFd(&timer_fd), TIMER_TOKEN, Interest::READABLE)
-        .is_err()
-    {
-        return;
-    }
-
     loop {
         if shared.force.load(Ordering::Relaxed) {
-            keys.clear();
-            keys.extend(conns.iter_keys());
-            for &key in &keys {
-                if let Some(conn) = conns.remove(key) {
-                    match &conn.state {
-                        ConnState::Client(s) => {
-                            shared.finish_client(s, STATUS_TRUNCATED);
-                            shared.metrics.truncated.inc();
-                            client_done(shared, &mut clients);
-                        }
-                        ConnState::Request { .. } => {
-                            shared.metrics.bad_requests.inc();
-                            client_done(shared, &mut clients);
-                        }
-                        // Dropping an upstream closes the subscription;
-                        // the origin logs it truncated on its own tier.
-                        ConnState::UpstreamHeader { .. } | ConnState::UpstreamBody { .. } => {}
+            let keys: Vec<Key> = conns.iter_keys().collect();
+            for key in keys {
+                let Some(conn) = conns.remove(key) else {
+                    continue;
+                };
+                match &conn.state {
+                    ConnState::Client(s) => {
+                        shared.close(s, STATUS_TRUNCATED, &shared.gate.truncated);
                     }
+                    ConnState::Request { .. } => shared.gate.bad_requests.inc(),
+                    // Dropping an upstream closes the subscription; the
+                    // origin logs it truncated on its own tier.
+                    ConnState::Upstream { .. } => continue,
                 }
+                client_done(shared);
             }
             return;
         }
         let draining = shared.shutdown.load(Ordering::Relaxed);
-        if draining && clients == 0 {
+        if draining && shared.active.load(Ordering::Relaxed) == 0 {
             // Remaining upstream conns drop here: the relay unsubscribes
             // once it has no viewers left to serve.
             return;
@@ -495,199 +409,97 @@ fn relay_loop(shared: &RelayShared, listener: &TcpListener, mut poll: Poll, mut 
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
-                shared.metrics.conns.inc();
-                shared.metrics.active.inc();
+                shared.gate.conns.inc();
+                shared.gate.active.inc();
                 shared.active.fetch_add(1, Ordering::Relaxed);
-                clients += 1;
-                let key = conns.insert(RConn {
-                    stream,
-                    state: ConnState::Request { buf: Vec::new() },
-                    blocked: false,
-                    registered_write: false,
-                });
-                let registered = match conns.get_mut(key) {
-                    Some(conn) => poll
-                        .registry()
-                        .register(&mut conn.stream, Token(key.to_usize()), Interest::READABLE)
-                        .is_ok(),
-                    None => false,
-                };
-                if !registered {
-                    conns.remove(key);
-                    client_done(shared, &mut clients);
-                    shared.metrics.bad_requests.inc();
+                let state = ConnState::Request { buf: Vec::new() };
+                if r.adopt(&mut conns, stream, state).is_none() {
+                    client_done(shared);
+                    shared.gate.bad_requests.inc();
                 }
             }
         }
 
-        // Fire due hold-until deadlines.
-        let now = shared.clock.now();
-        wheel.advance(now, &mut fired);
-        for (_, key) in fired.drain(..) {
-            step_conn(
-                shared,
-                &poll,
-                &mut conns,
-                &mut feeds,
-                &mut wheel,
-                key,
-                false,
-                &mut slices,
-                &mut scratch,
-                &mut clients,
-            );
-        }
-
-        // Sleep until readiness or the next wheel deadline.
-        let next = wheel.next_deadline();
-        let timeout = if next.is_some_and(|d| d <= shared.clock.now()) {
-            Some(Duration::ZERO)
-        } else {
-            if next != armed {
-                let _ = match next {
-                    Some(d) => {
-                        let wait = d.saturating_sub(shared.clock.now()).max(1);
-                        timer.set_state(TimerState::Oneshot(Duration::from_nanos(wait)))
-                    }
-                    None => timer.set_state(TimerState::Disarmed),
-                };
-                armed = next;
-            }
-            None
-        };
-        // lsw::allow(L008): the relay reactor's single scheduling point, bounded by the armed timerfd and woken by the shutdown waker
-        if poll.poll(&mut events, timeout).is_err() {
+        if r.wait(&shared.clock, &mut ready, &mut due).is_err() {
             shared.force.store(true, Ordering::Relaxed);
             continue;
         }
-        for event in events.iter() {
-            match event.token() {
-                WAKER_TOKEN | LISTEN_TOKEN => {} // handled at loop top
-                TIMER_TOKEN => {
-                    timer.read();
-                }
-                tok => {
-                    let key = Key::from_usize(tok.0);
-                    let readable = event.is_readable() || event.is_error();
-                    step_conn(
-                        shared,
-                        &poll,
-                        &mut conns,
-                        &mut feeds,
-                        &mut wheel,
-                        key,
-                        readable,
-                        &mut slices,
-                        &mut scratch,
-                        &mut clients,
-                    );
-                }
-            }
+        let wakes = due.drain(..).map(|(_, key)| (key, false));
+        for (key, readable) in wakes.chain(ready.drain(..)) {
+            step_conn(
+                shared,
+                &mut r,
+                &mut conns,
+                &mut feeds,
+                key,
+                readable,
+                &mut scratch,
+            );
         }
     }
 }
 
 /// Accounts one client connection leaving the relay.
-fn client_done(shared: &RelayShared, clients: &mut usize) {
-    shared.metrics.active.dec();
+fn client_done(shared: &RelayShared) {
+    shared.gate.active.dec();
     shared.active.fetch_sub(1, Ordering::Relaxed);
-    *clients = clients.saturating_sub(1);
 }
 
-/// Advances one connection, reconciles its slab slot and EPOLLOUT
+/// Advances one connection, settles its slab slot and EPOLLOUT
 /// registration, and — when upstream progress advanced a ring — steps
 /// that feed's subscribers.
-#[allow(clippy::too_many_arguments)]
 fn step_conn(
     shared: &RelayShared,
-    poll: &Poll,
-    conns: &mut Slab<RConn>,
+    r: &mut Reactor,
+    conns: &mut Slab<Conn<ConnState>>,
     feeds: &mut BTreeMap<u16, Feed>,
-    wheel: &mut TimingWheel<Key>,
     key: Key,
     readable: bool,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
     scratch: &mut [u8],
-    clients: &mut usize,
 ) {
-    let kind = match conns.get_mut(key) {
-        Some(conn) if conn.is_client() => ConnKind::Client,
-        Some(_) => ConnKind::Upstream,
-        None => return,
+    let Some(conn) = conns.get_mut(key) else {
+        return;
     };
+    let client = !matches!(conn.state, ConnState::Upstream { .. });
     let mut pushed: Option<u16> = None;
-    let done = match kind {
-        ConnKind::Client => {
-            advance_client(shared, poll, conns, feeds, wheel, key, readable, slices)
-        }
-        ConnKind::Upstream => match conns.get_mut(key) {
-            Some(conn) => advance_upstream(shared, conn, feeds, scratch, &mut pushed),
-            None => false,
-        },
+    let done = if client {
+        advance_client(shared, r, conns, feeds, key, readable)
+    } else {
+        advance_upstream(shared, conn, feeds, scratch, &mut pushed)
     };
-    reconcile(
-        shared,
-        poll,
-        conns,
-        key,
-        done,
-        kind == ConnKind::Client,
-        clients,
-    );
+    settle(shared, r, conns, key, done, client);
     if let Some(object) = pushed {
-        step_subscribers(shared, poll, conns, feeds, wheel, object, slices, clients);
+        step_subscribers(shared, r, conns, feeds, object);
     }
 }
 
 /// Removes a finished connection (accounting for client slots) or
-/// re-registers its EPOLLOUT interest to match its blocked state.
-fn reconcile(
+/// reconciles its EPOLLOUT interest with its blocked state.
+fn settle(
     shared: &RelayShared,
-    poll: &Poll,
-    conns: &mut Slab<RConn>,
+    r: &Reactor,
+    conns: &mut Slab<Conn<ConnState>>,
     key: Key,
     done: bool,
     was_client: bool,
-    clients: &mut usize,
 ) {
     if done {
         if conns.remove(key).is_some() && was_client {
-            client_done(shared, clients);
+            client_done(shared);
         }
-        return;
-    }
-    let Some(conn) = conns.get_mut(key) else {
-        return;
-    };
-    let want_write = conn.blocked;
-    if want_write != conn.registered_write {
-        let interest = if want_write {
-            (Interest::READABLE | Interest::WRITABLE).edge()
-        } else {
-            Interest::READABLE
-        };
-        if poll
-            .registry()
-            .reregister(&mut conn.stream, Token(key.to_usize()), interest)
-            .is_ok()
-        {
-            conn.registered_write = want_write;
-        }
+    } else if let Some(conn) = conns.get_mut(key) {
+        r.reconcile(conn, key);
     }
 }
 
 /// Steps every subscriber of `object` after its ring advanced (new
 /// bytes, or close), compacting keys of connections that finished.
-#[allow(clippy::too_many_arguments)]
 fn step_subscribers(
     shared: &RelayShared,
-    poll: &Poll,
-    conns: &mut Slab<RConn>,
+    r: &mut Reactor,
+    conns: &mut Slab<Conn<ConnState>>,
     feeds: &mut BTreeMap<u16, Feed>,
-    wheel: &mut TimingWheel<Key>,
     object: u16,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
-    clients: &mut usize,
 ) {
     let subs = match feeds.get_mut(&object) {
         Some(feed) => std::mem::take(&mut feed.subscribers),
@@ -702,8 +514,8 @@ fn step_subscribers(
         if !still_here {
             continue;
         }
-        let done = advance_client(shared, poll, conns, feeds, wheel, key, false, slices);
-        reconcile(shared, poll, conns, key, done, true, clients);
+        let done = advance_client(shared, r, conns, feeds, key, false);
+        settle(shared, r, conns, key, done, true);
         if !done {
             kept.push(key);
         }
@@ -714,149 +526,50 @@ fn step_subscribers(
     }
 }
 
-/// What one round of request-line reading produced.
-enum ReqRead {
-    /// Still waiting for the newline.
-    Pending,
-    /// A complete request line (without the newline).
-    Line(String),
-    /// The peer vanished or overflowed the line budget.
-    Dead,
-}
-
-/// Reads request bytes until the newline, `WouldBlock`, or failure. The
-/// buffer is bounded by [`MAX_REQUEST_LINE`] — growth past it is a
-/// protocol violation, not an allocation.
-fn read_request_line(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReqRead {
-    let mut scratch = [0u8; 512];
-    loop {
-        match stream.read(&mut scratch) {
-            Ok(0) => return ReqRead::Dead,
-            Ok(n) => {
-                if buf.len() + n > MAX_REQUEST_LINE {
-                    return ReqRead::Dead;
-                }
-                buf.extend_from_slice(&scratch[..n]);
-                if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                    let line = String::from_utf8_lossy(&buf[..nl])
-                        .trim_end_matches('\r')
-                        .to_owned();
-                    return ReqRead::Line(line);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReqRead::Pending,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReqRead::Dead,
-        }
-    }
-}
-
-/// Drains stray readable bytes on a streaming client; returns true when
-/// the peer has hung up (read EOF or hard error).
-fn peer_gone(stream: &mut TcpStream) -> bool {
-    let mut sink = [0u8; 4096];
-    loop {
-        match stream.read(&mut sink) {
-            Ok(0) => return true,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return true,
-        }
-    }
-}
-
-/// Advances a client connection (request parse, then ring-driven
-/// serving); returns true when its slot can be reclaimed.
-#[allow(clippy::too_many_arguments)]
+/// Advances a client connection (request parse and admission, then
+/// ring-driven serving); returns true when its slot can be reclaimed.
 fn advance_client(
     shared: &RelayShared,
-    poll: &Poll,
-    conns: &mut Slab<RConn>,
+    r: &mut Reactor,
+    conns: &mut Slab<Conn<ConnState>>,
     feeds: &mut BTreeMap<u16, Feed>,
-    wheel: &mut TimingWheel<Key>,
     key: Key,
     readable: bool,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
 ) -> bool {
-    let step = {
-        let Some(conn) = conns.get_mut(key) else {
-            return false;
-        };
-        match &mut conn.state {
-            ConnState::Request { buf } => read_request_line(&mut conn.stream, buf),
-            ConnState::Client(_) => {
-                if readable && peer_gone(&mut conn.stream) {
-                    if let ConnState::Client(s) = &conn.state {
-                        shared.finish_client(s, STATUS_TRUNCATED);
-                        shared.metrics.truncated.inc();
-                    }
-                    return true;
-                }
-                return serve_client(shared, conn, feeds, wheel, key, slices);
+    let Some(conn) = conns.get_mut(key) else {
+        return false;
+    };
+    let t = match &mut conn.state {
+        ConnState::Request { buf } => match read_request(&mut conn.stream, buf) {
+            Request::Partial => return false,
+            Request::Bad => {
+                shared.gate.bad_requests.inc();
+                return true;
             }
-            ConnState::UpstreamHeader { .. } | ConnState::UpstreamBody { .. } => return false,
+            Request::Parsed(t) => t,
+        },
+        ConnState::Client(s) => {
+            if readable && peer_gone(&mut conn.stream) {
+                return shared.close(s, STATUS_TRUNCATED, &shared.gate.truncated);
+            }
+            return serve_client(shared, r, conn, feeds, key);
+        }
+        ConnState::Upstream { .. } => return false,
+    };
+    let x = match shared.gate.admit(&mut conn.stream, &t, shared.clock.now()) {
+        Ok(x) => x,
+        Err(status) => {
+            shared.log_tap(&t, status);
+            return true;
         }
     };
-    match step {
-        ReqRead::Pending => false,
-        ReqRead::Dead => {
-            shared.metrics.bad_requests.inc();
-            true
-        }
-        ReqRead::Line(line) => begin_client(shared, poll, conns, feeds, wheel, key, &line, slices),
-    }
-}
-
-/// Parses the request, runs this relay's admission, ensures the feed
-/// (subscribing upstream on first demand), and answers the status line.
-#[allow(clippy::too_many_arguments)]
-fn begin_client(
-    shared: &RelayShared,
-    poll: &Poll,
-    conns: &mut Slab<RConn>,
-    feeds: &mut BTreeMap<u16, Feed>,
-    wheel: &mut TimingWheel<Key>,
-    key: Key,
-    line: &str,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
-) -> bool {
-    let Some(t) = proto::parse_request(line) else {
-        shared.metrics.bad_requests.inc();
-        return true;
-    };
-    // lsw::allow(L008): admission check is an O(1) counter update under the lock
-    let admitted = shared.admission.lock().request(t.display_duration());
-    if !admitted {
-        if let Some(conn) = conns.get_mut(key) {
-            let _ = conn.stream.write_all(payload::BUSY_LINE);
-        }
-        shared.log_tap(&t, STATUS_REJECTED);
-        shared.metrics.rejected.inc();
-        return true;
-    }
-    let budget = proto::wire_budget(t.bytes, shared.cfg.compression);
-    let mut line_buf = [0u8; 32];
-    let ok_sent = match conns.get_mut(key) {
-        Some(conn) => conn
-            .stream
-            .write_all(payload::ok_line(budget, &mut line_buf))
-            .is_ok(),
-        None => false,
-    };
-    if !ok_sent {
-        // lsw::allow(L008): slot release is an O(1) counter update under the lock
-        shared.admission.lock().release();
-        shared.log_tap(&t, STATUS_TRUNCATED);
-        shared.metrics.truncated.inc();
-        return true;
-    }
+    // Ensure the feed (subscribing upstream on first demand) and join
+    // its ring at the live edge.
     let object = t.object.0;
-    let now = shared.clock.now();
-    let hold_until = now.saturating_add(trace_to_nanos(t.duration, shared.cfg.compression));
-    ensure_feed(shared, poll, conns, feeds, object, &t);
+    ensure_feed(shared, r, conns, feeds, object, &t);
     let cursor = match feeds.get_mut(&object) {
         Some(feed) => {
+            // lsw::allow(L009): one key per admitted client, compacted as subscribers finish
             feed.subscribers.push(key);
             feed.ring.join()
         }
@@ -867,17 +580,13 @@ fn begin_client(
         return false;
     };
     conn.state = ConnState::Client(Box::new(CStream {
+        x,
         object,
         cursor,
-        budget,
-        sent: 0,
         behind: 0,
-        hold_until,
-        timer: None,
-        t,
     }));
     // A joiner on an already-ended feed is settled immediately.
-    serve_client(shared, conn, feeds, wheel, key, slices)
+    serve_client(shared, r, conn, feeds, key)
 }
 
 /// Lazily creates the feed for `object`, opening the origin
@@ -885,8 +594,8 @@ fn begin_client(
 /// incomplete, so its subscribers truncate honestly.
 fn ensure_feed(
     shared: &RelayShared,
-    poll: &Poll,
-    conns: &mut Slab<RConn>,
+    r: &Reactor,
+    conns: &mut Slab<Conn<ConnState>>,
     feeds: &mut BTreeMap<u16, Feed>,
     object: u16,
     first: &ScheduledTransfer,
@@ -894,7 +603,13 @@ fn ensure_feed(
     if feeds.contains_key(&object) {
         return;
     }
-    let mut feed = Feed::new(shared.cfg.ring_capacity);
+    let mut feed = Feed {
+        ring: Broadcast::new(shared.cfg.ring_capacity),
+        subscribers: Vec::new(),
+        expected: None,
+        received: 0,
+        complete: false,
+    };
     // Planned span when the cluster routed this object here; a client
     // the plan does not know (standalone relay) subscribes for exactly
     // its own transfer plus slack.
@@ -914,32 +629,14 @@ fn ensure_feed(
         }
     };
     shared.metrics.subscriptions.inc();
-    let opened = open_upstream(shared.cfg.origin, &sub).and_then(|stream| {
-        let ukey = conns.insert(RConn {
-            stream,
-            state: ConnState::UpstreamHeader {
-                object,
-                buf: Vec::new(),
-            },
-            blocked: false,
-            registered_write: false,
-        });
-        match conns.get_mut(ukey) {
-            Some(conn) => {
-                let res = poll.registry().register(
-                    &mut conn.stream,
-                    Token(ukey.to_usize()),
-                    Interest::READABLE,
-                );
-                if res.is_err() {
-                    conns.remove(ukey);
-                }
-                res
-            }
-            None => Err(io::Error::other("upstream slot vanished")),
-        }
-    });
-    if opened.is_err() {
+    let state = ConnState::Upstream {
+        object,
+        header: Vec::new(),
+    };
+    let opened = open_upstream(shared.cfg.origin, &sub)
+        .ok()
+        .and_then(|stream| r.adopt(conns, stream, state));
+    if opened.is_none() {
         // Origin unreachable: closed + incomplete from birth.
         feed.ring.close();
     }
@@ -964,23 +661,20 @@ fn open_upstream(origin: SocketAddr, sub: &ScheduledTransfer) -> io::Result<TcpS
 /// laps, and finishes when the budget is met and the hold has elapsed.
 fn serve_client(
     shared: &RelayShared,
-    conn: &mut RConn,
+    r: &mut Reactor,
+    conn: &mut Conn<ConnState>,
     feeds: &BTreeMap<u16, Feed>,
-    wheel: &mut TimingWheel<Key>,
     key: Key,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
 ) -> bool {
     let ConnState::Client(s) = &mut conn.state else {
         return false;
     };
-    if let Some(id) = s.timer.take() {
-        wheel.cancel(id);
-    }
+    s.x.disarm(&mut r.wheel);
     let now = shared.clock.now();
     let feed = feeds.get(&s.object);
-    let mut blocked = false;
+    conn.blocked = false;
     loop {
-        let remaining = s.budget - s.sent;
+        let remaining = s.x.budget - s.x.sent;
         if remaining == 0 {
             break;
         }
@@ -990,9 +684,7 @@ fn serve_client(
         } else {
             let Some(feed) = feed else {
                 // No feed at all — treat as an incomplete ended feed.
-                shared.finish_client(s, STATUS_TRUNCATED);
-                shared.metrics.truncated.inc();
-                return true;
+                return shared.close(s, STATUS_TRUNCATED, &shared.gate.truncated);
             };
             // lsw::allow(L008): Broadcast::poll is a non-blocking cursor read, not an epoll wait.
             match feed.ring.poll(&mut s.cursor, remaining) {
@@ -1005,17 +697,13 @@ fn serve_client(
                         s.behind = remaining;
                         continue;
                     }
-                    shared.finish_client(s, STATUS_TRUNCATED);
-                    shared.metrics.truncated.inc();
-                    return true;
+                    return shared.close(s, STATUS_TRUNCATED, &shared.gate.truncated);
                 }
                 RingPoll::Lapped { skipped, .. } => {
                     shared.metrics.laps.inc();
                     match shared.cfg.slow_policy {
                         SlowClientPolicy::Drop => {
-                            shared.finish_client(s, STATUS_TRUNCATED);
-                            shared.metrics.truncated.inc();
-                            return true;
+                            return shared.close(s, STATUS_TRUNCATED, &shared.gate.truncated);
                         }
                         SlowClientPolicy::Backpressure => {
                             s.behind = skipped.min(remaining);
@@ -1026,18 +714,13 @@ fn serve_client(
             }
         };
         let from_behind = s.behind > 0;
-        let (n, staged) = payload::stage(want, slices);
-        if n == 0 || staged == 0 {
-            break;
-        }
-        match conn.stream.write_vectored(&slices[..n]) {
+        match write_arena(&mut conn.stream, want, &mut r.slices) {
             Ok(0) => {
-                blocked = true;
+                conn.blocked = true;
                 break;
             }
             Ok(w) => {
-                let w = (w as u64).min(want);
-                s.sent += w;
+                s.x.sent += w;
                 shared.metrics.delivered_bytes.add(w);
                 if from_behind {
                     s.behind -= w;
@@ -1045,29 +728,16 @@ fn serve_client(
                     feed.ring.commit(&mut s.cursor, w);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                blocked = true;
-                break;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
-                shared.finish_client(s, STATUS_TRUNCATED);
-                shared.metrics.truncated.inc();
-                return true;
+                return shared.close(s, STATUS_TRUNCATED, &shared.gate.truncated);
             }
         }
     }
-    conn.blocked = blocked;
     if let Some(feed) = feed {
         shared.metrics.ring_lag.record(feed.ring.lag(&s.cursor));
     }
-    if s.sent == s.budget {
-        if now >= s.hold_until {
-            shared.finish_client(s, s.t.status);
-            shared.metrics.completed.inc();
-            return true;
-        }
-        s.timer = Some(wheel.schedule(s.hold_until, key));
+    if s.x.sent == s.x.budget && s.x.hold(now, &mut r.wheel, key) {
+        return shared.close(s, s.x.t.status, &shared.gate.completed);
     }
     false
 }
@@ -1078,100 +748,59 @@ fn serve_client(
 /// steps the feed's subscribers.
 fn advance_upstream(
     shared: &RelayShared,
-    conn: &mut RConn,
+    conn: &mut Conn<ConnState>,
     feeds: &mut BTreeMap<u16, Feed>,
     scratch: &mut [u8],
     pushed: &mut Option<u16>,
 ) -> bool {
+    let ConnState::Upstream { object, header } = &mut conn.state else {
+        return false;
+    };
+    let object = *object;
     loop {
-        match &mut conn.state {
-            ConnState::UpstreamHeader { object, buf } => {
-                let object = *object;
-                match conn.stream.read(scratch) {
-                    Ok(0) => {
-                        end_feed(feeds, object, pushed);
-                        return true;
-                    }
-                    Ok(n) => {
-                        if buf.len() + n > MAX_REQUEST_LINE && !scratch[..n].contains(&b'\n') {
-                            end_feed(feeds, object, pushed);
-                            return true;
-                        }
-                        buf.extend_from_slice(&scratch[..n]);
-                        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-                            continue;
-                        };
-                        let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
-                        let Some(expected) = line
-                            .trim_end_matches('\r')
-                            .strip_prefix("OK ")
-                            .and_then(|v| v.parse::<u64>().ok())
-                        else {
-                            // BUSY: the origin's admission refused the
-                            // subscription. Closed + incomplete — this
-                            // relay's clients for the object truncate.
-                            shared.metrics.upstream_busy.inc();
-                            end_feed(feeds, object, pushed);
-                            return true;
-                        };
-                        // Bytes past the status line are already payload.
-                        let rest = (buf.len() - nl - 1) as u64;
-                        if let Some(feed) = feeds.get_mut(&object) {
-                            feed.expected = Some(expected);
-                            if rest > 0 {
-                                feed.ring.push(rest);
-                                feed.received += rest;
-                                shared.metrics.upstream_bytes.add(rest);
-                                *pushed = Some(object);
-                            }
-                        }
-                        conn.state = ConnState::UpstreamBody { object };
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        end_feed(feeds, object, pushed);
-                        return true;
-                    }
+        let n = match conn.stream.read(scratch) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        let Some(feed) = feeds.get_mut(&object) else {
+            break;
+        };
+        let payload = match feed.expected {
+            Some(_) => n as u64,
+            None => match proto::status_line(header, &scratch[..n]) {
+                StatusLine::Partial => continue,
+                StatusLine::Ok { budget, payload } => {
+                    feed.expected = Some(budget);
+                    payload
                 }
-            }
-            ConnState::UpstreamBody { object } => {
-                let object = *object;
-                match conn.stream.read(scratch) {
-                    Ok(0) => {
-                        end_feed(feeds, object, pushed);
-                        return true;
-                    }
-                    Ok(n) => {
-                        let n = n as u64;
-                        if let Some(feed) = feeds.get_mut(&object) {
-                            feed.ring.push(n);
-                            feed.received += n;
-                            shared.metrics.upstream_bytes.add(n);
-                            *pushed = Some(object);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        end_feed(feeds, object, pushed);
-                        return true;
-                    }
+                // BUSY: the origin's admission refused the subscription.
+                // Closed + incomplete — this relay's clients for the
+                // object truncate.
+                StatusLine::Busy => {
+                    shared.metrics.upstream_busy.inc();
+                    break;
                 }
-            }
-            ConnState::Request { .. } | ConnState::Client(_) => return false,
+                StatusLine::Garbage => break,
+            },
+        };
+        if payload > 0 {
+            feed.ring.push(payload);
+            feed.received += payload;
+            shared.metrics.upstream_bytes.add(payload);
+            *pushed = Some(object);
         }
     }
-}
-
-/// Closes a feed's ring at upstream EOF (or failure), recording whether
-/// the subscription delivered its full wire budget.
-fn end_feed(feeds: &mut BTreeMap<u16, Feed>, object: u16, pushed: &mut Option<u16>) {
+    // Upstream EOF or failure: close the ring, recording whether the
+    // subscription delivered its full wire budget.
     if let Some(feed) = feeds.get_mut(&object) {
         feed.complete = feed.expected.is_some_and(|e| feed.received >= e);
         feed.ring.close();
         *pushed = Some(object);
     }
+    true
 }
 
 #[cfg(test)]

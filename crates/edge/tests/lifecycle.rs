@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const COMPRESSION: f64 = 1000.0;
 /// Drain budget of every origin: long enough for nothing, so `finish`
@@ -64,6 +64,7 @@ enum Kind {
 /// One serving node under test, with what finishing it needs.
 struct Node {
     prefix: &'static str,
+    clock: Arc<WallClock>,
     addr: SocketAddr,
     registry: Arc<Registry>,
     origin: ReplayServer,
@@ -92,12 +93,13 @@ impl Node {
                         ..origin_cfg
                     },
                     &[],
-                    clock,
+                    Arc::clone(&clock),
                     Arc::clone(&registry),
                 )
                 .expect("bind origin");
                 Node {
                     prefix: "srv",
+                    clock,
                     addr: origin.local_addr(),
                     registry,
                     origin,
@@ -122,12 +124,13 @@ impl Node {
                     },
                     BTreeMap::new(),
                     Arc::clone(&tap),
-                    clock,
+                    Arc::clone(&clock),
                     &registry,
                 )
                 .expect("bind relay");
                 Node {
                     prefix: "edge",
+                    clock,
                     addr: relay.local_addr(),
                     registry,
                     origin,
@@ -145,10 +148,10 @@ impl Node {
     /// Waits until counter `name` reaches `want` (the node acts on its
     /// own thread, after the socket operation that caused it).
     fn wait_for(&self, name: &str, want: u64) {
-        let deadline = Instant::now() + WAIT;
+        let deadline = self.clock.now() + WAIT.as_nanos() as u64;
         while self.counter(name) < want {
             assert!(
-                Instant::now() < deadline,
+                self.clock.now() < deadline,
                 "{}.{name} stuck at {} (want {want})",
                 self.prefix,
                 self.counter(name)
@@ -158,6 +161,8 @@ impl Node {
     }
 
     fn connect(&self) -> TcpStream {
+        #[allow(clippy::disallowed_methods)]
+        // The test is a raw LSW1 client: it needs real sockets.
         let s = TcpStream::connect(self.addr).expect("connect");
         s.set_read_timeout(Some(WAIT)).expect("read timeout");
         s
@@ -180,10 +185,8 @@ impl Node {
                 relay.shutdown();
                 relay.finish();
                 self.origin.finish();
-                let tap = std::mem::replace(
-                    &mut *tap.lock(),
-                    MultiTap::new(StreamConfig::default(), 0),
-                );
+                let tap =
+                    std::mem::replace(&mut *tap.lock(), MultiTap::new(StreamConfig::default(), 0));
                 let (tiers, _) = tap.finalize();
                 tiers.into_iter().next().expect("one tier").accounting
             }

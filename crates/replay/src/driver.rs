@@ -11,7 +11,7 @@
 
 use crate::clock::{trace_to_nanos, WallClock};
 use crate::metrics::Registry;
-use crate::proto;
+use crate::proto::{self, status_line, StatusLine};
 use crate::slab::{Key, Slab};
 use lsw_trace::schedule::{Schedule, ScheduledTransfer};
 use mio::unix::SourceFd;
@@ -354,52 +354,6 @@ fn pump(
                 return true;
             }
         }
-    }
-}
-
-/// What one read before the status line was complete amounts to.
-#[derive(Debug, PartialEq, Eq)]
-enum StatusLine {
-    /// No newline yet; the partial line waits in the header buffer.
-    Partial,
-    /// `OK <budget>`; the read's `payload` bytes past the newline are
-    /// already payload.
-    Ok { budget: u64, payload: u64 },
-    /// `BUSY` (or unparseable): admission turned the transfer away.
-    Busy,
-    /// No newline within [`proto::MAX_REQUEST_LINE`]: protocol garbage.
-    Garbage,
-}
-
-/// Feeds one read into a connection's status-line buffer.
-///
-/// Only the bytes up to the newline are copied: the server streams
-/// payload right behind it, so a first read may carry hundreds of KiB
-/// that the driver only counts. The capacity check comes before growth
-/// and covers the line alone, and once the line is parsed the buffer is
-/// released, so a connection holds at most `MAX_REQUEST_LINE` bytes of
-/// header for as long as it lives.
-fn status_line(header: &mut Vec<u8>, read: &[u8]) -> StatusLine {
-    let nl = read.iter().position(|&b| b == b'\n');
-    if header.len() + nl.unwrap_or(read.len()) > proto::MAX_REQUEST_LINE {
-        return StatusLine::Garbage;
-    }
-    let Some(p) = nl else {
-        header.extend_from_slice(read);
-        return StatusLine::Partial;
-    };
-    header.extend_from_slice(&read[..p]);
-    let line = std::mem::take(header);
-    let budget = std::str::from_utf8(&line)
-        .ok()
-        .and_then(|l| l.strip_prefix("OK "))
-        .and_then(|v| v.parse().ok());
-    match budget {
-        Some(budget) => StatusLine::Ok {
-            budget,
-            payload: (read.len() - p - 1) as u64,
-        },
-        None => StatusLine::Busy,
     }
 }
 

@@ -39,6 +39,7 @@ pub mod driver;
 pub mod metrics;
 pub mod payload;
 pub mod proto;
+pub mod reactor;
 pub mod server;
 pub mod slab;
 pub mod virt;

@@ -193,7 +193,6 @@ impl Registry {
 
     /// Registers (or re-fetches) a gauge by name.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        // lsw::allow(L008): registration is a short bounded scan of a small fixed metric set
         let mut entries = self.entries.lock();
         for (n, m) in entries.iter() {
             if n == name {

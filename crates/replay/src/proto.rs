@@ -18,7 +18,8 @@ use crate::clock::Nanos;
 use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::schedule::ScheduledTransfer;
 
-/// Maximum request line length a server will buffer before giving up.
+/// Maximum request or status line length a peer will buffer before
+/// giving up.
 pub const MAX_REQUEST_LINE: usize = 256;
 
 /// Formats the request line for one scheduled transfer (no newline).
@@ -74,6 +75,86 @@ pub fn parse_request(line: &str) -> Option<ScheduledTransfer> {
         avg_bandwidth,
         status,
     })
+}
+
+/// What a serving node's request buffer holds after one more read.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Request {
+    /// No newline yet; the partial line waits in the buffer.
+    Partial,
+    /// A complete, well-formed request line.
+    Parsed(ScheduledTransfer),
+    /// More than [`MAX_REQUEST_LINE`] bytes, or a line that is not an
+    /// LSW1 request.
+    Bad,
+}
+
+/// Feeds one read into a connection's request buffer. The capacity check
+/// comes before growth, so the buffer never exceeds [`MAX_REQUEST_LINE`],
+/// even transiently.
+pub fn request_line(buf: &mut Vec<u8>, read: &[u8]) -> Request {
+    if buf.len() + read.len() > MAX_REQUEST_LINE {
+        return Request::Bad;
+    }
+    buf.extend_from_slice(read);
+    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+        return Request::Partial;
+    };
+    std::str::from_utf8(&buf[..nl])
+        .ok()
+        .and_then(|line| parse_request(line.trim_end_matches('\r')))
+        .map_or(Request::Bad, Request::Parsed)
+}
+
+/// What one read before a status line was complete amounts to.
+#[derive(Debug, PartialEq, Eq)]
+pub enum StatusLine {
+    /// No newline yet; the partial line waits in the header buffer.
+    Partial,
+    /// `OK <budget>`; the read's `payload` bytes past the newline are
+    /// already payload.
+    Ok {
+        /// The announced wire budget.
+        budget: u64,
+        /// Payload bytes that arrived behind the newline.
+        payload: u64,
+    },
+    /// `BUSY` (or unparseable): admission turned the transfer away.
+    Busy,
+    /// No newline within [`MAX_REQUEST_LINE`]: protocol garbage.
+    Garbage,
+}
+
+/// Feeds one read into a connection's status-line buffer.
+///
+/// Only the bytes up to the newline are copied: a server streams payload
+/// right behind it, so a first read may carry hundreds of KiB that the
+/// reader only counts. The capacity check comes before growth and covers
+/// the line alone, and once the line is parsed the buffer is released, so
+/// a connection holds at most `MAX_REQUEST_LINE` bytes of header for as
+/// long as it lives.
+pub fn status_line(header: &mut Vec<u8>, read: &[u8]) -> StatusLine {
+    let nl = read.iter().position(|&b| b == b'\n');
+    if header.len() + nl.unwrap_or(read.len()) > MAX_REQUEST_LINE {
+        return StatusLine::Garbage;
+    }
+    let Some(p) = nl else {
+        header.extend_from_slice(read);
+        return StatusLine::Partial;
+    };
+    header.extend_from_slice(&read[..p]);
+    let line = std::mem::take(header);
+    let budget = std::str::from_utf8(&line)
+        .ok()
+        .and_then(|l| l.strip_prefix("OK "))
+        .and_then(|v| v.parse().ok());
+    match budget {
+        Some(budget) => StatusLine::Ok {
+            budget,
+            payload: (read.len() - p - 1) as u64,
+        },
+        None => StatusLine::Busy,
+    }
 }
 
 /// Bytes actually moved over the wire for a transfer of `bytes` trace

@@ -1,17 +1,12 @@
-//! The paced localhost serving harness.
+//! The origin: the paced localhost serving harness.
 //!
 //! One accept thread hands connections round-robin to a fixed pool of
 //! worker shards, so the thread count is bounded by `workers + 2` no
 //! matter how many clients are connected. Each shard owns its
-//! connections outright and runs an epoll readiness reactor: a
-//! connection is touched only when its socket turns readable or
-//! writable, or when its pacing deadline fires from a hierarchical
-//! [timing wheel](crate::wheel) armed through a nanosecond `timerfd`.
-//! Payload is staged from the shared immutable [arena](crate::payload)
-//! into vectored writes; connections live in a generational
-//! [slab](crate::slab), so stale events and stale timers resolve to
-//! nothing instead of to a recycled socket. Cost per iteration:
-//! O(ready + expired).
+//! connections outright and runs the LSW1 [lifecycle](crate::reactor)
+//! it shares with the edge relay — request line, admission, arena
+//! writes, close. This module supplies what only the origin does: how
+//! many bytes a connection is owed, and when to wake it next.
 //!
 //! **Pacing.** Each live feed is a broadcast: a feed encoded at `rate`
 //! trace-bytes/second has a global position `rate × elapsed`, and a
@@ -21,10 +16,9 @@
 //! the trace rate unchanged. Pacing error is bounded by the wheel
 //! resolution (default 2^17 ns ≈ 131 µs).
 //!
-//! **Admission.** Every parsed request goes through the simulator's
-//! [`MediaServer`] — the same [`AdmissionPolicy`] semantics the DES uses
-//! — and a rejection is answered with `BUSY`, logged to the tap with
-//! [`STATUS_REJECTED`], and charged as denied viewer-seconds.
+//! **Admission.** The shards share one [`Gate`]: the same
+//! [`AdmissionPolicy`] semantics the DES uses, with a rejection charged
+//! as denied viewer-seconds.
 //!
 //! **Slow clients.** A subscriber whose backlog (entitlement minus bytes
 //! actually written) exceeds the configured send-buffer bound is either
@@ -39,36 +33,27 @@
 //! [`StreamAnalyzer`], which is finalized into the run's closed-loop
 //! [`StreamReport`] on drain.
 
-use crate::clock::{trace_to_nanos, Nanos, WallClock};
-use crate::metrics::{Counter, Gauge, LogHistogram, Registry, Snapshot};
-use crate::payload::{self, MAX_SLICES};
-use crate::proto::{self, MAX_REQUEST_LINE};
+use crate::clock::{Nanos, WallClock};
+use crate::metrics::{Counter, LogHistogram, Registry, Snapshot};
+use crate::payload;
+use crate::proto::{self, Request};
+use crate::reactor::{peer_gone, read_request, write_arena, Conn, Gate, Reactor, Transfer};
 use crate::slab::{Key, Slab};
-use crate::wheel::{TimerId, TimingWheel};
-use crate::{STATUS_REJECTED, STATUS_TRUNCATED};
-use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerStats};
+use crate::STATUS_TRUNCATED;
+use lsw_sim::server::{AdmissionPolicy, ServerStats};
 use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
 use lsw_trace::schedule::ScheduledTransfer;
-use mio::unix::SourceFd;
-use mio::{Events, Interest, Poll, Token, Waker};
+use mio::Waker;
 use parking_lot::Mutex;
-use std::io::{self, IoSlice, Read, Write};
+use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
-use timerfd::{TimerFd, TimerState};
 
 /// Slot count of the hashed per-client backlog table. Collisions make
 /// two clients share a byte budget, which only trips the slow-client
 /// policy *sooner* — the memory bound stays conservative.
 const CLIENT_BACKLOG_SLOTS: usize = 1024;
-
-/// Reactor token for the cross-thread shutdown/intake waker.
-const WAKER_TOKEN: Token = Token(usize::MAX);
-/// Reactor token for the timing-wheel timerfd.
-const TIMER_TOKEN: Token = Token(usize::MAX - 1);
 
 /// Minimum bytes granted per pacing step: deadlines are spaced so each
 /// wheel fire moves at least this much (or `rate × resolution` at high
@@ -153,14 +138,9 @@ pub struct ServeOutcome {
     pub metrics: Snapshot,
 }
 
+/// The origin's own metrics, beside the [`Gate`]'s lifecycle counters.
 struct ServerMetrics {
-    accepted_conns: Arc<Counter>,
-    active: Arc<Gauge>,
-    completed: Arc<Counter>,
-    rejected: Arc<Counter>,
     slow_dropped: Arc<Counter>,
-    truncated: Arc<Counter>,
-    bad_requests: Arc<Counter>,
     bytes_sent: Arc<Counter>,
     backlog: Arc<LogHistogram>,
     transfer_wall_ms: Arc<LogHistogram>,
@@ -171,13 +151,7 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn register(r: &Registry) -> Self {
         Self {
-            accepted_conns: r.counter("srv.conns"),
-            active: r.gauge("srv.active"),
-            completed: r.counter("srv.completed"),
-            rejected: r.counter("srv.rejected"),
             slow_dropped: r.counter("srv.slow_dropped"),
-            truncated: r.counter("srv.truncated"),
-            bad_requests: r.counter("srv.bad_requests"),
             bytes_sent: r.counter("srv.bytes_sent"),
             backlog: r.histogram("srv.backlog_bytes"),
             transfer_wall_ms: r.histogram("srv.transfer_wall_ms"),
@@ -187,13 +161,12 @@ impl ServerMetrics {
 }
 
 struct Shared {
-    compression: f64,
+    /// Admission and the `srv.*` lifecycle counters.
+    gate: Gate,
     send_buffer: u64,
     slow_policy: SlowClientPolicy,
-    wheel_resolution: Nanos,
     /// Encoded trace-byte rate per object id (dense, indexed by id).
     rates: Vec<u64>,
-    admission: Mutex<MediaServer>,
     tap: Mutex<StreamAnalyzer>,
     /// Aggregate backlog per client in bytes, hashed into a fixed slot
     /// table (see [`client_slot`]). Updated by delta from each
@@ -253,39 +226,15 @@ enum ConnState {
     Streaming(Box<Streaming>),
 }
 
+/// A paced subscriber: owed `rate × (now − join)` bytes, capped by its
+/// budget.
 struct Streaming {
-    t: ScheduledTransfer,
+    x: Transfer,
     rate: u64,
     join: Nanos,
-    hold_until: Nanos,
-    budget: u64,
-    sent: u64,
     /// Backlog bytes this connection currently contributes to its
     /// client's aggregate slot (see [`Shared::account_backlog`]).
     accounted: u64,
-    /// The connection's pending wheel entry, if any: at most one per
-    /// connection (re-arming cancels the old one).
-    timer: Option<TimerId>,
-}
-
-struct Conn {
-    stream: TcpStream,
-    state: ConnState,
-    /// Last write hit `WouldBlock`; waiting on EPOLLOUT.
-    blocked: bool,
-    /// EPOLLOUT currently registered for this socket.
-    registered_write: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            state: ConnState::Request { buf: Vec::new() },
-            blocked: false,
-            registered_write: false,
-        }
-    }
 }
 
 /// The running serving harness.
@@ -333,15 +282,10 @@ impl ReplayServer {
         }
 
         let shared = Arc::new(Shared {
-            compression: cfg.compression.max(1.0),
+            gate: Gate::new(cfg.admission, cfg.compression, &registry, "srv"),
             send_buffer: cfg.send_buffer,
             slow_policy: cfg.slow_policy,
-            wheel_resolution: cfg.wheel_resolution.max(1),
             rates: rate_table,
-            admission: Mutex::new(MediaServer::new(lsw_sim::server::ServerConfig {
-                admission: cfg.admission,
-                ..lsw_sim::server::ServerConfig::default()
-            })),
             tap: Mutex::new({
                 let mut tap = StreamAnalyzer::new(cfg.stream.clone());
                 tap.preset_lookahead(cfg.lookahead);
@@ -364,20 +308,12 @@ impl ReplayServer {
             let (tx, rx) = mpsc::channel::<TcpStream>();
             senders.push(tx);
             let shared = Arc::clone(&shared);
-            // lsw::allow(L002): the reactor acquires its epoll endpoint by design
-            let poll = Poll::new()?;
-            // lsw::allow(L002): the shutdown/intake eventfd waker is a reactor endpoint by design
-            let waker = Arc::new(Waker::new(poll.registry(), WAKER_TOKEN)?);
-            // lsw::allow(L002): the deadline timerfd is a reactor endpoint by design
-            let mut timer = TimerFd::new()?;
-            let timer_fd = timer.as_raw_fd();
-            poll.registry()
-                .register(&mut SourceFd(&timer_fd), TIMER_TOKEN, Interest::READABLE)?;
+            let (reactor, waker) = Reactor::new(cfg.wheel_resolution.max(1))?;
             wakers.push(waker);
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("lsw-reactor-{w}"))
-                    .spawn(move || reactor_loop(&shared, &rx, poll, &mut timer))?,
+                    .spawn(move || reactor_loop(&shared, &rx, reactor))?,
             );
         }
 
@@ -425,7 +361,7 @@ impl ReplayServer {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.wake_workers();
         let deadline = self.shared.clock.now().saturating_add(self.drain);
-        while self.shared.metrics.active.get() > 0 && self.shared.clock.now() < deadline {
+        while self.shared.gate.active.get() > 0 && self.shared.clock.now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         self.shared.force.store(true, Ordering::SeqCst);
@@ -434,7 +370,7 @@ impl ReplayServer {
         for h in self.worker_handles {
             join_or_propagate(h);
         }
-        let admission = self.shared.admission.lock().stats().clone();
+        let admission = self.shared.gate.admission.lock().stats().clone();
         let analyzer = std::mem::replace(
             &mut *self.shared.tap.lock(),
             StreamAnalyzer::new(StreamConfig::default()),
@@ -466,11 +402,11 @@ fn accept_loop(
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue; // peer already gone
                 }
-                shared.metrics.accepted_conns.inc();
-                shared.metrics.active.inc();
+                shared.gate.conns.inc();
+                shared.gate.active.inc();
                 let w = next % senders.len();
                 if senders[w].send(stream).is_err() {
-                    shared.metrics.active.dec();
+                    shared.gate.active.dec();
                     return; // worker gone; shutting down
                 }
                 // Kick the shard's reactor out of epoll_wait to adopt
@@ -490,39 +426,20 @@ fn accept_loop(
 /// readiness events and timing-wheel deadlines only. Exits once the
 /// intake channel is gone and every connection is finished (or on
 /// force-drain).
-fn reactor_loop(
-    shared: &Shared,
-    rx: &mpsc::Receiver<TcpStream>,
-    mut poll: Poll,
-    timer: &mut TimerFd,
-) {
-    let mut events = Events::with_capacity(1024);
-    let mut wheel: TimingWheel<Key> = TimingWheel::with_resolution(shared.wheel_resolution);
-    let mut conns: Slab<Conn> = Slab::new();
-    let mut fired: Vec<(Nanos, Key)> = Vec::new();
-    let mut keys: Vec<Key> = Vec::new();
-    let mut slices = [IoSlice::new(&[]); MAX_SLICES];
+fn reactor_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>, mut r: Reactor) {
+    let mut conns: Slab<Conn<ConnState>> = Slab::new();
+    let mut ready: Vec<(Key, bool)> = Vec::new();
+    let mut due: Vec<(Nanos, Key)> = Vec::new();
     let mut disconnected = false;
-    // Deadline currently programmed into the timerfd, so an unchanged
-    // wheel head does not cost a timerfd_settime(2) every iteration.
-    let mut armed: Option<Nanos> = None;
     loop {
         // Adopt queued connections and register them for readiness.
         loop {
             match rx.try_recv() {
                 Ok(stream) => {
-                    let key = conns.insert(Conn::new(stream));
-                    let Some(conn) = conns.get_mut(key) else {
-                        continue;
-                    };
-                    if poll
-                        .registry()
-                        .register(&mut conn.stream, Token(key.to_usize()), Interest::READABLE)
-                        .is_err()
-                    {
-                        conns.remove(key);
-                        shared.metrics.active.dec();
-                        shared.metrics.bad_requests.inc();
+                    let state = ConnState::Request { buf: Vec::new() };
+                    if r.adopt(&mut conns, stream, state).is_none() {
+                        shared.gate.active.dec();
+                        shared.gate.bad_requests.inc();
                     }
                 }
                 Err(mpsc::TryRecvError::Empty) => break,
@@ -534,19 +451,17 @@ fn reactor_loop(
         }
 
         if shared.force.load(Ordering::Relaxed) {
-            keys.clear();
-            keys.extend(conns.iter_keys());
+            let keys: Vec<Key> = conns.iter_keys().collect();
             let now = shared.clock.now();
-            for &key in &keys {
+            for key in keys {
                 if let Some(conn) = conns.remove(key) {
                     match &conn.state {
                         ConnState::Streaming(s) => {
-                            finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                            shared.metrics.truncated.inc();
+                            close(shared, s, now, STATUS_TRUNCATED, &shared.gate.truncated);
                         }
-                        ConnState::Request { .. } => shared.metrics.bad_requests.inc(),
+                        ConnState::Request { .. } => shared.gate.bad_requests.inc(),
                     }
-                    shared.metrics.active.dec();
+                    shared.gate.active.dec();
                 }
             }
         }
@@ -555,76 +470,21 @@ fn reactor_loop(
             return;
         }
 
-        // Fire due pacing deadlines.
-        let now = shared.clock.now();
-        wheel.advance(now, &mut fired);
-        for (deadline, key) in fired.drain(..) {
-            shared
-                .metrics
-                .pacing_error_ns
-                .record(now.abs_diff(deadline));
-            step_conn(
-                shared,
-                &mut conns,
-                &mut wheel,
-                &poll,
-                key,
-                now,
-                false,
-                &mut slices,
-            );
-        }
-
-        // Sleep until the next readiness event or wheel deadline. The
-        // timerfd carries nanosecond precision that epoll_wait's
-        // millisecond timeout cannot. When a deadline is already due
-        // (the shard is running behind), harvest pending readiness
-        // without sleeping and loop straight back to fire it.
-        let next = wheel.next_deadline();
-        let timeout = if next.is_some_and(|d| d <= shared.clock.now()) {
-            Some(Duration::ZERO)
-        } else {
-            if next != armed {
-                let _ = match next {
-                    Some(d) => {
-                        let wait = d.saturating_sub(shared.clock.now()).max(1);
-                        timer.set_state(TimerState::Oneshot(Duration::from_nanos(wait)))
-                    }
-                    None => timer.set_state(TimerState::Disarmed),
-                };
-                armed = next;
-            }
-            None
-        };
-        // lsw::allow(L008): the reactor's single scheduling point; bounded by the armed timerfd and woken by the shutdown/intake waker
-        if poll.poll(&mut events, timeout).is_err() {
+        let Ok(now) = r.wait(&shared.clock, &mut ready, &mut due) else {
             // epoll on our own fds only fails if the process is out of
             // resources; treat it as a drain signal rather than spin.
             shared.force.store(true, Ordering::Relaxed);
             continue;
+        };
+        for (deadline, key) in due.drain(..) {
+            shared
+                .metrics
+                .pacing_error_ns
+                .record(now.abs_diff(deadline));
+            step_conn(shared, &mut conns, &mut r, key, now, false);
         }
-        let now = shared.clock.now();
-        for event in events.iter() {
-            match event.token() {
-                WAKER_TOKEN => {} // intake/shutdown nudge; handled above
-                TIMER_TOKEN => {
-                    timer.read();
-                }
-                tok => {
-                    let key = Key::from_usize(tok.0);
-                    let readable = event.is_readable() || event.is_error();
-                    step_conn(
-                        shared,
-                        &mut conns,
-                        &mut wheel,
-                        &poll,
-                        key,
-                        now,
-                        readable,
-                        &mut slices,
-                    );
-                }
-            }
+        for (key, readable) in ready.drain(..) {
+            step_conn(shared, &mut conns, &mut r, key, now, readable);
         }
     }
 }
@@ -632,273 +492,163 @@ fn reactor_loop(
 /// Advances one connection on a readiness event or wheel fire, then
 /// reconciles its slab slot and EPOLLOUT registration. Stale keys (a
 /// timer outliving its connection) are ignored.
-#[allow(clippy::too_many_arguments)]
 fn step_conn(
     shared: &Shared,
-    conns: &mut Slab<Conn>,
-    wheel: &mut TimingWheel<Key>,
-    poll: &Poll,
+    conns: &mut Slab<Conn<ConnState>>,
+    r: &mut Reactor,
     key: Key,
     now: Nanos,
     readable: bool,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
 ) {
     let Some(conn) = conns.get_mut(key) else {
         return;
     };
-    let done = advance_reactor(shared, conn, key, now, readable, wheel, slices);
-    if done {
-        shared.metrics.active.dec();
-        // Dropping the stream closes the fd, which also removes it
-        // from the epoll set; the wheel's residue (if any) fires into
-        // a stale generation and is dropped.
-        conns.remove(key);
+    if !advance_reactor(shared, conn, r, key, now, readable) {
+        r.reconcile(conn, key);
         return;
     }
-    let want_write = conn.blocked;
-    if want_write != conn.registered_write {
-        let interest = if want_write {
-            // Edge-triggered while write-blocked: stream_step writes to
-            // WouldBlock on every wake, so one event per writability
-            // transition suffices — and at overload it batches a whole
-            // drain-hysteresis worth of bytes per syscall, where the
-            // level-triggered storm wrote slivers. (EPOLL_CTL_MOD
-            // re-checks readiness, so a drain racing this rearm still
-            // delivers an immediate event.)
-            (Interest::READABLE | Interest::WRITABLE).edge()
-        } else {
-            Interest::READABLE
-        };
-        if poll
-            .registry()
-            .reregister(&mut conn.stream, Token(key.to_usize()), interest)
-            .is_ok()
-        {
-            conn.registered_write = want_write;
-        }
-    }
+    shared.gate.active.dec();
+    // Dropping the stream closes the fd, which also removes it from the
+    // epoll set; the wheel's residue (if any) fires into a stale
+    // generation and is dropped.
+    conns.remove(key);
 }
 
 /// Advances one connection on readiness or deadline: reads its request
-/// line, then paces payload out as vectored writes from the shared
-/// arena. Returns true when the connection is finished.
+/// line and runs the admission handshake, then paces payload out.
+/// Returns true when the connection is finished.
 fn advance_reactor(
     shared: &Shared,
-    conn: &mut Conn,
+    conn: &mut Conn<ConnState>,
+    r: &mut Reactor,
     key: Key,
     now: Nanos,
     readable: bool,
-    wheel: &mut TimingWheel<Key>,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
 ) -> bool {
-    match &mut conn.state {
-        ConnState::Request { buf } => {
-            let mut scratch = [0u8; 512];
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        shared.metrics.bad_requests.inc();
-                        return true; // peer closed before requesting
-                    }
-                    Ok(n) => {
-                        // Capacity check BEFORE growth: the request buffer
-                        // never exceeds MAX_REQUEST_LINE, even transiently.
-                        if buf.len() + n > MAX_REQUEST_LINE {
-                            shared.metrics.bad_requests.inc();
-                            return true;
-                        }
-                        buf.extend_from_slice(&scratch[..n]);
-                        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-                            let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
-                            if begin_streaming(shared, conn, &line, now) {
-                                return true;
-                            }
-                            // Seed the first pacing deadline.
-                            return stream_step(shared, conn, key, now, false, wheel, slices);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        shared.metrics.bad_requests.inc();
-                        return true;
-                    }
-                }
-            }
+    let ConnState::Request { buf } = &mut conn.state else {
+        return stream_step(shared, conn, r, key, now, readable);
+    };
+    let t = match read_request(&mut conn.stream, buf) {
+        Request::Partial => return false,
+        Request::Bad => {
+            shared.gate.bad_requests.inc();
+            return true;
         }
-        ConnState::Streaming(_) => stream_step(shared, conn, key, now, readable, wheel, slices),
+        Request::Parsed(t) => t,
+    };
+    match shared.gate.admit(&mut conn.stream, &t, now) {
+        Ok(x) => {
+            conn.state = ConnState::Streaming(Box::new(Streaming {
+                rate: shared.rate_for(&t),
+                join: now,
+                accounted: 0,
+                x,
+            }));
+            // Seed the first pacing deadline.
+            stream_step(shared, conn, r, key, now, false)
+        }
+        Err(status) => {
+            shared.log_tap(&t, status);
+            true
+        }
     }
 }
 
-/// One pacing step of a streaming reactor connection: drain unexpected
-/// inbound bytes (and detect peer close), write the current
-/// entitlement from the arena, account backlog, and arm whatever wakes
-/// this connection next. Returns true when the connection is finished.
+/// One pacing step of a streaming connection: catch the peer vanishing,
+/// write the current entitlement from the arena, account backlog, and
+/// arm whatever wakes this connection next. Returns true when the
+/// connection is finished.
 fn stream_step(
     shared: &Shared,
-    conn: &mut Conn,
+    conn: &mut Conn<ConnState>,
+    r: &mut Reactor,
     key: Key,
     now: Nanos,
     readable: bool,
-    wheel: &mut TimingWheel<Key>,
-    slices: &mut [IoSlice<'static>; MAX_SLICES],
 ) -> bool {
     let ConnState::Streaming(s) = &mut conn.state else {
         return false;
     };
-    // Re-arming below replaces the pending entry, so a connection holds
-    // at most one live wheel entry at a time.
-    if let Some(id) = s.timer.take() {
-        wheel.cancel(id);
-    }
-    if readable {
-        // Subscribers never legitimately send after the request; drain
-        // (and ignore) strays so level-triggered epoll stays quiet, and
-        // catch the peer vanishing early.
-        let mut probe = [0u8; 512];
-        loop {
-            match conn.stream.read(&mut probe) {
-                Ok(0) => {
-                    finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                    shared.metrics.truncated.inc();
-                    return true;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                    shared.metrics.truncated.inc();
-                    return true;
-                }
-            }
-        }
+    s.x.disarm(&mut r.wheel);
+    if readable && peer_gone(&mut conn.stream) {
+        return close(shared, s, now, STATUS_TRUNCATED, &shared.gate.truncated);
     }
     // Broadcast entitlement since join, capped by the budget.
     let pos = proto::paced_position(s.rate, now.saturating_sub(s.join));
-    let entitled = pos.min(s.budget);
-    let mut blocked = false;
-    while s.sent < entitled {
-        let (n, _) = payload::stage(entitled - s.sent, slices);
-        match conn.stream.write_vectored(&slices[..n]) {
+    let entitled = pos.min(s.x.budget);
+    conn.blocked = false;
+    while s.x.sent < entitled {
+        match write_arena(&mut conn.stream, entitled - s.x.sent, &mut r.slices) {
             Ok(0) => {
-                blocked = true;
+                conn.blocked = true;
                 break;
             }
             Ok(w) => {
-                s.sent += w as u64;
-                shared.metrics.bytes_sent.add(w as u64);
+                s.x.sent += w;
+                shared.metrics.bytes_sent.add(w);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                blocked = true;
-                break;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // Peer vanished mid-stream.
-                finish_streaming(shared, s, now, STATUS_TRUNCATED);
-                shared.metrics.truncated.inc();
-                return true;
+                return close(shared, s, now, STATUS_TRUNCATED, &shared.gate.truncated);
             }
         }
     }
-    conn.blocked = blocked;
-    let backlog = entitled - s.sent;
+    let backlog = entitled - s.x.sent;
     shared.metrics.backlog.record(backlog);
     // The budget is enforced on the client's *aggregate* backlog in
     // bytes: several connections to large objects draw from one
     // budget, not one each.
-    let client_total = shared.account_backlog(&s.t, &mut s.accounted, backlog);
+    let client_total = shared.account_backlog(&s.x.t, &mut s.accounted, backlog);
     if client_total > shared.send_buffer && shared.slow_policy == SlowClientPolicy::Drop {
-        finish_streaming(shared, s, now, STATUS_TRUNCATED);
-        shared.metrics.slow_dropped.inc();
-        return true;
+        return close(
+            shared,
+            s,
+            now,
+            STATUS_TRUNCATED,
+            &shared.metrics.slow_dropped,
+        );
     }
-    if s.sent == s.budget {
-        if now >= s.hold_until {
+    if s.x.sent == s.x.budget {
+        if s.x.hold(now, &mut r.wheel, key) {
             // Transfer complete: log in trace coordinates with the
             // original status, then close.
-            finish_streaming(shared, s, now, s.t.status);
-            shared.metrics.completed.inc();
-            return true;
+            return close(shared, s, now, s.x.t.status, &shared.gate.completed);
         }
-        s.timer = Some(wheel.schedule(s.hold_until, key));
         return false;
     }
-    if blocked {
+    if conn.blocked {
         // EPOLLOUT resumes the write. Under the drop policy, also arm
         // the instant the client's aggregate backlog would trip the
         // bound, so a peer that never reads is dropped on schedule.
         if shared.slow_policy == SlowClientPolicy::Drop {
             let headroom = shared.send_buffer.saturating_sub(client_total);
             let trip = now.saturating_add(proto::pacing_deadline(s.rate, headroom + 1));
-            s.timer = Some(wheel.schedule(trip, key));
+            s.x.timer = Some(r.wheel.schedule(trip, key));
         }
         return false;
     }
     // Caught up: wake when the broadcast has produced the next chunk.
-    let chunk = PACING_BURST.min(s.budget - s.sent);
+    let chunk = PACING_BURST.min(s.x.budget - s.x.sent);
     let deadline = s
         .join
-        .saturating_add(proto::pacing_deadline(s.rate, s.sent + chunk));
-    s.timer = Some(wheel.schedule(deadline, key));
+        .saturating_add(proto::pacing_deadline(s.rate, s.x.sent + chunk));
+    s.x.timer = Some(r.wheel.schedule(deadline, key));
     false
 }
 
-/// Parses the request, runs admission, answers the status line.
-fn begin_streaming(shared: &Shared, conn: &mut Conn, line: &str, now: Nanos) -> bool {
-    let Some(t) = proto::parse_request(line.trim_end_matches('\r')) else {
-        shared.metrics.bad_requests.inc();
-        return true;
-    };
-    // lsw::allow(L008): admission check is an O(1) counter update under the lock
-    let admitted = shared.admission.lock().request(t.display_duration());
-    if !admitted {
-        let _ = conn.stream.write_all(payload::BUSY_LINE);
-        shared.log_tap(&t, STATUS_REJECTED);
-        shared.metrics.rejected.inc();
-        return true;
-    }
-    let budget = proto::wire_budget(t.bytes, shared.compression);
-    let mut line_buf = [0u8; 32];
-    if conn
-        .stream
-        .write_all(payload::ok_line(budget, &mut line_buf))
-        .is_err()
-    {
-        // Admission slot granted but the peer is already gone.
-        // lsw::allow(L008): slot release is an O(1) counter update under the lock
-        shared.admission.lock().release();
-        shared.log_tap(&t, STATUS_TRUNCATED);
-        shared.metrics.truncated.inc();
-        return true;
-    }
-    let rate = shared.rate_for(&t);
-    let hold_until = now.saturating_add(trace_to_nanos(t.duration, shared.compression));
-    conn.state = ConnState::Streaming(Box::new(Streaming {
-        rate,
-        join: now,
-        hold_until,
-        budget,
-        sent: 0,
-        accounted: 0,
-        timer: None,
-        t,
-    }));
-    false
-}
-
-/// Releases the admission slot and logs the tap entry for a transfer
-/// that is ending (complete, truncated, or force-drained).
-fn finish_streaming(shared: &Shared, s: &Streaming, now: Nanos, status: u16) {
-    shared.release_backlog(&s.t, s.accounted);
-    // lsw::allow(L008): slot release is an O(1) counter update under the lock
-    shared.admission.lock().release();
-    shared.log_tap(&s.t, status);
+/// Releases the admission slot and backlog share, logs the tap entry and
+/// counts the outcome of a transfer that is ending (complete, truncated,
+/// or force-drained). Returns true: the connection is finished.
+fn close(shared: &Shared, s: &Streaming, now: Nanos, status: u16, count: &Counter) -> bool {
+    shared.release_backlog(&s.x.t, s.accounted);
+    shared.gate.release();
+    shared.log_tap(&s.x.t, status);
     shared
         .metrics
         .transfer_wall_ms
         .record(now.saturating_sub(s.join) / 1_000_000);
+    count.inc();
+    true
 }
 
 #[cfg(test)]
@@ -907,12 +657,10 @@ mod tests {
 
     fn test_shared(send_buffer: u64) -> Shared {
         Shared {
-            compression: 1.0,
+            gate: Gate::new(AdmissionPolicy::AcceptAll, 1.0, &Registry::new(), "srv"),
             send_buffer,
             slow_policy: SlowClientPolicy::Drop,
-            wheel_resolution: 1 << 17,
             rates: vec![0, 500],
-            admission: Mutex::new(MediaServer::new(lsw_sim::server::ServerConfig::default())),
             tap: Mutex::new(StreamAnalyzer::new(StreamConfig::default())),
             clock: Arc::new(WallClock::start()),
             metrics: ServerMetrics::register(&Registry::new()),

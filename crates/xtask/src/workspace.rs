@@ -31,6 +31,7 @@ const BOUNDED_MEM_FILES: &[&str] = &[
     "crates/replay/src/driver.rs",
     "crates/replay/src/metrics.rs",
     "crates/replay/src/payload.rs",
+    "crates/replay/src/reactor.rs",
     "crates/replay/src/slab.rs",
     "crates/replay/src/wheel.rs",
     "crates/stream/src/ingest.rs",

@@ -206,6 +206,7 @@ struct CallSite {
 #[derive(Debug, Clone)]
 struct FnInfo {
     file: usize,
+    owner: Option<String>,
     name: String,
     body: Option<(usize, usize)>,
     calls: Vec<CallSite>,
@@ -217,6 +218,58 @@ struct FnInfo {
 /// `(file index, diagnostic)` pairs, unfiltered by allows (the caller
 /// owns suppression accounting).
 pub fn graph_rules(files: &[AnalyzedFile]) -> Vec<(usize, Diagnostic)> {
+    let fns = call_graph(files);
+
+    // Acquisition closure: every lock a function may take directly or
+    // through (resolved) callees. Fixpoint over the call edges.
+    let mut closure: Vec<BTreeSet<LockId>> = fns
+        .iter()
+        .map(|f| f.acqs.iter().map(|a| a.lock.clone()).collect())
+        .collect();
+    loop {
+        let mut changed = false;
+        for id in 0..fns.len() {
+            let mut add: BTreeSet<LockId> = BTreeSet::new();
+            for call in &fns[id].calls {
+                for &t in &call.targets {
+                    for l in &closure[t] {
+                        if !closure[id].contains(l) {
+                            add.insert(l.clone());
+                        }
+                    }
+                }
+            }
+            if !add.is_empty() {
+                closure[id].extend(add);
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    let mut diags = Vec::new();
+    l007_lock_order(files, &fns, &closure, &mut diags);
+    l008_blocking_reachability(files, &fns, &mut diags);
+    diags
+}
+
+/// Every function the L008 walk reaches from an [`L008_ENTRY_FNS`] root,
+/// as `(file index, impl owner, name)` — the rule's coverage, so a test
+/// can check that a refactor did not move code out of its sight.
+pub fn l008_reachable(files: &[AnalyzedFile]) -> BTreeSet<(usize, Option<String>, String)> {
+    let fns = call_graph(files);
+    l008_walk(files, &fns)
+        .0
+        .into_iter()
+        .map(|n| (fns[n].file, fns[n].owner.clone(), fns[n].name.clone()))
+        .collect()
+}
+
+/// Builds the name-resolved call graph: one record per function, with
+/// its resolved call sites, lock acquisitions and blocking primitives.
+fn call_graph(files: &[AnalyzedFile]) -> Vec<FnInfo> {
     let mut fns: Vec<FnInfo> = Vec::new();
     let mut by_name: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
     let mut free_by_name: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
@@ -242,6 +295,7 @@ pub fn graph_rules(files: &[AnalyzedFile]) -> Vec<(usize, Diagnostic)> {
             }
             fns.push(FnInfo {
                 file: fi,
+                owner: item.owner.clone(),
                 name: item.name.clone(),
                 body: item.body,
                 calls: Vec::new(),
@@ -414,40 +468,7 @@ pub fn graph_rules(files: &[AnalyzedFile]) -> Vec<(usize, Diagnostic)> {
         fns[id].acqs = acqs;
         fns[id].blocking = blocking;
     }
-
-    // Acquisition closure: every lock a function may take directly or
-    // through (resolved) callees. Fixpoint over the call edges.
-    let mut closure: Vec<BTreeSet<LockId>> = fns
-        .iter()
-        .map(|f| f.acqs.iter().map(|a| a.lock.clone()).collect())
-        .collect();
-    loop {
-        let mut changed = false;
-        for id in 0..fns.len() {
-            let mut add: BTreeSet<LockId> = BTreeSet::new();
-            for call in &fns[id].calls {
-                for &t in &call.targets {
-                    for l in &closure[t] {
-                        if !closure[id].contains(l) {
-                            add.insert(l.clone());
-                        }
-                    }
-                }
-            }
-            if !add.is_empty() {
-                closure[id].extend(add);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut diags = Vec::new();
-    l007_lock_order(files, &fns, &closure, &mut diags);
-    l008_blocking_reachability(files, &fns, &mut diags);
-    diags
+    fns
 }
 
 /// True when the site's line falls inside one of the file's test spans.
@@ -753,29 +774,16 @@ fn l007_lock_order(
     }
 }
 
-/// L008: blocking primitives reachable from the worker-shard poll loop.
-fn l008_blocking_reachability(
-    files: &[AnalyzedFile],
-    fns: &[FnInfo],
-    diags: &mut Vec<(usize, Diagnostic)>,
-) {
-    // Entry points: the data-plane loop definitions (`L008_ENTRY_FNS`)
-    // in lock-scope files.
-    let entries: Vec<usize> = fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            L008_ENTRY_FNS.contains(&f.name.as_str()) && files[f.file].class.lock_scope
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if entries.is_empty() {
-        return;
-    }
-    // BFS with parent tracking, for call-path diagnostics.
+/// Breadth-first walk from the entry points — the data-plane loop
+/// definitions (`L008_ENTRY_FNS`) in lock-scope files. Returns every
+/// reached function and, for call-path diagnostics, each one's caller.
+fn l008_walk(files: &[AnalyzedFile], fns: &[FnInfo]) -> (BTreeSet<usize>, BTreeMap<usize, usize>) {
+    let entries = fns.iter().enumerate().filter(|(_, f)| {
+        L008_ENTRY_FNS.contains(&f.name.as_str()) && files[f.file].class.lock_scope
+    });
+    let mut seen: BTreeSet<usize> = entries.map(|(i, _)| i).collect();
+    let mut q: VecDeque<usize> = seen.iter().copied().collect();
     let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut seen: BTreeSet<usize> = entries.iter().copied().collect();
-    let mut q: VecDeque<usize> = entries.iter().copied().collect();
     while let Some(n) = q.pop_front() {
         for call in &fns[n].calls {
             for &t in &call.targets {
@@ -786,6 +794,16 @@ fn l008_blocking_reachability(
             }
         }
     }
+    (seen, parent)
+}
+
+/// L008: blocking primitives reachable from the worker-shard poll loop.
+fn l008_blocking_reachability(
+    files: &[AnalyzedFile],
+    fns: &[FnInfo],
+    diags: &mut Vec<(usize, Diagnostic)>,
+) {
+    let (seen, parent) = l008_walk(files, fns);
     let path_to = |mut n: usize| -> String {
         let mut names = vec![fns[n].name.clone()];
         while let Some(&p) = parent.get(&n) {

@@ -46,6 +46,36 @@ pub struct AnalyzedFile {
     pub test_spans: Vec<(usize, usize)>,
 }
 
+/// Lexes and item-extracts every source file.
+fn analyze(sources: &[SourceFile]) -> Vec<AnalyzedFile> {
+    sources
+        .iter()
+        .map(|s| {
+            let lexed = lexer::lex(&s.src);
+            let items = items::extract(&lexed.tokens);
+            let test_spans = rules::test_spans(&lexed.tokens);
+            AnalyzedFile {
+                rel_path: s.rel_path.clone(),
+                class: s.class.clone(),
+                src: s.src.clone(),
+                lexed,
+                items,
+                test_spans,
+            }
+        })
+        .collect()
+}
+
+/// Every function L008's walk reaches from its roots across `sources`,
+/// as `(path, impl owner, name)`; see [`graph::l008_reachable`].
+pub fn l008_reachable(sources: &[SourceFile]) -> BTreeSet<(String, Option<String>, String)> {
+    let analyzed = analyze(sources);
+    graph::l008_reachable(&analyzed)
+        .into_iter()
+        .map(|(file, owner, name)| (analyzed[file].rel_path.clone(), owner, name))
+        .collect()
+}
+
 /// A diagnostic bound to the file it was found in.
 #[derive(Debug, Clone)]
 pub struct FileDiagnostic {
@@ -201,22 +231,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// closures under-approximate (documented in `DESIGN.md` §14) — CI runs
 /// the full set.
 pub fn analyze_sources(sources: &[SourceFile]) -> LintReport {
-    let analyzed: Vec<AnalyzedFile> = sources
-        .iter()
-        .map(|s| {
-            let lexed = lexer::lex(&s.src);
-            let items = items::extract(&lexed.tokens);
-            let test_spans = rules::test_spans(&lexed.tokens);
-            AnalyzedFile {
-                rel_path: s.rel_path.clone(),
-                class: s.class.clone(),
-                src: s.src.clone(),
-                lexed,
-                items,
-                test_spans,
-            }
-        })
-        .collect();
+    let analyzed = analyze(sources);
     let allows: Vec<Vec<rules::Allow>> = analyzed
         .iter()
         .map(|f| rules::collect_allows(&f.lexed))

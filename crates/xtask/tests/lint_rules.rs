@@ -303,6 +303,93 @@ fn every_l008_root_is_defined_in_a_lock_scope_file() {
     }
 }
 
+/// L008 resolves a method call by name, and only within one crate, so a
+/// lifecycle step reached through a callback or a trait object would drop
+/// out of its walk without any finding. Every per-connection step of both
+/// serving nodes, and every function of the lifecycle they share, must
+/// stay reachable from an `L008_ENTRY_FNS` root. Constructors (`new`)
+/// run before a node's loop starts and are the only exception.
+#[test]
+fn l008_reaches_both_nodes_and_the_shared_lifecycle() {
+    const REACTOR: &str = "crates/replay/src/reactor.rs";
+    let root = workspace::workspace_root();
+    let sources: Vec<SourceFile> = workspace::workspace_files(&root)
+        .expect("workspace walk")
+        .into_iter()
+        .map(|f| SourceFile {
+            src: std::fs::read_to_string(&f.abs_path).expect("readable source"),
+            rel_path: f.rel_path,
+            class: f.class,
+        })
+        .collect();
+    let reached = xtask::l008_reachable(&sources);
+    let is_reached =
+        |path: &str, name: &str| reached.iter().any(|(p, _, n)| p == path && n == name);
+
+    let steps: [(&str, &[&str]); 2] = [
+        (
+            "crates/replay/src/server.rs",
+            &[
+                "reactor_loop",
+                "step_conn",
+                "advance_reactor",
+                "stream_step",
+                "close",
+                "log_tap",
+                "account_backlog",
+                "rate_for",
+            ],
+        ),
+        (
+            "crates/edge/src/relay.rs",
+            &[
+                "relay_loop",
+                "step_conn",
+                "settle",
+                "client_done",
+                "step_subscribers",
+                "advance_client",
+                "ensure_feed",
+                "open_upstream",
+                "serve_client",
+                "advance_upstream",
+                "close",
+                "log_tap",
+            ],
+        ),
+    ];
+    for (path, names) in steps {
+        for name in names {
+            assert!(
+                is_reached(path, name),
+                "L008 no longer reaches `{name}` in {path}"
+            );
+        }
+    }
+
+    let reactor = sources
+        .iter()
+        .find(|f| f.rel_path == REACTOR)
+        .expect("the shared lifecycle module");
+    let lexed = xtask::lexer::lex(&reactor.src);
+    let tests = xtask::rules::test_spans(&lexed.tokens);
+    let fns: Vec<_> = xtask::items::extract(&lexed.tokens)
+        .fns
+        .into_iter()
+        .filter(|f| f.name != "new" && !tests.iter().any(|&(a, b)| a <= f.line && f.line <= b))
+        .collect();
+    assert!(fns.len() >= 8, "found only {} lifecycle fns", fns.len());
+    for f in fns {
+        assert!(
+            reached
+                .iter()
+                .any(|(p, owner, n)| p == REACTOR && *n == f.name && *owner == f.owner),
+            "L008 no longer reaches `{}` in {REACTOR}",
+            f.name
+        );
+    }
+}
+
 /// The acceptance invariant: the workspace's own first-party code passes
 /// every rule. If this test fails, either fix the violation or annotate
 /// it with `// lsw::allow(L00X): <reason>` — see DESIGN.md §10.

@@ -1,27 +1,12 @@
 //! `lsw` — command-line front end: generate, characterize, summarize.
 //!
 //! ```text
-//! lsw generate  [--days D] [--clients N] [--sessions N] [--seed S]
-//!               [--threads T] [--simulate] [--scale-matched]
-//!               [--emit wms|ltc] --out LOG
-//! lsw characterize LOG [--format auto|wms|ltc] [--horizon SECS]
-//!                 [--timeout TO] [--json FILE]
-//! lsw analyze     LOG [--format auto|wms|ltc] [--stream] [--compare]
-//!                 [--shards N] [--memory-budget BYTES] [--horizon SECS]
-//!                 [--timeout TO] [--json FILE]
-//! lsw summary     LOG [--format auto|wms|ltc] [--horizon SECS]
-//! lsw convert     IN OUT [--format auto|wms|ltc]
-//! lsw replay      LOG [--format auto|wms|ltc] [--compression C]
-//!                 [--virtual-time] [--admission N] [--workers N]
-//!                 [--topology origin[:R[:as|country|client]]]
-//!                 [--origin-admission N] [--expose SECS]
-//!                 [--json FILE] [--no-assert]
-//! lsw serve       LOG [--format auto|wms|ltc] [--listen ADDR]
-//!                 [--compression C] [--admission N] [--workers N]
-//!                 [--for SECS] [--expose SECS]
+//! lsw <generate|characterize|analyze|summary|convert|replay|serve> [ARGS] [FLAGS]
 //! ```
 //!
-//! Each subcommand accepts exactly the flags listed for it; any other
+//! `lsw --help` lists every subcommand's usage and `lsw <command> --help`
+//! (or `-h`) prints one; both are generated from the flag tables below,
+//! so they list exactly the flags each subcommand accepts. Any other
 //! `--flag` exits 2 rather than being silently ignored.
 //!
 //! `analyze` is the streaming front end: with `--stream` the log is
@@ -75,7 +60,7 @@
 use lsw::analysis::characterize_with;
 use lsw::core::config::WorkloadConfig;
 use lsw::core::generator::Generator;
-use lsw::replay::Registry;
+use lsw::replay::{Registry, ReplayServer, ServerConfig, WallClock};
 use lsw::sim::server::AdmissionPolicy;
 use lsw::sim::{SimConfig, Simulator};
 use lsw::stats::par::Parallelism;
@@ -88,119 +73,155 @@ use lsw::trace::session::SessionConfig;
 use lsw::trace::wms;
 use std::path::Path;
 use std::process::exit;
+use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(known_flags(&args, GENERATE)),
-        Some("characterize") => cmd_characterize(known_flags(&args, CHARACTERIZE)),
-        Some("analyze") => cmd_analyze(known_flags(&args, ANALYZE)),
-        Some("summary") => cmd_summary(known_flags(&args, SUMMARY)),
-        Some("convert") => cmd_convert(known_flags(&args, CONVERT)),
-        Some("replay") => cmd_replay(known_flags(&args, REPLAY)),
-        Some("serve") => cmd_serve(known_flags(&args, SERVE)),
-        Some("--help") | Some("-h") | None => {
-            eprintln!(
-                "usage:\n  lsw generate [--days D] [--clients N] [--sessions N] [--seed S] \
-                 [--threads T] [--simulate] [--scale-matched] \
-                 [--emit wms|ltc] --out LOG\n  lsw characterize LOG [--format auto|wms|ltc] \
-                 [--horizon SECS] [--timeout TO] [--json FILE]\n  lsw analyze LOG \
-                 [--format auto|wms|ltc] [--stream] \
-                 [--compare] [--shards N] [--memory-budget BYTES] [--horizon SECS] [--timeout TO] \
-                 [--json FILE]\n  lsw summary LOG [--format auto|wms|ltc] [--horizon SECS]\n  \
-                 lsw convert IN OUT [--format auto|wms|ltc]\n  lsw replay LOG \
-                 [--format auto|wms|ltc] [--compression C] [--virtual-time] [--admission N] \
-                 [--workers N] [--topology origin[:R[:as|country|client]]] \
-                 [--origin-admission N] [--expose SECS] \
-                 [--json FILE] [--no-assert]\n  lsw serve LOG \
-                 [--format auto|wms|ltc] [--listen ADDR] [--compression C] [--admission N] \
-                 [--workers N] [--for SECS] [--expose SECS]"
-            );
+    let cmd = args.first().map_or("--help", String::as_str);
+    if cmd == "--help" || cmd == "-h" {
+        println!("usage:");
+        for flags in COMMANDS {
+            println!("  {}", usage(flags));
         }
-        Some(other) => {
-            eprintln!("unknown command {other:?}; try --help");
-            exit(2);
-        }
+        return;
     }
+    let Some(flags) = COMMANDS.iter().find(|f| f.name == cmd) else {
+        eprintln!("unknown command {cmd:?}; try --help");
+        exit(2);
+    };
+    (flags.run)(known_flags(&args, flags));
 }
 
-/// The flags one subcommand accepts.
+/// One subcommand: its command line, and the function that runs it.
 struct Flags {
-    /// Flags followed by a value.
-    values: &'static [&'static str],
+    name: &'static str,
+    run: fn(&[String]),
+    /// Positional arguments, as the usage line shows them.
+    args: &'static str,
+    /// Flags followed by a value, with the value's placeholder.
+    values: &'static [(&'static str, &'static str)],
     /// Flags that stand alone.
     switches: &'static [&'static str],
 }
 
+/// Every subcommand.
+const COMMANDS: [&Flags; 7] = [
+    &GENERATE,
+    &CHARACTERIZE,
+    &ANALYZE,
+    &SUMMARY,
+    &CONVERT,
+    &REPLAY,
+    &SERVE,
+];
+
+const FORMAT: (&str, &str) = ("--format", "auto|wms|ltc");
+const HORIZON: (&str, &str) = ("--horizon", "SECS");
+const TIMEOUT: (&str, &str) = ("--timeout", "TO");
+const JSON: (&str, &str) = ("--json", "FILE");
+
 const GENERATE: Flags = Flags {
+    name: "generate",
+    run: cmd_generate,
+    args: "",
     values: &[
-        "--days",
-        "--clients",
-        "--sessions",
-        "--seed",
-        "--threads",
-        "--emit",
-        "--out",
+        ("--days", "D"),
+        ("--clients", "N"),
+        ("--sessions", "N"),
+        ("--seed", "S"),
+        ("--threads", "T"),
+        ("--emit", "wms|ltc"),
+        ("--out", "LOG"),
     ],
     switches: &["--simulate", "--scale-matched"],
 };
 const CHARACTERIZE: Flags = Flags {
-    values: &["--format", "--horizon", "--timeout", "--json"],
+    name: "characterize",
+    run: cmd_characterize,
+    args: "LOG",
+    values: &[FORMAT, HORIZON, TIMEOUT, JSON],
     switches: &[],
 };
 const ANALYZE: Flags = Flags {
+    name: "analyze",
+    run: cmd_analyze,
+    args: "LOG",
     values: &[
-        "--format",
-        "--shards",
-        "--memory-budget",
-        "--horizon",
-        "--timeout",
-        "--json",
+        FORMAT,
+        ("--shards", "N"),
+        ("--memory-budget", "BYTES"),
+        HORIZON,
+        TIMEOUT,
+        JSON,
     ],
     switches: &["--stream", "--compare"],
 };
 const SUMMARY: Flags = Flags {
-    values: &["--format", "--horizon"],
+    name: "summary",
+    run: cmd_summary,
+    args: "LOG",
+    values: &[FORMAT, HORIZON],
     switches: &[],
 };
 const CONVERT: Flags = Flags {
-    values: &["--format"],
+    name: "convert",
+    run: cmd_convert,
+    args: "IN OUT",
+    values: &[FORMAT],
     switches: &[],
 };
 const REPLAY: Flags = Flags {
+    name: "replay",
+    run: cmd_replay,
+    args: "LOG",
     values: &[
-        "--format",
-        "--compression",
-        "--admission",
-        "--workers",
-        "--topology",
-        "--origin-admission",
-        "--expose",
-        "--json",
+        FORMAT,
+        ("--compression", "C"),
+        ("--admission", "N"),
+        ("--workers", "N"),
+        ("--topology", "origin[:R[:as|country|client]]"),
+        ("--origin-admission", "N"),
+        ("--expose", "SECS"),
+        JSON,
     ],
     switches: &["--virtual-time", "--no-assert"],
 };
 const SERVE: Flags = Flags {
+    name: "serve",
+    run: cmd_serve,
+    args: "LOG",
     values: &[
-        "--format",
-        "--listen",
-        "--compression",
-        "--admission",
-        "--workers",
-        "--for",
-        "--expose",
+        FORMAT,
+        ("--listen", "ADDR"),
+        ("--compression", "C"),
+        ("--admission", "N"),
+        ("--workers", "N"),
+        ("--for", "SECS"),
+        ("--expose", "SECS"),
     ],
     switches: &[],
 };
 
+/// One subcommand's usage line, from its flag table.
+fn usage(flags: &Flags) -> String {
+    let mut parts = vec![format!("lsw {}", flags.name)];
+    parts.extend((!flags.args.is_empty()).then(|| flags.args.to_owned()));
+    parts.extend(flags.values.iter().map(|(flag, v)| format!("[{flag} {v}]")));
+    parts.extend(flags.switches.iter().map(|flag| format!("[{flag}]")));
+    parts.join(" ")
+}
+
 /// Returns the subcommand `args[0]`'s arguments after exiting 2 on any
 /// `--flag` it does not know, so a mistyped or retired flag is never
-/// silently ignored.
-fn known_flags(args: &[String], flags: Flags) -> &[String] {
+/// silently ignored. `--help` or `-h` prints its usage and exits 0.
+fn known_flags<'a>(args: &'a [String], flags: &Flags) -> &'a [String] {
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
-        if flags.values.contains(&arg.as_str()) {
+        if flags.values.iter().any(|(flag, _)| flag == arg) {
             rest.next();
+        } else if arg == "--help" || arg == "-h" {
+            println!("usage: {}", usage(flags));
+            exit(0);
         } else if arg.starts_with("--") && !flags.switches.contains(&arg.as_str()) {
             eprintln!("unknown flag {arg} for {}; try --help", args[0]);
             exit(2);
@@ -741,9 +762,8 @@ fn report_loop(
     print!("{}", diff.render());
     if let Some(json_path) = flag_value(args, "--json") {
         use serde_json::Value;
-        let tap_value: Value = serde_json::from_str(&tap.to_json()).unwrap_or(Value::Null);
         let mut sections = vec![
-            ("tap".to_string(), tap_value),
+            ("tap".to_string(), tap.to_json_value()),
             ("diff".to_string(), diff.to_json()),
             ("metrics".to_string(), metrics.to_json()),
         ];
@@ -772,10 +792,7 @@ fn edge_json(
     tiers: &[lsw::stream::StreamReport],
 ) -> serde_json::Value {
     use serde_json::Value;
-    let tier_values: Vec<Value> = tiers
-        .iter()
-        .map(|r| serde_json::from_str(&r.to_json()).unwrap_or(Value::Null))
-        .collect();
+    let tier_values = tiers.iter().map(|r| r.to_json_value()).collect();
     Value::Object(vec![
         ("topology".to_string(), Value::Str(topology.to_string())),
         ("relays".to_string(), Value::U64(u64::from(topology.relays))),
@@ -787,33 +804,60 @@ fn edge_json(
     ])
 }
 
+/// The origin's serving flags, shared by `replay` and `serve` and parsed
+/// once: `--listen`, `--compression`, `--admission` and `--workers` as a
+/// server configuration, plus the `--expose` cadence in seconds.
+fn serve_flags(args: &[String], schedule: &Schedule) -> (ServerConfig, u64) {
+    let cfg = ServerConfig {
+        listen: flag_value(args, "--listen")
+            .unwrap_or("127.0.0.1:0")
+            .to_string(),
+        compression: parse_or(flag_value(args, "--compression"), 100.0, "--compression"),
+        admission: admission_flag(args, "--admission"),
+        workers: parse_or(flag_value(args, "--workers"), 2usize, "--workers").max(1),
+        lookahead: schedule.max_duration(),
+        ..ServerConfig::default()
+    };
+    (cfg, parse_or(flag_value(args, "--expose"), 10, "--expose"))
+}
+
+/// Starts the origin on the schedule's feeds, or exits 1.
+fn start_server(
+    cfg: ServerConfig,
+    schedule: &Schedule,
+    clock: &Arc<WallClock>,
+    registry: &Arc<Registry>,
+) -> ReplayServer {
+    let rates = schedule.object_rates();
+    ReplayServer::start(cfg, &rates, Arc::clone(clock), Arc::clone(registry)).unwrap_or_else(|e| {
+        eprintln!("cannot bind replay server: {e}");
+        exit(1);
+    })
+}
+
 /// Runs the hierarchical replay (`--topology origin:R[:key]`) in either
 /// execution mode and returns the edge-aggregated tap, the final metric
-/// snapshot, and the report's `edge` section.
+/// snapshot, and the report's `edge` section. `server` carries the
+/// client-tier `--admission`; the origin takes `--origin-admission`.
 fn run_replay_edge(
     args: &[String],
     schedule: &Schedule,
     topology: lsw::edge::Topology,
-    compression: f64,
-    admission: AdmissionPolicy,
-    stream_cfg: StreamConfig,
-    registry: &std::sync::Arc<Registry>,
+    (server, expose): (ServerConfig, u64),
+    registry: &Arc<Registry>,
 ) -> (
     lsw::stream::StreamReport,
     lsw::replay::Snapshot,
     serde_json::Value,
 ) {
-    use lsw::replay::ServerConfig;
-    use std::sync::Arc;
-
     let origin_admission = admission_flag(args, "--origin-admission");
     if args.iter().any(|a| a == "--virtual-time") {
         let out = lsw::edge::run_virtual_topology(
             schedule,
             &topology,
             origin_admission,
-            admission,
-            stream_cfg,
+            server.admission,
+            server.stream,
             registry,
         );
         eprintln!(
@@ -837,27 +881,23 @@ fn run_replay_edge(
         );
         (out.merged, registry.snapshot(), edge)
     } else {
-        let workers = parse_or(flag_value(args, "--workers"), 2usize, "--workers").max(1);
-        let expose: u64 = parse_or(flag_value(args, "--expose"), 10, "--expose");
         let cfg = lsw::edge::EdgeConfig {
             topology,
-            origin: ServerConfig {
-                compression,
-                admission: origin_admission,
-                workers,
-                stream: stream_cfg,
-                ..ServerConfig::default()
-            },
             relay: lsw::edge::RelayConfig {
-                admission,
+                admission: server.admission,
                 ..lsw::edge::RelayConfig::default()
             },
-            driver_workers: workers.max(2),
+            driver_workers: server.workers.max(2),
+            origin: ServerConfig {
+                admission: origin_admission,
+                ..server
+            },
         };
         eprintln!(
-            "replaying {} transfers over {} trace-second(s) at {compression}x through {topology}",
+            "replaying {} transfers over {} trace-second(s) at {}x through {topology}",
             schedule.len(),
             schedule.horizon(),
+            cfg.origin.compression,
         );
         let exposition = Exposition::start(registry, expose);
         let out = lsw::edge::run_edge(schedule, &cfg, Arc::clone(registry)).unwrap_or_else(|e| {
@@ -894,59 +934,29 @@ fn run_replay_edge(
 }
 
 fn cmd_replay(args: &[String]) {
-    use lsw::replay::{
-        closed_loop, drive, reference_report, run_virtual, DriverConfig, ReplayServer,
-        ServerConfig, WallClock,
-    };
-    use std::sync::Arc;
+    use lsw::replay::{closed_loop, drive, reference_report, run_virtual, DriverConfig};
 
     let schedule = load_schedule(args);
-    let compression: f64 = parse_or(flag_value(args, "--compression"), 100.0, "--compression");
-    let admission = admission_flag(args, "--admission");
+    let (server, expose) = serve_flags(args, &schedule);
     let topology = topology_flag(args);
-    let stream_cfg = StreamConfig::default();
     let registry = Arc::new(Registry::new());
-    let reference = reference_report(&schedule, stream_cfg.clone());
+    let reference = reference_report(&schedule, StreamConfig::default());
 
     let (tap, closed, edge) = if topology.is_edge() {
-        let (tap, closed, edge) = run_replay_edge(
-            args,
-            &schedule,
-            topology,
-            compression,
-            admission,
-            stream_cfg,
-            &registry,
-        );
+        let serving = (server, expose);
+        let (tap, closed, edge) = run_replay_edge(args, &schedule, topology, serving, &registry);
         (tap, closed, Some(edge))
     } else if args.iter().any(|a| a == "--virtual-time") {
-        let out = run_virtual(&schedule, admission, stream_cfg, &registry);
+        let out = run_virtual(&schedule, server.admission, server.stream, &registry);
         eprintln!(
             "virtual replay: {} completed, {} rejected, {} bytes served",
             out.completed, out.rejected, out.bytes_served
         );
         (out.tap, registry.snapshot(), None)
     } else {
-        let workers = parse_or(flag_value(args, "--workers"), 2usize, "--workers").max(1);
-        let expose: u64 = parse_or(flag_value(args, "--expose"), 10, "--expose");
         let clock = Arc::new(WallClock::start());
-        let server = ReplayServer::start(
-            ServerConfig {
-                compression,
-                admission,
-                workers,
-                stream: stream_cfg,
-                lookahead: schedule.max_duration(),
-                ..ServerConfig::default()
-            },
-            &schedule.object_rates(),
-            Arc::clone(&clock),
-            Arc::clone(&registry),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot bind replay server: {e}");
-            exit(1);
-        });
+        let (compression, driver_workers) = (server.compression, server.workers.max(2));
+        let server = start_server(server, &schedule, &clock, &registry);
         eprintln!(
             "replaying {} transfers over {} trace-second(s) at {compression}x against {}",
             schedule.len(),
@@ -955,7 +965,7 @@ fn cmd_replay(args: &[String]) {
         );
         let exposition = Exposition::start(&registry, expose);
         let driver_cfg = DriverConfig {
-            workers: workers.max(2),
+            workers: driver_workers,
             ..DriverConfig::new(server.local_addr(), compression)
         };
         let outcome = drive(&schedule, &driver_cfg, &clock, &registry).unwrap_or_else(|e| {
@@ -987,39 +997,16 @@ fn cmd_replay(args: &[String]) {
 }
 
 fn cmd_serve(args: &[String]) {
-    use lsw::replay::{ReplayServer, ServerConfig, WallClock};
-    use std::sync::Arc;
-
     let schedule = load_schedule(args);
-    let compression: f64 = parse_or(flag_value(args, "--compression"), 100.0, "--compression");
-    let listen = flag_value(args, "--listen")
-        .unwrap_or("127.0.0.1:0")
-        .to_string();
-    let workers = parse_or(flag_value(args, "--workers"), 2usize, "--workers").max(1);
-    let expose: u64 = parse_or(flag_value(args, "--expose"), 10, "--expose");
+    let (cfg, expose) = serve_flags(args, &schedule);
+    let compression = cfg.compression;
     // Default lifetime: the whole compressed trace span plus drain slack.
     let default_for = f64::from(schedule.horizon()) / compression.max(1.0) + 5.0;
     let for_secs: f64 = parse_or(flag_value(args, "--for"), default_for, "--for");
 
     let registry = Arc::new(Registry::new());
     let clock = Arc::new(WallClock::start());
-    let server = ReplayServer::start(
-        ServerConfig {
-            listen,
-            compression,
-            admission: admission_flag(args, "--admission"),
-            workers,
-            lookahead: schedule.max_duration(),
-            ..ServerConfig::default()
-        },
-        &schedule.object_rates(),
-        Arc::clone(&clock),
-        Arc::clone(&registry),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot bind replay server: {e}");
-        exit(1);
-    });
+    let server = start_server(cfg, &schedule, &clock, &registry);
     println!("{}", server.local_addr());
     eprintln!(
         "serving {} feed(s) at {compression}x for {for_secs:.1}s on {}",

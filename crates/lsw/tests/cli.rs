@@ -299,3 +299,95 @@ fn ci_replay_flags_are_accepted() {
         assert!(dir.join(json).exists(), "{json} not written");
     }
 }
+
+#[test]
+fn every_subcommand_prints_its_usage_on_help() {
+    // Each subcommand's flags, as its table in `lsw.rs` declares them.
+    let commands: [(&str, &[&str]); 7] = [
+        (
+            "generate",
+            &[
+                "--days",
+                "--clients",
+                "--sessions",
+                "--seed",
+                "--threads",
+                "--emit",
+                "--out",
+                "--simulate",
+                "--scale-matched",
+            ],
+        ),
+        (
+            "characterize",
+            &["--format", "--horizon", "--timeout", "--json"],
+        ),
+        (
+            "analyze",
+            &[
+                "--format",
+                "--shards",
+                "--memory-budget",
+                "--horizon",
+                "--timeout",
+                "--json",
+                "--stream",
+                "--compare",
+            ],
+        ),
+        ("summary", &["--format", "--horizon"]),
+        ("convert", &["--format"]),
+        (
+            "replay",
+            &[
+                "--format",
+                "--compression",
+                "--admission",
+                "--workers",
+                "--topology",
+                "--origin-admission",
+                "--expose",
+                "--json",
+                "--virtual-time",
+                "--no-assert",
+            ],
+        ),
+        (
+            "serve",
+            &[
+                "--format",
+                "--listen",
+                "--compression",
+                "--admission",
+                "--workers",
+                "--for",
+                "--expose",
+            ],
+        ),
+    ];
+    let top = lsw(&["--help"]);
+    assert!(top.status.success(), "lsw --help: {top:?}");
+    let top = String::from_utf8_lossy(&top.stdout).into_owned();
+    for (cmd, flags) in commands {
+        for help in ["--help", "-h"] {
+            let out = lsw(&[cmd, help]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!stderr.contains("panicked"), "lsw {cmd} {help}: {stderr}");
+            assert!(out.status.success(), "lsw {cmd} {help}: {stderr}");
+            let line = stdout
+                .trim()
+                .strip_prefix("usage: ")
+                .unwrap_or_else(|| panic!("lsw {cmd} {help} printed no usage: {stdout}"));
+            assert!(line.starts_with(&format!("lsw {cmd} ")), "{line}");
+            for flag in flags {
+                assert!(
+                    line.contains(&format!("[{flag} ")) || line.contains(&format!("[{flag}]")),
+                    "lsw {cmd} {help} omits {flag}: {line}"
+                );
+            }
+            assert_eq!(line.matches("[--").count(), flags.len(), "{line}");
+            assert!(top.contains(line), "lsw --help lacks `{line}`");
+        }
+    }
+}

@@ -169,6 +169,12 @@ impl StreamReport {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
 
+    /// The value tree [`to_json`](Self::to_json) renders, for embedding
+    /// the report in a larger JSON document.
+    pub fn to_json_value(&self) -> serde_json::Value {
+        serde::Serialize::to_value(self)
+    }
+
     /// Human-readable digest with the paper's Table 2 reference values.
     pub fn headline(&self) -> String {
         let mut out = String::new();

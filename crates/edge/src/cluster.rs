@@ -2,8 +2,10 @@
 //! per-relay load drivers, one shared clock, one shared registry, one
 //! multi-tier characterization tap.
 //!
-//! The origin is the existing [`ReplayServer`] — unchanged: it cannot
-//! tell a relay subscription from a very patient client. Relays route
+//! The origin is a plain [`ReplayServer`], unaware of the tier above
+//! it: it cannot tell a relay subscription from a very patient client,
+//! and each relay runs the same connection lifecycle as its shards
+//! (`lsw_replay::reactor`), with a ring cursor in place of pacing. Relays route
 //! by the [`Topology`]'s key (AS by default — the paper's client-layer
 //! concentration axis), each subscribing once per live object and
 //! fanning out to the trace clients the topology assigns to it. Every

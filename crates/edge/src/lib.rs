@@ -15,8 +15,8 @@
 //! * [`ring`] — the per-object broadcast ring: mid-stream join at the
 //!   live edge, per-subscriber cursor lag, whole-chunk eviction.
 //! * [`relay`] — the relay node: one reactor thread that subscribes
-//!   upstream, feeds the rings, and re-serves clients under the same
-//!   admission/backpressure machinery as the origin.
+//!   upstream, feeds the rings, and re-serves clients on the origin's
+//!   own connection lifecycle (`lsw_replay::reactor`).
 //! * [`cluster`] — the threaded orchestration: origin + N relays +
 //!   per-relay drivers, per-tier characterization taps, and the
 //!   origin-egress (fan-in savings) accounting.

@@ -7,7 +7,8 @@
 //! * a multithreaded localhost TCP server ([`server`]) that paces each
 //!   live feed's broadcast at its encoded bitrate, admits transfers
 //!   through the simulator's pluggable [`AdmissionPolicy`], bounds every
-//!   per-client send backlog, and drains gracefully on shutdown, with
+//!   per-client send backlog, and drains gracefully on shutdown — on the
+//!   one LSW1 connection lifecycle ([`reactor`]) the edge relay runs too,
 //! * a trace-driven load driver ([`driver`]) that replays a
 //!   [`Schedule`] extracted from a wms/ltc trace at a configurable
 //!   time-compression factor over real concurrent connections.

@@ -308,7 +308,7 @@ impl ReplayServer {
             let (tx, rx) = mpsc::channel::<TcpStream>();
             senders.push(tx);
             let shared = Arc::clone(&shared);
-            let (reactor, waker) = Reactor::new(cfg.wheel_resolution.max(1))?;
+            let (reactor, waker) = Reactor::new(cfg.wheel_resolution)?;
             wakers.push(waker);
             worker_handles.push(
                 std::thread::Builder::new()

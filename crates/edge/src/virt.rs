@@ -16,6 +16,8 @@
 //!   like the ring does;
 //! * completions release in the total order `(stop, admission seq)` on
 //!   the shared [`TimingWheel`], releases before same-second arrivals.
+//!   A client completion carries a `u32` index into `schedule.transfers`;
+//!   its log entry is built when it fires.
 //!
 //! Determinism contract: no ambient time, no RNG, no I/O, integer
 //! arithmetic only; two runs over the same schedule and config produce
@@ -30,7 +32,6 @@ use lsw_replay::{STATUS_REJECTED, STATUS_TRUNCATED};
 use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerConfig, ServerStats};
 use lsw_stream::{MultiTap, StreamConfig, StreamReport};
 use lsw_trace::schedule::Schedule;
-use lsw_trace::LogEntry;
 use std::collections::BTreeMap;
 
 /// Virtual nanoseconds per trace second.
@@ -80,8 +81,9 @@ impl VirtualTopologyOutcome {
 
 /// A completion event on the shared wheel.
 enum Done {
-    /// A client transfer finishing on its relay tier.
-    Client { entry: LogEntry, relay: usize },
+    /// A client transfer (an index into `schedule.transfers`) finishing
+    /// on its relay tier.
+    Client { index: u32, relay: usize },
     /// A subscription finishing at the origin.
     Sub,
 }
@@ -124,7 +126,7 @@ pub fn run_virtual_topology(
     let mut feeds: BTreeMap<(usize, u16), FeedState> = BTreeMap::new();
     // Admitted zero-duration client transfers, due before the next
     // arrival (which may share their second); see run_virtual.
-    let mut due_now: Vec<(LogEntry, usize)> = Vec::new();
+    let mut due_now: Vec<(u32, usize)> = Vec::new();
     let mut fired: Vec<(Nanos, Done)> = Vec::new();
 
     let mut completed = 0u64;
@@ -135,7 +137,7 @@ pub fn run_virtual_topology(
     let mut delivered_bytes = 0u64;
 
     let release = |wheel: &mut TimingWheel<Done>,
-                   due_now: &mut Vec<(LogEntry, usize)>,
+                   due_now: &mut Vec<(u32, usize)>,
                    fired: &mut Vec<(Nanos, Done)>,
                    tiers: &mut Vec<MediaServer>,
                    origin: &mut MediaServer,
@@ -143,16 +145,16 @@ pub fn run_virtual_topology(
                    completed: &mut u64,
                    bound: Nanos| {
         wheel.advance(bound, fired);
-        for (e, relay) in due_now.drain(..) {
+        for (index, relay) in due_now.drain(..) {
             tiers[relay].release();
-            tap.ingest(relay, &e);
+            tap.ingest(relay, &schedule.transfers[index as usize].to_entry());
             *completed += 1;
         }
         for (_, done) in fired.drain(..) {
             match done {
-                Done::Client { entry, relay } => {
+                Done::Client { index, relay } => {
                     tiers[relay].release();
-                    tap.ingest(relay, &entry);
+                    tap.ingest(relay, &schedule.transfers[index as usize].to_entry());
                     *completed += 1;
                 }
                 Done::Sub => origin.release(),
@@ -160,7 +162,9 @@ pub fn run_virtual_topology(
         }
     };
 
-    for t in &schedule.transfers {
+    // Transfers past index `u32::MAX` are never served; the shortfall shows
+    // in the closed-loop diff's transfer row.
+    for (index, t) in (0u32..).zip(&schedule.transfers) {
         // Releases strictly before arrivals at the same second.
         release(
             &mut wheel,
@@ -212,15 +216,9 @@ pub fn run_virtual_topology(
         if tiers[relay].request(t.display_duration()) {
             delivered_bytes += t.bytes;
             if t.stop() == t.start {
-                due_now.push((t.to_entry(), relay));
+                due_now.push((index, relay));
             } else {
-                wheel.schedule(
-                    u64::from(t.stop()) * SCALE,
-                    Done::Client {
-                        entry: t.to_entry(),
-                        relay,
-                    },
-                );
+                wheel.schedule(u64::from(t.stop()) * SCALE, Done::Client { index, relay });
             }
         } else {
             let mut e = t.to_entry();
@@ -293,6 +291,7 @@ mod tests {
     use super::*;
     use lsw_trace::event::LogEntryBuilder;
     use lsw_trace::ids::{AsId, ClientId, ObjectId};
+    use lsw_trace::LogEntry;
 
     /// A live-heavy schedule: many concurrent viewers on few objects —
     /// the workload shape the paper characterizes and the overlay is

@@ -13,14 +13,12 @@
 
 use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
 use lsw_trace::schedule::Schedule;
-use lsw_trace::LogEntry;
 
 /// Characterizes a schedule directly — the reference end of the loop.
 pub fn reference_report(schedule: &Schedule, cfg: StreamConfig) -> StreamReport {
     let mut analyzer = StreamAnalyzer::new(cfg);
     analyzer.preset_lookahead(schedule.max_duration());
-    let entries: Vec<LogEntry> = schedule.transfers.iter().map(|t| t.to_entry()).collect();
-    analyzer.ingest_entries(&entries);
+    analyzer.ingest_entries(schedule.transfers.iter().map(|t| t.to_entry()));
     analyzer.finalize()
 }
 
@@ -210,6 +208,7 @@ mod tests {
     use lsw_sim::server::AdmissionPolicy;
     use lsw_trace::event::LogEntryBuilder;
     use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
+    use lsw_trace::LogEntry;
 
     fn schedule() -> Schedule {
         let entries: Vec<LogEntry> = (0..500u32)

@@ -16,7 +16,10 @@
 //! order `(stop, admission seq)`. Zero-duration transfers (stop ==
 //! start, which a strictly-future wheel cannot hold) release through a
 //! short same-second queue, preserving the DES convention that a slot
-//! freed at `t` is available to a transfer starting at `t`.
+//! freed at `t` is available to a transfer starting at `t`. Both hold a
+//! `u32` index into `schedule.transfers`, not the log entry: the entry is
+//! built when the completion fires, so every wheel cascade moves a small
+//! record.
 //!
 //! Determinism contract: the executor touches no ambient time, no RNG,
 //! and no I/O; completion order is the total order `(stop, admission
@@ -31,7 +34,6 @@ use crate::{payload, proto, STATUS_REJECTED};
 use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerConfig, ServerStats};
 use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
 use lsw_trace::schedule::Schedule;
-use lsw_trace::LogEntry;
 
 /// Virtual nanoseconds per trace second.
 const SCALE: Nanos = 1_000_000_000;
@@ -69,31 +71,35 @@ pub fn run_virtual(
     // Completions reach the tap in stop order; knowing the longest
     // duration upfront makes the reorder-window release exact.
     tap.preset_lookahead(schedule.max_duration());
-    let mut wheel: TimingWheel<LogEntry> = TimingWheel::new();
+    // Timers carry `u32` indices into `schedule.transfers`. Transfers past
+    // index `u32::MAX` are never served, so `completed + rejected` falls
+    // short of the schedule and the closed-loop diff's transfer row fails.
+    let mut wheel: TimingWheel<u32> = TimingWheel::new();
     // Admitted zero-duration transfers: due before the next arrival,
     // which may share their second. Strictly earlier-stopped than
     // anything still in the wheel, so draining it first keeps the
     // global `(stop, seq)` order.
-    let mut due_now: Vec<LogEntry> = Vec::new();
-    let mut fired: Vec<(Nanos, LogEntry)> = Vec::new();
+    let mut due_now: Vec<u32> = Vec::new();
+    let mut fired: Vec<(Nanos, u32)> = Vec::new();
     let mut completed = 0u64;
     let mut rejected = 0u64;
     let mut bytes_served = 0u64;
+    let mut complete = |index: u32, server: &mut MediaServer, tap: &mut StreamAnalyzer| {
+        server.release();
+        tap.ingest_entry(&schedule.transfers[index as usize].to_entry());
+        completed += 1;
+    };
 
-    for t in &schedule.transfers {
+    for (index, t) in (0u32..).zip(&schedule.transfers) {
         // Releases strictly before arrivals at the same second: a slot
         // freed at `t` is available to a transfer starting at `t` (the
         // DES convention).
         wheel.advance(u64::from(t.start) * SCALE, &mut fired);
-        for e in due_now.drain(..) {
-            server.release();
-            tap.ingest_entry(&e);
-            completed += 1;
+        for i in due_now.drain(..) {
+            complete(i, &mut server, &mut tap);
         }
-        for (_, e) in fired.drain(..) {
-            server.release();
-            tap.ingest_entry(&e);
-            completed += 1;
+        for (_, i) in fired.drain(..) {
+            complete(i, &mut server, &mut tap);
         }
         if server.request(t.display_duration()) {
             // The encoded rate covers the budget within the duration
@@ -101,9 +107,9 @@ pub fn run_virtual(
             // its scheduled stop with exactly its trace bytes.
             bytes_served += t.bytes;
             if t.stop() == t.start {
-                due_now.push(t.to_entry());
+                due_now.push(index);
             } else {
-                wheel.schedule(u64::from(t.stop()) * SCALE, t.to_entry());
+                wheel.schedule(u64::from(t.stop()) * SCALE, index);
             }
         } else {
             let mut e = t.to_entry();
@@ -112,17 +118,13 @@ pub fn run_virtual(
             rejected += 1;
         }
     }
-    for e in due_now.drain(..) {
-        server.release();
-        tap.ingest_entry(&e);
-        completed += 1;
+    for i in due_now.drain(..) {
+        complete(i, &mut server, &mut tap);
     }
     while let Some(bound) = wheel.next_deadline() {
         wheel.advance(bound, &mut fired);
-        for (_, e) in fired.drain(..) {
-            server.release();
-            tap.ingest_entry(&e);
-            completed += 1;
+        for (_, i) in fired.drain(..) {
+            complete(i, &mut server, &mut tap);
         }
     }
 
@@ -227,6 +229,7 @@ mod tests {
     use super::*;
     use lsw_trace::event::LogEntryBuilder;
     use lsw_trace::ids::{ClientId, ObjectId};
+    use lsw_trace::LogEntry;
 
     fn schedule() -> Schedule {
         let entries: Vec<LogEntry> = (0..300u32)

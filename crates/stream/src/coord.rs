@@ -1,10 +1,10 @@
-//! The sequential coordinator behind the look-ahead heap.
+//! The sequential coordinator behind the reorder buffer.
 //!
 //! Order-insensitive per-entry statistics live in the parallel shard
 //! sketches; everything whose definition depends on *stream order* —
 //! sessionization, transfer interarrival gaps, the concurrency sweep, the
 //! per-second CPU audit — is computed here, on the single deterministic
-//! entry sequence the look-ahead heap releases (sorted by `(start,
+//! entry sequence the reorder buffer releases (sorted by `(start,
 //! timestamp, line)`). One consumer, one order: shard count cannot touch
 //! these results, and memory stays bounded by the look-ahead window.
 

@@ -1,17 +1,20 @@
 //! The streaming ingest engine: chunked parallel parse, look-ahead
 //! re-ordering, sequential coordination.
 //!
-//! A WMS log line is written when a transfer *stops*, so a log is (at
-//! best) stop-ordered while every order-dependent statistic wants
-//! start-ordered entries. The engine restores start order with a bounded
-//! look-ahead heap: an entry is released once no future line can precede
-//! it, i.e. its start is below `max(max start seen, max timestamp seen −
-//! max duration seen)`. For start-sorted logs (the generator's output) the
-//! heap holds one start cohort; for stop-sorted logs it holds one
-//! look-ahead window of entries. An entry that still arrives below the
-//! released watermark — possible only when a duration exceeds every
-//! duration seen before it — is clamped and *counted* (`late_entries`),
-//! never dropped or fatal.
+//! A WMS log line is written when a transfer *stops*, so a log may be
+//! stop-ordered while every order-dependent statistic wants start-ordered
+//! entries. The engine restores start order with a reorder buffer keyed
+//! by start second (`reorder.rs`): an entry is released once no future
+//! line can precede it, i.e. its start is below the watermark. While
+//! every kept start so far arrived in nondecreasing order, the watermark
+//! is `max(max start seen, max timestamp seen − max duration seen)` and
+//! the buffer holds one start cohort (the generator's output). Once a
+//! start goes backwards in arrival order, `max start` no longer bounds
+//! future starts, and the watermark drops to `max timestamp seen − max
+//! duration seen`: a stop-ordered log then holds one look-ahead window of
+//! entries. An entry that still arrives below the released watermark —
+//! possible only when a duration exceeds every duration seen before it —
+//! is clamped and *counted* (`late_entries`), never dropped or fatal.
 //!
 //! Parallelism follows the PR 1 discipline: each chunk of lines is split
 //! into contiguous sub-ranges, sub-range `i` feeds shard `i`'s sketches,
@@ -25,6 +28,7 @@ use crate::coord::Coordinator;
 use crate::fixed::LogMoments;
 use crate::hll::HyperLogLog;
 use crate::quantile::LogQuantileSketch;
+use crate::reorder::{Pending, ReorderBuffer};
 use crate::report::{
     ConcurrencySummary, MemoryFootprint, StreamAccounting, StreamReport, StreamSummary,
 };
@@ -36,8 +40,8 @@ use lsw_trace::event::LogEntry;
 use lsw_trace::ltc;
 use lsw_trace::sanitize::{classify, RejectReason};
 use lsw_trace::wms;
+use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// All knobs of the streaming engine.
 #[derive(Debug, Clone)]
@@ -80,9 +84,10 @@ impl StreamConfig {
     /// The budget governs *sketch* memory: the client sample (the largest
     /// consumer, ~128 bytes per sampled client: a half-loaded slot table
     /// preallocated at its k-determined capacity plus the threshold heap),
-    /// the per-shard HyperLogLogs and the read chunk. The look-ahead heap
-    /// and active-session map are workload-bounded (one look-ahead window
-    /// / one timeout window of state), not budget-bounded.
+    /// the per-shard HyperLogLogs and the read chunk. The reorder buffer
+    /// and active-session map are workload-bounded (one start cohort or
+    /// look-ahead window / one timeout window of state), not
+    /// budget-bounded.
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
         // Half the budget to the client sample at ~128 B/client.
         self.sample_k = ((bytes / 2) / 128).clamp(1 << 10, 1 << 20);
@@ -228,37 +233,6 @@ impl ShardSketches {
     }
 }
 
-/// Heap key ordering entries by `(start, timestamp, line)`.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    start: u32,
-    timestamp: u32,
-    line: u64,
-    entry: LogEntry,
-}
-
-// The line number is unique, so the key triple is a total order; the
-// payload entry never participates in comparisons.
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        (self.start, self.timestamp, self.line) == (other.start, other.timestamp, other.line)
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.start, self.timestamp, self.line).cmp(&(other.start, other.timestamp, other.line))
-    }
-}
-
 /// The one-pass streaming characterization engine.
 ///
 /// Feed it text with [`ingest_read`](Self::ingest_read) (any `Read`) or
@@ -268,11 +242,16 @@ impl Ord for Pending {
 pub struct StreamAnalyzer {
     cfg: StreamConfig,
     shards: Vec<ShardSketches>,
-    heap: BinaryHeap<Reverse<Pending>>,
+    pending: ReorderBuffer,
     coord: Coordinator,
     lines_total: u64,
     next_line: u64,
     max_start: u32,
+    /// Start of the last kept entry queued in arrival (line) order.
+    last_start: u32,
+    /// No kept start has yet gone backwards in arrival order, so
+    /// `max_start` still bounds every future start (see the module docs).
+    starts_ordered: bool,
     max_ts: u32,
     max_dur: u32,
     /// Max stop over *parsed* entries — the batch CLI's inferred horizon
@@ -303,11 +282,13 @@ impl StreamAnalyzer {
         Self {
             cfg,
             shards,
-            heap: BinaryHeap::new(),
+            pending: ReorderBuffer::new(),
             coord,
             lines_total: 0,
             next_line: 1,
             max_start: 0,
+            last_start: 0,
+            starts_ordered: true,
             max_ts: 0,
             max_dur: 0,
             max_stop_parsed: 0,
@@ -339,7 +320,7 @@ impl StreamAnalyzer {
 
     /// Widens the look-ahead window to at least `max_duration` seconds.
     ///
-    /// The reorder heap releases an entry once no future arrival can
+    /// The reorder buffer releases an entry once no future arrival can
     /// precede it, inferring the window from the longest duration *seen
     /// so far* — so an entry whose duration breaks the running record can
     /// arrive late and be clamped. A tap that knows the longest transfer
@@ -352,28 +333,37 @@ impl StreamAnalyzer {
     /// Ingests one already-decoded entry — the tap entry point for live
     /// sources (the `lsw-replay` serving harness feeds each completed
     /// transfer here as its connection drains). The entry flows through
-    /// the same §2.4 classification, shard sketches, and look-ahead
-    /// reorder heap as the text path, so a tap stream and the equivalent
-    /// log text produce the same report. The watermark release runs after
-    /// every entry; when feeding many at once, prefer
-    /// [`ingest_entries`](Self::ingest_entries), which batches it.
+    /// the same §2.4 classification, shard sketches, and reorder buffer as
+    /// the text path, so a tap stream and the equivalent log text produce
+    /// the same report. The watermark release runs after every entry; when
+    /// feeding many at once, prefer [`ingest_entries`](Self::ingest_entries),
+    /// which batches it.
     pub fn ingest_entry(&mut self, e: &LogEntry) {
         self.tap_entry(e);
-        self.peak_heap = self.peak_heap.max(self.heap.len());
-        self.release_below_watermark(false);
+        self.peak_heap = self.peak_heap.max(self.pending.len());
+        self.release_below(self.watermark(false));
         self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
     }
 
     /// Ingests a batch of already-decoded entries (see
     /// [`ingest_entry`](Self::ingest_entry)), deferring the look-ahead
     /// watermark release to the end of the batch — the same cadence the
-    /// text path uses per chunk.
-    pub fn ingest_entries<'a, I: IntoIterator<Item = &'a LogEntry>>(&mut self, entries: I) {
+    /// text path uses per chunk. Takes entries by reference or by value,
+    /// so a caller can stream entries it builds on the fly.
+    pub fn ingest_entries<I>(&mut self, entries: I)
+    where
+        I: IntoIterator,
+        I::Item: Borrow<LogEntry>,
+    {
+        // A batch of known length sizes the buffer once: no doubling
+        // copies, and no old and new slab resident at once.
+        let entries = entries.into_iter();
+        self.pending.reserve(entries.size_hint().0);
         for e in entries {
-            self.tap_entry(e);
+            self.tap_entry(e.borrow());
         }
-        self.peak_heap = self.peak_heap.max(self.heap.len());
-        self.release_below_watermark(false);
+        self.peak_heap = self.peak_heap.max(self.pending.len());
+        self.release_below(self.watermark(false));
         self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
     }
 
@@ -393,12 +383,12 @@ impl StreamAnalyzer {
                 self.max_start = self.max_start.max(e.start);
                 self.max_ts = self.max_ts.max(e.timestamp);
                 self.max_dur = self.max_dur.max(e.duration);
-                self.heap.push(Reverse(Pending {
+                self.pending.push(Pending {
                     start: e.start,
                     timestamp: e.timestamp,
                     line,
                     entry: *e,
-                }));
+                });
             }
         }
     }
@@ -419,17 +409,17 @@ impl StreamAnalyzer {
     /// Blocks fan out to the parse shards in rounds — block `k` of a round
     /// decodes into shard `k`'s sketches — and each round merges back in
     /// shard-index (= file block) order, with a watermark release after
-    /// every block so the heap evolution is invariant to the shard count.
+    /// every block so the buffer evolution is invariant to the shard count.
     /// Containers whose footer certifies `(start, timestamp)` order skip
-    /// the look-ahead heap entirely and feed the coordinator directly.
+    /// the reorder buffer entirely and feed the coordinator directly.
     /// Corrupt blocks are counted and skipped, never fatal; only source
     /// I/O failures and a non-`ltc` header abort the ingest.
     pub fn ingest_ltc<S: ltc::BlockSource>(&mut self, mut src: S) -> std::io::Result<()> {
         let index = ltc::read_index(&mut src)?;
         // A sorted container releases in record order with no look-ahead —
-        // exactly what the heap would emit — so bypass it unless entries
+        // exactly what the buffer would emit — so bypass it unless entries
         // from an earlier text ingest are still pending.
-        let direct = index.sorted && self.heap.is_empty();
+        let direct = index.sorted && self.pending.is_empty();
         let n_shards = self.cfg.shards.max(1);
         let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); n_shards];
         let mut scratch: Vec<ltc::RecordBlock> = vec![ltc::RecordBlock::default(); n_shards];
@@ -524,17 +514,19 @@ impl StreamAnalyzer {
                             if direct {
                                 self.coord.process(&e);
                             } else {
-                                self.heap.push(Reverse(Pending {
+                                self.starts_ordered &= e.start >= self.last_start;
+                                self.last_start = e.start;
+                                self.pending.push(Pending {
                                     start: e.start,
                                     timestamp: e.timestamp,
                                     line,
                                     entry: e,
-                                }));
+                                });
                             }
                         }
                         if !direct {
-                            self.peak_heap = self.peak_heap.max(self.heap.len());
-                            self.release_below_watermark(true);
+                            self.peak_heap = self.peak_heap.max(self.pending.len());
+                            self.release_below(self.watermark(self.starts_ordered));
                         }
                     }
                 }
@@ -585,30 +577,28 @@ impl StreamAnalyzer {
         Ok(max_stop)
     }
 
-    /// Pops every heap entry strictly below the look-ahead watermark into
-    /// the coordinator.
+    /// The look-ahead watermark: the tightest start no future entry can
+    /// undercut.
     ///
-    /// The watermark is the tightest start no future entry can undercut.
-    /// Text logs are start-ordered, so `max_start` is a valid bound and
-    /// keeps the heap at one start cohort. A live tap delivers entries in
-    /// *completion* order, where `max_start` is no bound at all (a long
-    /// transfer completes after — but starts before — many short ones), so
-    /// tap callers rely only on the stop-order bound `max_ts − max_dur`.
-    fn release_below_watermark(&mut self, start_ordered: bool) {
+    /// When arrivals have been start-ordered so far (`start_ordered`),
+    /// `max_start` is a valid bound and keeps the buffer at one start
+    /// cohort. In *completion* order — a live tap, or a stop-sorted log —
+    /// `max_start` is no bound at all (a long transfer completes after, but
+    /// starts before, many short ones), so only the stop-order bound
+    /// `max_ts − max_dur` holds.
+    fn watermark(&self, start_ordered: bool) -> u32 {
         let lookahead = self.max_ts.saturating_sub(self.max_dur);
-        let watermark = if start_ordered {
+        if start_ordered {
             self.max_start.max(lookahead)
         } else {
             lookahead
-        };
-        while self
-            .heap
-            .peek()
-            .is_some_and(|Reverse(p)| p.start < watermark)
-        {
-            let Some(Reverse(p)) = self.heap.pop() else {
-                break;
-            };
+        }
+    }
+
+    /// Releases every buffered entry strictly below `watermark` into the
+    /// coordinator, in `(start, timestamp, line)` order.
+    fn release_below(&mut self, watermark: u32) {
+        while let Some(p) = self.pending.pop_below(watermark) {
             self.coord.process(&p.entry);
         }
     }
@@ -680,6 +670,12 @@ impl StreamAnalyzer {
             self.max_start = self.max_start.max(st.max_start);
             self.max_ts = self.max_ts.max(st.max_ts);
             self.max_dur = self.max_dur.max(st.max_dur);
+            // Ranges fold in line order, so one range's first kept start
+            // follows the previous range's last.
+            if let Some(first) = st.first_start {
+                self.starts_ordered &= !st.starts_regressed && first >= self.last_start;
+                self.last_start = st.last_start;
+            }
         }
         // Concatenate the shard outputs in shard order (= line order) and
         // release through the sort path.
@@ -693,26 +689,24 @@ impl StreamAnalyzer {
 
     /// Releases a freshly parsed batch below the look-ahead watermark.
     ///
-    /// Equivalent to pushing every entry through the heap and popping
-    /// below the watermark, but without paying a full-depth heap sift per
-    /// entry: the batch is sorted by the heap key — text logs arrive
-    /// nearly start-ordered, so the pattern-defeating sort runs close to
-    /// linear — then merged with any still-pending heap entries in
-    /// `(start, timestamp, line)` order. Only the batch tail (the final
-    /// look-ahead cohort) enters the heap.
+    /// Equivalent to pushing every entry through the reorder buffer and
+    /// releasing below the watermark, but without buffering the entries
+    /// that leave at once: the batch is sorted by the `(start, timestamp,
+    /// line)` key — text logs arrive nearly start-ordered, so the
+    /// pattern-defeating sort runs close to linear — then merged with the
+    /// buffered entries below the watermark in key order. Only the batch
+    /// tail (the final start cohort or look-ahead window) enters the
+    /// buffer.
     fn release_batch(&mut self) {
-        self.release_scratch.sort_unstable_by(|a, b| {
-            (a.start, a.timestamp, a.line).cmp(&(b.start, b.timestamp, b.line))
-        });
-        let lookahead = self.max_ts.saturating_sub(self.max_dur);
-        let watermark = self.max_start.max(lookahead);
+        self.release_scratch.sort_unstable();
+        let watermark = self.watermark(self.starts_ordered);
         let mut i = 0;
         while i < self.release_scratch.len() && self.release_scratch[i].start < watermark {
             let p = &self.release_scratch[i];
-            // Pending heap entries that sort before this one release
-            // first, preserving the exact single-heap order.
-            while self.heap.peek().is_some_and(|Reverse(h)| h < p) {
-                let Some(Reverse(h)) = self.heap.pop() else {
+            // Buffered entries that sort before this one release first,
+            // preserving the exact single-buffer order.
+            while self.pending.peek_below(watermark).is_some_and(|h| h < p) {
+                let Some(h) = self.pending.pop_below(watermark) else {
                     break;
                 };
                 self.coord.process(&h.entry);
@@ -720,19 +714,19 @@ impl StreamAnalyzer {
             self.coord.process(&p.entry);
             i += 1;
         }
-        // Leftover heap entries below the watermark sort after every
-        // entry released above; the batch tail joins the heap.
-        self.release_below_watermark(true);
+        // Leftover buffered entries below the watermark sort after every
+        // entry released above; the batch tail joins the buffer.
+        self.release_below(watermark);
         for p in &self.release_scratch[i..] {
-            self.heap.push(Reverse(*p));
+            self.pending.push(*p);
         }
-        self.peak_heap = self.peak_heap.max(self.heap.len());
+        self.peak_heap = self.peak_heap.max(self.pending.len());
         self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
     }
 
     /// Ends the stream and assembles the report.
     pub fn finalize(mut self) -> StreamReport {
-        while let Some(Reverse(p)) = self.heap.pop() {
+        while let Some(p) = self.pending.pop() {
             self.coord.process(&p.entry);
         }
         let horizon = self
@@ -863,6 +857,11 @@ struct RangeStats {
     max_start: u32,
     max_ts: u32,
     max_dur: u32,
+    /// Starts of the range's first and last kept entries, in line order.
+    first_start: Option<u32>,
+    last_start: u32,
+    /// Some kept start fell below its predecessor in the range.
+    starts_regressed: bool,
 }
 
 fn parse_range(
@@ -895,6 +894,11 @@ fn parse_range(
                         st.max_start = st.max_start.max(entry.start);
                         st.max_ts = st.max_ts.max(entry.timestamp);
                         st.max_dur = st.max_dur.max(entry.duration);
+                        if st.first_start.is_none() {
+                            st.first_start = Some(entry.start);
+                        }
+                        st.starts_regressed |= entry.start < st.last_start;
+                        st.last_start = entry.start;
                         kept.push(Pending {
                             start: entry.start,
                             timestamp: entry.timestamp,
@@ -1011,7 +1015,7 @@ mod tests {
     #[test]
     fn tap_and_text_ingest_agree() {
         // The replay tap feeds decoded entries; the report must match
-        // analyzing the equivalent log text (same sketches, same heap).
+        // analyzing the equivalent log text (same sketches, same buffer).
         // Text logs carry header/comment lines and their own release
         // cadence; neutralize the two fields that legitimately reflect
         // that (raw line count, peak heap) before comparing.
@@ -1075,7 +1079,7 @@ mod tests {
         let mut chunked = chunked.finalize();
         let mut whole = whole;
         // The memory audit legitimately depends on chunking (smaller
-        // chunks drain the look-ahead heap more often); the statistics
+        // chunks drain the reorder buffer more often); the statistics
         // must not.
         whole.memory.peak_heap_entries = 0;
         chunked.memory.peak_heap_entries = 0;
@@ -1113,8 +1117,8 @@ mod tests {
         bin.ingest_ltc_bytes(&tiny_ltc(&entries, 32)).unwrap();
         let mut bin = bin.finalize();
 
-        // A sorted container bypasses the look-ahead heap, so only the
-        // heap high-water audit may differ between the two formats; the
+        // A sorted container bypasses the reorder buffer, so only the
+        // buffer high-water audit may differ between the two formats; the
         // text side also counts its `#` header lines in `lines_total`.
         assert_eq!(bin.memory.peak_heap_entries, 0);
         text.memory.peak_heap_entries = 0;
@@ -1129,7 +1133,7 @@ mod tests {
     #[test]
     fn unsorted_ltc_takes_heap_path_and_agrees_with_text() {
         // Local disorder (adjacent swaps) clears the writer's sorted flag
-        // and makes the heap genuinely reorder, while staying inside the
+        // and makes the buffer genuinely reorder, while staying inside the
         // look-ahead bound so no release cadence can produce late entries.
         let mut entries = tiny_entries();
         for i in [50usize, 100, 150] {
@@ -1150,10 +1154,10 @@ mod tests {
         bin.ingest_ltc_bytes(&tiny_ltc(&entries, 32)).unwrap();
         let mut bin = bin.finalize();
 
-        // Both sides re-order through the heap; release cadence (chunk vs
-        // block) legitimately moves only the heap high-water audit, and
+        // Both sides re-order through the buffer; release cadence (chunk vs
+        // block) legitimately moves only the buffer high-water audit, and
         // the text side counts its `#` header lines in `lines_total`.
-        assert!(bin.memory.peak_heap_entries > 0, "heap path must engage");
+        assert!(bin.memory.peak_heap_entries > 0, "buffer path must engage");
         text.memory.peak_heap_entries = 0;
         bin.memory.peak_heap_entries = 0;
         text.accounting.lines_total = 0;

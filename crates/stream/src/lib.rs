@@ -10,8 +10,9 @@
 //!   [`sample::ClientSample`] carries exact per-client tallies for the
 //!   client-interest Zipf slopes; [`topk::SpaceSaving`] counts ASes,
 //!   countries and objects (exact while the key space fits).
-//! - **session layer** — a bounded look-ahead heap re-orders log entries
-//!   (logged at *stop* time) back into start order, and
+//! - **session layer** — a reorder buffer keyed by start second
+//!   re-orders log entries (logged at *stop* time) back into start order
+//!   within a bounded look-ahead, and
 //!   [`session::StreamSessionizer`] applies the paper's 1500-second
 //!   timeout rule online; ON times, transfers-per-session and
 //!   intra-session interarrivals stream into fixed-point
@@ -37,6 +38,7 @@ pub mod fixed;
 pub mod hll;
 pub mod ingest;
 pub mod quantile;
+mod reorder;
 pub mod report;
 pub mod sample;
 pub mod session;

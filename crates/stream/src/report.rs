@@ -100,7 +100,7 @@ pub struct ConcurrencySummary {
 pub struct MemoryFootprint {
     /// Bytes held by all sketches (shards + coordinator) at finalize.
     pub sketch_bytes: u64,
-    /// High-water mark of entries buffered in the look-ahead heap.
+    /// High-water mark of entries held in the reorder buffer.
     pub peak_heap_entries: u64,
     /// High-water mark of simultaneously open sessions.
     pub peak_active_sessions: u64,

@@ -29,7 +29,7 @@
 //! counts, from which block offsets are a prefix sum), the total record
 //! count, and a `sorted` flag set when the writer saw records in
 //! nondecreasing `(start, timestamp)` order — the streaming engine uses
-//! it to bypass its look-ahead reorder heap. A reader that finds the
+//! it to bypass its look-ahead reorder buffer. A reader that finds the
 //! footer missing or damaged falls back to a sequential block-header
 //! scan, recovering every intact leading block of a truncated file; a
 //! block whose CRC fails is *counted* and skipped, never fatal —

@@ -12,8 +12,12 @@ const BLESSED_REDUCTION_FILES: &[&str] = &["crates/stream/src/coord.rs"];
 
 /// Per-record ingest hot paths, where L006 forbids allocating text
 /// conversions: the wms byte scanner, the ltc block codec, and the
-/// streaming ingest loop.
-const INGEST_HOT_FILES: &[&str] = &["crates/trace/src/wms.rs", "crates/stream/src/ingest.rs"];
+/// streaming ingest loop with its reorder buffer.
+const INGEST_HOT_FILES: &[&str] = &[
+    "crates/trace/src/wms.rs",
+    "crates/stream/src/ingest.rs",
+    "crates/stream/src/reorder.rs",
+];
 
 /// Directory prefixes whose every file is an ingest hot path.
 const INGEST_HOT_DIRS: &[&str] = &["crates/trace/src/ltc/"];
@@ -35,6 +39,7 @@ const BOUNDED_MEM_FILES: &[&str] = &[
     "crates/replay/src/slab.rs",
     "crates/replay/src/wheel.rs",
     "crates/stream/src/ingest.rs",
+    "crates/stream/src/reorder.rs",
     "crates/stream/src/coord.rs",
     "crates/edge/src/ring.rs",
     "crates/edge/src/relay.rs",

@@ -392,6 +392,65 @@ mod tests {
         assert_eq!(edge.merged.to_json(), flat.tap.to_json());
     }
 
+    /// One client transfer on a single-relay overlay.
+    fn transfer(start: u32, duration: u32, client: u32, object: u16) -> LogEntry {
+        LogEntryBuilder::new()
+            .span(start, duration)
+            .client(ClientId(client))
+            .object(ObjectId(object), 0)
+            .transfer_stats(64, 64_000, 0.0)
+            .build()
+    }
+
+    #[test]
+    fn zero_duration_clients_release_before_same_second_arrivals() {
+        // Under a one-slot relay: a transfer stopping at second 10 walks
+        // the release cursor past it, then two zero-duration transfers
+        // arrive at 10. Each must free its slot for the next, so the
+        // first is released below the walked second, before the second
+        // arrives.
+        let entries = [
+            transfer(5, 5, 0, 0),
+            transfer(10, 0, 1, 0),
+            transfer(10, 0, 2, 0),
+        ];
+        let s = Schedule::from_entries(&entries);
+        let topo: Topology = "origin:1".parse().expect("topology");
+        let out = run_virtual_topology(
+            &s,
+            &topo,
+            AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::RejectAbove { max_concurrent: 1 },
+            StreamConfig::default(),
+            &Registry::new(),
+        );
+        assert_eq!(out.completed, 3);
+        assert_eq!(out.rejected + out.truncated, 0);
+    }
+
+    #[test]
+    fn subscriptions_release_before_same_second_first_clients() {
+        // Under a one-slot origin: object 0's feed spans [0, 8 + slack]
+        // and object 1's first client arrives as that feed stops, so its
+        // feed takes the freed origin slot and nothing truncates.
+        let stop = 8 + crate::relay::SPAN_SLACK;
+        let entries = [transfer(0, 8, 0, 0), transfer(stop, 4, 1, 1)];
+        let s = Schedule::from_entries(&entries);
+        let topo: Topology = "origin:1".parse().expect("topology");
+        let out = run_virtual_topology(
+            &s,
+            &topo,
+            AdmissionPolicy::RejectAbove { max_concurrent: 1 },
+            AdmissionPolicy::AcceptAll,
+            StreamConfig::default(),
+            &Registry::new(),
+        );
+        assert_eq!(out.subscriptions, 2);
+        assert_eq!(out.origin_admission.rejected, 0);
+        assert_eq!(out.completed, 2);
+        assert_eq!(out.truncated, 0);
+    }
+
     #[test]
     fn origin_refusals_propagate_as_truncations() {
         // An origin that admits nothing starves every feed; every client

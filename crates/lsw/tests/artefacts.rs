@@ -1,17 +1,22 @@
 //! Pins the bytes of the artefacts the `lsw` binary writes.
 //!
-//! One small seeded trace is generated as `ltc`, and four outputs are
+//! One small seeded trace is generated as `ltc`, and six outputs are
 //! rendered from it through the built binary:
 //!
 //! - the `ltc` bytes of `generate --emit ltc`;
 //! - the `analyze --stream --json` report of that log;
 //! - the `replay --virtual-time --json` report, flat;
-//! - the same with `--topology origin:2:as` (`edge` section included).
+//! - the same with `--topology origin:2:as` (`edge` section included);
+//! - both replays again under admission caps (`--admission 4`, and
+//!   `--origin-admission 2` for the overlay), so the release-before-
+//!   arrival order reaches admission: the flat run rejects 818 of the
+//!   1,509 transfers, the overlay rejects 534 and truncates 386.
 //!
 //! Each output's `(len, crc32)` is compared with constants captured on the
 //! commit before the tick data plane, the alias sampler and the legacy WMS
-//! parser were deleted, so a refactor of any layer these reach that moves
-//! a single byte fails here.
+//! parser were deleted (the two capped replays: on the commit before the
+//! virtual executors left the timing wheel), so a refactor of any layer
+//! these reach that moves a single byte fails here.
 //!
 //! The stream and replay reports record their shard count, which defaults
 //! to the thread count, so every command runs with `LSW_THREADS=2`.
@@ -25,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// `(artefact, len, crc32)` captured on the parent commit.
-const PINNED: [(&str, usize, u32); 4] = [
+const PINNED: [(&str, usize, u32); 6] = [
     ("generate --emit ltc", 43_620, 91_040_523),
     ("analyze --stream --json", 5_660, 2_356_771_876),
     ("replay --virtual-time --json", 8_852, 4_287_969_723),
@@ -33,6 +38,16 @@ const PINNED: [(&str, usize, u32); 4] = [
         "replay --virtual-time --topology origin:2:as --json",
         23_389,
         1_465_297_127,
+    ),
+    (
+        "replay --virtual-time --admission 4 --json",
+        7_998,
+        2_913_611_980,
+    ),
+    (
+        "replay --virtual-time --topology origin:2:as --admission 4 --origin-admission 2 --json",
+        18_056,
+        2_798_278_839,
     ),
 ];
 
@@ -55,11 +70,13 @@ fn artefact_bytes_match_the_pinned_parent() {
     std::fs::create_dir_all(&dir).expect("the test directory is creatable");
     let path = |name: &str| dir.join(name);
     let arg = |p: &Path| p.to_str().expect("utf-8 path").to_owned();
-    let (log, stream, flat, edge) = (
+    let (log, stream, flat, edge, flat_capped, edge_capped) = (
         path("t.ltc"),
         path("stream.json"),
         path("flat.json"),
         path("edge.json"),
+        path("flat_capped.json"),
+        path("edge_capped.json"),
     );
 
     let generate = render(
@@ -107,6 +124,36 @@ fn artefact_bytes_match_the_pinned_parent() {
                 &arg(&edge),
             ],
             &edge,
+        ),
+        render(
+            &[
+                "replay",
+                &arg(&log),
+                "--virtual-time",
+                "--admission",
+                "4",
+                "--no-assert",
+                "--json",
+                &arg(&flat_capped),
+            ],
+            &flat_capped,
+        ),
+        render(
+            &[
+                "replay",
+                &arg(&log),
+                "--virtual-time",
+                "--topology",
+                "origin:2:as",
+                "--admission",
+                "4",
+                "--origin-admission",
+                "2",
+                "--no-assert",
+                "--json",
+                &arg(&edge_capped),
+            ],
+            &edge_capped,
         ),
     ];
 

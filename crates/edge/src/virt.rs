@@ -14,10 +14,13 @@
 //! * a client whose feed the origin refused (`BUSY`) truncates — the
 //!   virtual executor propagates origin-tier refusals downstream just
 //!   like the ring does;
-//! * completions release in the total order `(stop, admission seq)` on
-//!   the shared [`TimingWheel`], releases before same-second arrivals.
-//!   A client completion carries a `u32` index into `schedule.transfers`;
-//!   its log entry is built when it fires.
+//! * client and subscription completions share one second-bucket
+//!   [`ReorderBuffer`] keyed by stop second, the queue the flat executor
+//!   and the streaming engine use. Before each arrival every completion
+//!   due at or before its second is released in `(stop, admission index,
+//!   kind)` order, a subscription ahead of the client whose arrival
+//!   opened it. A completion names its arrival by a `u32` index into
+//!   `schedule.transfers`; a client's log entry is built on release.
 //!
 //! Determinism contract: no ambient time, no RNG, no I/O, integer
 //! arithmetic only; two runs over the same schedule and config produce
@@ -25,17 +28,13 @@
 
 use crate::relay::{plan_feeds, FeedPlan};
 use crate::topology::Topology;
-use lsw_replay::clock::Nanos;
 use lsw_replay::metrics::Registry;
-use lsw_replay::wheel::TimingWheel;
 use lsw_replay::{STATUS_REJECTED, STATUS_TRUNCATED};
 use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerConfig, ServerStats};
+use lsw_stream::reorder::ReorderBuffer;
 use lsw_stream::{MultiTap, StreamConfig, StreamReport};
 use lsw_trace::schedule::Schedule;
 use std::collections::BTreeMap;
-
-/// Virtual nanoseconds per trace second.
-const SCALE: Nanos = 1_000_000_000;
 
 /// What a virtual overlay replay produced.
 #[derive(Debug)]
@@ -79,13 +78,15 @@ impl VirtualTopologyOutcome {
     }
 }
 
-/// A completion event on the shared wheel.
+/// A completion, queued as `(admission index, Done)` (the index into
+/// `schedule.transfers` of the arrival that admitted it), so within a
+/// second a subscription sorts before the client whose arrival opened it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Done {
-    /// A client transfer (an index into `schedule.transfers`) finishing
-    /// on its relay tier.
-    Client { index: u32, relay: usize },
     /// A subscription finishing at the origin.
     Sub,
+    /// A client transfer finishing on its relay tier.
+    Client { relay: usize },
 }
 
 /// The virtual feed table: what happened when the subscription opened.
@@ -120,14 +121,13 @@ pub fn run_virtual_topology(
         })
         .collect();
     let mut tap = MultiTap::new(stream, relays);
-    tap.preset_lookahead(schedule.max_duration());
+    let longest = schedule.max_duration();
+    tap.preset_lookahead(longest);
 
-    let mut wheel: TimingWheel<Done> = TimingWheel::new();
+    // Client stops lie within `longest` of the arrival in hand, so they
+    // all fit the queue's ring; only feeds that outlast it spill.
+    let mut due: ReorderBuffer<(u32, Done)> = ReorderBuffer::with_span(longest);
     let mut feeds: BTreeMap<(usize, u16), FeedState> = BTreeMap::new();
-    // Admitted zero-duration client transfers, due before the next
-    // arrival (which may share their second); see run_virtual.
-    let mut due_now: Vec<(u32, usize)> = Vec::new();
-    let mut fired: Vec<(Nanos, Done)> = Vec::new();
 
     let mut completed = 0u64;
     let mut rejected = 0u64;
@@ -136,46 +136,25 @@ pub fn run_virtual_topology(
     let mut origin_bytes = 0u64;
     let mut delivered_bytes = 0u64;
 
-    let release = |wheel: &mut TimingWheel<Done>,
-                   due_now: &mut Vec<(u32, usize)>,
-                   fired: &mut Vec<(Nanos, Done)>,
-                   tiers: &mut Vec<MediaServer>,
-                   origin: &mut MediaServer,
-                   tap: &mut MultiTap,
-                   completed: &mut u64,
-                   bound: Nanos| {
-        wheel.advance(bound, fired);
-        for (index, relay) in due_now.drain(..) {
+    let mut release = |(index, done): (u32, Done),
+                       tiers: &mut [MediaServer],
+                       origin: &mut MediaServer,
+                       tap: &mut MultiTap| match done {
+        Done::Sub => origin.release(),
+        Done::Client { relay } => {
             tiers[relay].release();
             tap.ingest(relay, &schedule.transfers[index as usize].to_entry());
-            *completed += 1;
-        }
-        for (_, done) in fired.drain(..) {
-            match done {
-                Done::Client { index, relay } => {
-                    tiers[relay].release();
-                    tap.ingest(relay, &schedule.transfers[index as usize].to_entry());
-                    *completed += 1;
-                }
-                Done::Sub => origin.release(),
-            }
+            completed += 1;
         }
     };
 
     // Transfers past index `u32::MAX` are never served; the shortfall shows
     // in the closed-loop diff's transfer row.
     for (index, t) in (0u32..).zip(&schedule.transfers) {
-        // Releases strictly before arrivals at the same second.
-        release(
-            &mut wheel,
-            &mut due_now,
-            &mut fired,
-            &mut tiers,
-            &mut origin,
-            &mut tap,
-            &mut completed,
-            u64::from(t.start) * SCALE,
-        );
+        // Releases before arrivals at the same second.
+        while let Some(done) = due.pop_through(t.start) {
+            release(done, &mut tiers, &mut origin, &mut tap);
+        }
         let relay = (topology.route(t) as usize).min(relays - 1);
         let object = t.object.0;
 
@@ -190,7 +169,7 @@ pub fn run_virtual_topology(
                         let sub = plan.subscription(u32::try_from(relay).unwrap_or(0));
                         if origin.request(sub.display_duration()) {
                             origin_bytes += plan.bytes;
-                            wheel.schedule(u64::from(sub.stop()) * SCALE, Done::Sub);
+                            due.push(sub.stop(), (index, Done::Sub));
                             FeedState::Open
                         } else {
                             FeedState::Busy
@@ -215,11 +194,7 @@ pub fn run_virtual_topology(
         }
         if tiers[relay].request(t.display_duration()) {
             delivered_bytes += t.bytes;
-            if t.stop() == t.start {
-                due_now.push((index, relay));
-            } else {
-                wheel.schedule(u64::from(t.stop()) * SCALE, Done::Client { index, relay });
-            }
+            due.push(t.stop(), (index, Done::Client { relay }));
         } else {
             let mut e = t.to_entry();
             e.status = STATUS_REJECTED;
@@ -227,29 +202,8 @@ pub fn run_virtual_topology(
             rejected += 1;
         }
     }
-    // Final drains: due-now leftovers, then the wheel to empty.
-    let first_bound = wheel.next_deadline().unwrap_or(0);
-    release(
-        &mut wheel,
-        &mut due_now,
-        &mut fired,
-        &mut tiers,
-        &mut origin,
-        &mut tap,
-        &mut completed,
-        first_bound,
-    );
-    while let Some(bound) = wheel.next_deadline() {
-        release(
-            &mut wheel,
-            &mut due_now,
-            &mut fired,
-            &mut tiers,
-            &mut origin,
-            &mut tap,
-            &mut completed,
-            bound,
-        );
+    while let Some(done) = due.pop() {
+        release(done, &mut tiers, &mut origin, &mut tap);
     }
 
     registry.counter("edge.completed").add(completed);

@@ -23,8 +23,8 @@
 //!
 //! ## Virtual time
 //!
-//! `--virtual-time` swaps the wall [`clock`] for a deterministic logical
-//! one and runs the whole serve-and-replay exchange as a single-threaded
+//! `--virtual-time` swaps the wall [`clock`] for the log's own whole-second
+//! clock and runs the whole serve-and-replay exchange as a single-threaded
 //! event simulation ([`virt`]) over the same pacing, admission, logging,
 //! and tap code paths' semantics. No sockets, no threads, no ambient
 //! time: byte-identical reports on every run, at any `--shards` count.

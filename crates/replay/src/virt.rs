@@ -9,22 +9,22 @@
 //! logged to the tap at completion time — rejections immediately, like
 //! the socket server.
 //!
-//! Completion timers run on the same hierarchical [`TimingWheel`] the
-//! reactor data plane paces with, driven logically: seconds map to
-//! nanoseconds at the wheel's default resolution, and the wheel's
-//! `(tick, insertion seq)` fire order realizes the executor's total
-//! order `(stop, admission seq)`. Zero-duration transfers (stop ==
-//! start, which a strictly-future wheel cannot hold) release through a
-//! short same-second queue, preserving the DES convention that a slot
-//! freed at `t` is available to a transfer starting at `t`. Both hold a
-//! `u32` index into `schedule.transfers`, not the log entry: the entry is
-//! built when the completion fires, so every wheel cascade moves a small
-//! record.
+//! The simulation runs on the log's own clock: whole trace seconds.
+//! Completions wait on the second-bucket [`ReorderBuffer`] the streaming
+//! engine reorders its input with, keyed by stop second, each item a
+//! `u32` index into `schedule.transfers` (the log entry is built when
+//! the completion is released). Before each arrival the executor
+//! releases every completion due at or before the arrival's second, in
+//! `(stop, admission index)` order. A zero-duration transfer is pushed
+//! at the second just released (into the queue's spill once the cursor
+//! has walked it) and leaves before the next arrival, even one in the
+//! same second: the DES convention that a slot freed at `t` is available
+//! to a transfer starting at `t`.
 //!
 //! Determinism contract: the executor touches no ambient time, no RNG,
 //! and no I/O; completion order is the total order `(stop, admission
-//! seq)`; all arithmetic is integer. Two runs over the same schedule and
-//! [`StreamConfig`] produce byte-identical JSON reports, at any shard
+//! index)`; all arithmetic is integer. Two runs over the same schedule
+//! and [`StreamConfig`] produce byte-identical JSON reports, at any shard
 //! count (the tap's own determinism guarantee).
 
 use crate::clock::{trace_to_nanos, Nanos};
@@ -32,11 +32,9 @@ use crate::metrics::Registry;
 use crate::wheel::TimingWheel;
 use crate::{payload, proto, STATUS_REJECTED};
 use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerConfig, ServerStats};
+use lsw_stream::reorder::ReorderBuffer;
 use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
 use lsw_trace::schedule::Schedule;
-
-/// Virtual nanoseconds per trace second.
-const SCALE: Nanos = 1_000_000_000;
 
 /// What a virtual replay produced.
 #[derive(Debug)]
@@ -70,17 +68,13 @@ pub fn run_virtual(
     let mut tap = StreamAnalyzer::new(stream);
     // Completions reach the tap in stop order; knowing the longest
     // duration upfront makes the reorder-window release exact.
-    tap.preset_lookahead(schedule.max_duration());
-    // Timers carry `u32` indices into `schedule.transfers`. Transfers past
-    // index `u32::MAX` are never served, so `completed + rejected` falls
-    // short of the schedule and the closed-loop diff's transfer row fails.
-    let mut wheel: TimingWheel<u32> = TimingWheel::new();
-    // Admitted zero-duration transfers: due before the next arrival,
-    // which may share their second. Strictly earlier-stopped than
-    // anything still in the wheel, so draining it first keeps the
-    // global `(stop, seq)` order.
-    let mut due_now: Vec<u32> = Vec::new();
-    let mut fired: Vec<(Nanos, u32)> = Vec::new();
+    let longest = schedule.max_duration();
+    tap.preset_lookahead(longest);
+    // Completions carry `u32` indices into `schedule.transfers`. Transfers
+    // past index `u32::MAX` are never served, so `completed + rejected`
+    // falls short of the schedule and the closed-loop diff's transfer row
+    // fails.
+    let mut due: ReorderBuffer<u32> = ReorderBuffer::with_span(longest);
     let mut completed = 0u64;
     let mut rejected = 0u64;
     let mut bytes_served = 0u64;
@@ -91,14 +85,10 @@ pub fn run_virtual(
     };
 
     for (index, t) in (0u32..).zip(&schedule.transfers) {
-        // Releases strictly before arrivals at the same second: a slot
-        // freed at `t` is available to a transfer starting at `t` (the
-        // DES convention).
-        wheel.advance(u64::from(t.start) * SCALE, &mut fired);
-        for i in due_now.drain(..) {
-            complete(i, &mut server, &mut tap);
-        }
-        for (_, i) in fired.drain(..) {
+        // Releases before arrivals at the same second: a slot freed at
+        // `t` is available to a transfer starting at `t` (the DES
+        // convention).
+        while let Some(i) = due.pop_through(t.start) {
             complete(i, &mut server, &mut tap);
         }
         if server.request(t.display_duration()) {
@@ -106,11 +96,7 @@ pub fn run_virtual(
             // (`Schedule::object_rates`), so the transfer completes at
             // its scheduled stop with exactly its trace bytes.
             bytes_served += t.bytes;
-            if t.stop() == t.start {
-                due_now.push(index);
-            } else {
-                wheel.schedule(u64::from(t.stop()) * SCALE, index);
-            }
+            due.push(t.stop(), index);
         } else {
             let mut e = t.to_entry();
             e.status = STATUS_REJECTED;
@@ -118,14 +104,8 @@ pub fn run_virtual(
             rejected += 1;
         }
     }
-    for i in due_now.drain(..) {
+    while let Some(i) = due.pop() {
         complete(i, &mut server, &mut tap);
-    }
-    while let Some(bound) = wheel.next_deadline() {
-        wheel.advance(bound, &mut fired);
-        for (_, i) in fired.drain(..) {
-            complete(i, &mut server, &mut tap);
-        }
     }
 
     completed_c.add(completed);

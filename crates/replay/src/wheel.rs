@@ -3,8 +3,8 @@
 //!
 //! Six levels of 64 slots each; level `l` spans `64^l` ticks per slot,
 //! so the wheel covers `64^6 ≈ 6.9 × 10^10` ticks (~100 days at the
-//! default 2^17 ns ≈ 131 µs resolution) before the overflow policy
-//! kicks in. Deadlines beyond the horizon park in the top level and
+//! reactor's default 2^17 ns ≈ 131 µs resolution) before the overflow
+//! policy kicks in. Deadlines beyond the horizon park in the top level and
 //! re-cascade each time their slot comes around — past-horizon entries
 //! can fire late, never early.
 //!
@@ -12,8 +12,8 @@
 //! `deadline >> shift`, clamped to the tick after `now` (nothing fires
 //! in the past). [`TimingWheel::advance`] delivers every pending entry
 //! with `tick <= now_tick` in the total order `(tick, insertion seq)`,
-//! independent of cascade timing — the property the virtual-time
-//! executor and the proptest oracle both pin.
+//! independent of cascade timing — the property the reactor's pacing,
+//! `virt::pacing_profile` and the proptest oracle all rely on.
 //!
 //! **Placement invariant.** An entry lands at the *smallest* level
 //! whose parent slot fields of `tick` and `now` agree (the
@@ -46,7 +46,7 @@ struct Entry<T> {
 }
 
 /// The wheel. `T` is the per-timer payload (the reactor schedules slab
-/// keys; the virtual executor schedules completion records).
+/// keys; `pacing_profile` schedules simulated pacing cursors).
 #[derive(Debug)]
 pub struct TimingWheel<T> {
     /// Resolution exponent: one tick is `1 << shift` nanoseconds.
@@ -65,13 +65,6 @@ pub struct TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
-    /// A wheel with ~131 µs ticks (2^17 ns): fine enough that pacing
-    /// error is invisible next to scheduler jitter, coarse enough that
-    /// an 86 400-second virtual day is a cheap bitmap walk.
-    pub fn new() -> Self {
-        Self::with_resolution(1 << 17)
-    }
-
     /// A wheel whose tick is `resolution` nanoseconds rounded up to a
     /// power of two (minimum 1 ns).
     pub fn with_resolution(resolution: Nanos) -> Self {
@@ -257,12 +250,6 @@ impl<T> TimingWheel<T> {
     }
 }
 
-impl<T> Default for TimingWheel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,7 +373,7 @@ mod tests {
 
     #[test]
     fn virtual_day_advance_is_cheap_and_exact() {
-        // 86 400 virtual seconds at default resolution: the advance
+        // 86 400 virtual seconds at 2^17 ns ticks: the advance
         // must jump occupied slots, not iterate ~6.6e8 empty ticks.
         let mut w = TimingWheel::with_resolution(1 << 17);
         let day = 86_400u64 * 1_000_000_000;

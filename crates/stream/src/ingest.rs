@@ -242,7 +242,7 @@ impl ShardSketches {
 pub struct StreamAnalyzer {
     cfg: StreamConfig,
     shards: Vec<ShardSketches>,
-    pending: ReorderBuffer,
+    pending: ReorderBuffer<Pending>,
     coord: Coordinator,
     lines_total: u64,
     next_line: u64,
@@ -383,12 +383,15 @@ impl StreamAnalyzer {
                 self.max_start = self.max_start.max(e.start);
                 self.max_ts = self.max_ts.max(e.timestamp);
                 self.max_dur = self.max_dur.max(e.duration);
-                self.pending.push(Pending {
-                    start: e.start,
-                    timestamp: e.timestamp,
-                    line,
-                    entry: *e,
-                });
+                self.pending.push(
+                    e.start,
+                    Pending {
+                        start: e.start,
+                        timestamp: e.timestamp,
+                        line,
+                        entry: *e,
+                    },
+                );
             }
         }
     }
@@ -516,12 +519,15 @@ impl StreamAnalyzer {
                             } else {
                                 self.starts_ordered &= e.start >= self.last_start;
                                 self.last_start = e.start;
-                                self.pending.push(Pending {
-                                    start: e.start,
-                                    timestamp: e.timestamp,
-                                    line,
-                                    entry: e,
-                                });
+                                self.pending.push(
+                                    e.start,
+                                    Pending {
+                                        start: e.start,
+                                        timestamp: e.timestamp,
+                                        line,
+                                        entry: e,
+                                    },
+                                );
                             }
                         }
                         if !direct {
@@ -718,7 +724,7 @@ impl StreamAnalyzer {
         // entry released above; the batch tail joins the buffer.
         self.release_below(watermark);
         for p in &self.release_scratch[i..] {
-            self.pending.push(*p);
+            self.pending.push(p.start, *p);
         }
         self.peak_heap = self.peak_heap.max(self.pending.len());
         self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());

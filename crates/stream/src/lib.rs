@@ -10,9 +10,10 @@
 //!   [`sample::ClientSample`] carries exact per-client tallies for the
 //!   client-interest Zipf slopes; [`topk::SpaceSaving`] counts ASes,
 //!   countries and objects (exact while the key space fits).
-//! - **session layer** — a reorder buffer keyed by start second
-//!   re-orders log entries (logged at *stop* time) back into start order
-//!   within a bounded look-ahead, and
+//! - **session layer** — the second-bucket [`reorder::ReorderBuffer`]
+//!   (also the completion queue of both virtual-time executors), keyed
+//!   by start second, re-orders log entries (logged at *stop* time) back
+//!   into start order within a bounded look-ahead, and
 //!   [`session::StreamSessionizer`] applies the paper's 1500-second
 //!   timeout rule online; ON times, transfers-per-session and
 //!   intra-session interarrivals stream into fixed-point
@@ -38,7 +39,7 @@ pub mod fixed;
 pub mod hll;
 pub mod ingest;
 pub mod quantile;
-mod reorder;
+pub mod reorder;
 pub mod report;
 pub mod sample;
 pub mod session;

@@ -1,42 +1,49 @@
-//! The start-second reorder buffer behind the streaming engine.
+//! The second-bucket reorder queue: a min-queue over `(second, item)`
+//! for keys that are whole trace seconds.
 //!
-//! Log lines arrive in (roughly) stop order; the coordinator wants them in
-//! `(start, timestamp, line)` order. The buffer holds pending entries and
-//! releases, on request, every entry whose start lies below a watermark,
-//! in exactly that key order.
+//! Three loops share it. The streaming engine buffers log entries (which
+//! arrive in roughly stop order) by start second and releases every
+//! entry below a look-ahead watermark in `(start, timestamp, line)`
+//! order. Both virtual-time executors (`lsw_replay::virt` and
+//! `lsw_edge::virt`) queue completions by stop second and, before each
+//! arrival, release every completion due at or before the arrival's
+//! second in `(stop, admission index)` order.
 //!
-//! Entries live in a slab (with a free list), and each start second owns
-//! a bucket: an intrusive `next` list whose head sits in a power-of-two
-//! ring of `u32` slab indices, addressed by start second mod the ring
-//! length. The ring grows on demand, like `OnlineConcurrency`'s wheel,
-//! until the span of buffered starts fits, up to [`RING_CAP`] slots. A
-//! push is an O(1) link; a release walks a cursor from the lowest
-//! buffered second up to the watermark, sorts each non-empty bucket by
-//! `(timestamp, line)` and hands it out. Each second is walked once, so a
-//! release costs O(seconds walked + entries released) instead of a heap
-//! sift per entry.
+//! Items live in a slab (with a free list), and each second owns a
+//! bucket: an intrusive `next` list whose head sits in a power-of-two
+//! ring of `u32` slab indices, addressed by second mod the ring length.
+//! The ring grows on demand, like `OnlineConcurrency`'s wheel, until the
+//! span of buffered seconds fits, up to `RING_CAP` slots (fewer for a
+//! queue built [`with_span`](ReorderBuffer::with_span)). A push is an
+//! O(1) link; a release walks a cursor from the lowest buffered second
+//! up to the watermark, sorts each non-empty bucket by the item order
+//! `T: Ord` and hands it out. Each second is walked once, so a release
+//! costs O(seconds walked + items released) instead of a heap sift per
+//! item.
 //!
-//! Entries the ring cannot take — a start below a second already walked
-//! (an entry that arrives after its second was released: a look-ahead
-//! miss) or one that would stretch the span past the cap — go to a small
-//! `BinaryHeap` spill, normally empty, which every release merges by the
-//! full key. The released sequence is therefore exactly what a min-heap
-//! over `(start, timestamp, line)` would pop at every watermark, including
-//! watermarks that move backwards.
+//! Pushes the ring cannot take — a second below one already walked (a
+//! look-ahead miss in the engine; a zero-duration completion in an
+//! executor, due at the second just released) or one that would stretch
+//! the span past the cap — go to a small `BinaryHeap` spill, normally
+//! empty, which every release merges by `(second, item)`. The released
+//! sequence is therefore exactly what a min-heap over `(second, item)`
+//! would pop at every watermark, including watermarks that move
+//! backwards.
 
 use lsw_trace::event::LogEntry;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Slot cap of the bucket ring (start seconds, ~12 days). A start that
-/// would stretch the buffered span to the cap goes to the spill heap,
-/// bounding ring memory at 4 MiB.
+/// Slot cap of the bucket ring (seconds, ~12 days). A second that would
+/// stretch the buffered span to the cap goes to the spill heap, bounding
+/// ring memory at 4 MiB.
 const RING_CAP: usize = 1 << 20;
 
 /// End-of-list / empty-bucket marker for slab indices.
 const NIL: u32 = u32::MAX;
 
-/// One buffered entry, ordered by `(start, timestamp, line)`.
+/// One log entry the streaming engine buffers, ordered by `(start,
+/// timestamp, line)`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pending {
     pub(crate) start: u32,
@@ -67,55 +74,66 @@ impl Ord for Pending {
     }
 }
 
-/// A slab slot: the entry plus its bucket (or free-list) successor.
+/// A slab slot: the item plus its bucket (or free-list) successor.
 #[derive(Debug, Clone, Copy)]
-struct Node {
-    pending: Pending,
+struct Node<T> {
+    item: T,
     next: u32,
 }
 
-/// Which store holds the smallest releasable entry.
+/// Which store holds the smallest releasable item.
 enum Head {
     Staged,
     Spill,
 }
 
-/// Pending entries keyed by start second (see the module docs).
+/// Items keyed by whole second, released in `(second, item)` order (see
+/// the module docs).
 #[derive(Debug)]
-pub(crate) struct ReorderBuffer {
-    slab: Vec<Node>,
+pub struct ReorderBuffer<T> {
+    slab: Vec<Node<T>>,
     /// Head of the free-slot list threaded through `Node::next`.
     free: u32,
-    /// Slab slots holding an entry (bucketed or staged).
+    /// Slab slots holding an item (bucketed or staged).
     live: usize,
-    /// Bucket heads, indexed by start second mod the ring length.
+    /// Bucket heads, indexed by second mod the ring length.
     ring: Vec<u32>,
     /// Ring length limit (a power of two).
     cap: usize,
-    /// Every second below it has been walked, so a start below it goes
+    /// Every second below it has been walked, so a push below it goes
     /// to the spill. Only moves forward.
     floor: u64,
-    /// Lowest and highest start in the ring (meaningful while `in_ring >
-    /// 0`); `lo` is also the release cursor. `hi − lo` stays below the
-    /// ring length, so distinct buffered seconds never share a bucket.
+    /// Lowest and highest second in the ring (meaningful while
+    /// `in_ring > 0`); `lo` is also the release cursor. `hi − lo` stays
+    /// below the ring length, so distinct buffered seconds never share a
+    /// bucket.
     lo: u64,
     hi: u64,
-    /// Entries linked into ring buckets.
+    /// Items linked into ring buckets.
     in_ring: usize,
-    /// The bucket being released (start `floor − 1`), sorted descending
-    /// by `(timestamp, line)` so the smallest pops off the end.
+    /// The bucket being released (second `floor − 1`), sorted
+    /// descending so the smallest item pops off the end.
     staged: Vec<u32>,
-    /// Entries outside the ring's window, merged into every release.
-    spill: BinaryHeap<Reverse<Pending>>,
+    /// Items outside the ring's window, merged into every release.
+    spill: BinaryHeap<Reverse<(u32, T)>>,
 }
 
-impl ReorderBuffer {
-    /// The empty buffer.
+impl<T: Ord + Copy> ReorderBuffer<T> {
+    /// The empty queue, with the full `RING_CAP` ring.
     pub(crate) fn new() -> Self {
         Self::with_ring_cap(RING_CAP)
     }
 
-    /// The empty buffer with a ring of at most `cap` slots (a power of
+    /// The empty queue whose ring covers a span of `span` seconds
+    /// (rounded up to a power of two, at most `RING_CAP`); an item
+    /// further than that from the lowest buffered second spills. The
+    /// executors pass the longest transfer, so every client completion
+    /// fits the ring and only longer relay feeds spill.
+    pub fn with_span(span: u32) -> Self {
+        Self::with_ring_cap((span as usize + 1).next_power_of_two().min(RING_CAP))
+    }
+
+    /// The empty queue with a ring of at most `cap` slots (a power of
     /// two); tests use small caps to reach the spill paths.
     fn with_ring_cap(cap: usize) -> Self {
         debug_assert!(cap.is_power_of_two());
@@ -134,35 +152,35 @@ impl ReorderBuffer {
         }
     }
 
-    /// Entries buffered.
-    pub(crate) fn len(&self) -> usize {
+    /// Items buffered.
+    pub fn len(&self) -> usize {
         self.live + self.spill.len()
     }
 
     /// Whether nothing is buffered.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Makes room for `additional` more entries in one allocation.
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    /// Makes room for `additional` more items in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
         self.slab.reserve(additional);
     }
 
-    /// Buffers one entry.
-    pub(crate) fn push(&mut self, p: Pending) {
-        let start = u64::from(p.start);
+    /// Buffers `item` at `second`.
+    pub fn push(&mut self, second: u32, item: T) {
+        let sec = u64::from(second);
         let (lo, hi) = if self.in_ring == 0 {
-            (start, start)
+            (sec, sec)
         } else {
-            (self.lo.min(start), self.hi.max(start))
+            (self.lo.min(sec), self.hi.max(sec))
         };
-        let fits = start >= self.floor && hi - lo < self.cap as u64;
-        let slot = if fits { self.alloc(p) } else { None };
+        let fits = sec >= self.floor && hi - lo < self.cap as u64;
+        let slot = if fits { self.alloc(item) } else { None };
         let Some(idx) = slot else {
-            // Bounded by the workload, not the ring: look-ahead misses and
-            // starts `cap` or more seconds from the buffered span.
-            self.spill.push(Reverse(p));
+            // Bounded by the workload, not the ring: pushes below the
+            // cursor and seconds `cap` or more from the buffered span.
+            self.spill.push(Reverse((second, item)));
             return;
         };
         if hi - lo >= self.ring.len() as u64 {
@@ -170,19 +188,16 @@ impl ReorderBuffer {
         }
         self.lo = lo;
         self.hi = hi;
-        let bucket = p.start as usize & (self.ring.len() - 1);
+        let bucket = second as usize & (self.ring.len() - 1);
         self.slab[idx as usize].next = self.ring[bucket];
         self.ring[bucket] = idx;
         self.in_ring += 1;
     }
 
-    /// Stores `p` in a slab slot, or `None` once the `u32` index space is
-    /// exhausted (the caller spills).
-    fn alloc(&mut self, p: Pending) -> Option<u32> {
-        let node = Node {
-            pending: p,
-            next: NIL,
-        };
+    /// Stores `item` in a slab slot, or `None` once the `u32` index space
+    /// is exhausted (the caller spills).
+    fn alloc(&mut self, item: T) -> Option<u32> {
+        let node = Node { item, next: NIL };
         let idx = if self.free != NIL {
             let idx = self.free;
             self.free = self.slab[idx as usize].next;
@@ -200,7 +215,7 @@ impl ReorderBuffer {
     /// Doubles the ring until a span of `span` seconds fits, re-placing
     /// every bucket head.
     ///
-    /// Bucketed starts all lie in `[lo, lo + old_len)`, so each old slot
+    /// Bucketed seconds all lie in `[lo, lo + old_len)`, so each old slot
     /// maps to exactly one second of that window and the re-placement is
     /// a bijection.
     fn grow_ring(&mut self, span: u64) {
@@ -236,53 +251,60 @@ impl ReorderBuffer {
             }
             self.in_ring -= self.staged.len();
             let slab = &self.slab;
-            self.staged.sort_unstable_by_key(|&i| {
-                let p = &slab[i as usize].pending;
-                Reverse((p.timestamp, p.line))
-            });
+            self.staged
+                .sort_unstable_by(|&a, &b| slab[b as usize].item.cmp(&slab[a as usize].item));
             return;
         }
     }
 
-    /// Locates the smallest buffered entry whose start is below `limit`.
+    /// Locates the smallest buffered item whose second is below `limit`.
     fn head(&mut self, limit: u64) -> Option<Head> {
         if self.staged.is_empty() {
             self.stage(limit);
         }
-        // Every ring entry sorts after every staged one, and with nothing
+        // Every ring item sorts after every staged one, and with nothing
         // staged `stage` left no ring bucket below `limit`, so the minimum
         // is the smaller of the staged head and the spill head.
-        let staged = self.staged.last().map(|&i| &self.slab[i as usize].pending);
-        let spill = self.spill.peek().map(|Reverse(p)| p);
-        let (head, first) = match (staged, spill) {
+        let staged = self
+            .staged
+            .last()
+            .map(|&i| (self.floor - 1, &self.slab[i as usize].item));
+        let spill = self.spill.peek().map(|Reverse((s, t))| (u64::from(*s), t));
+        let (head, (second, _)) = match (staged, spill) {
             (Some(b), Some(s)) if s < b => (Head::Spill, s),
             (Some(b), _) => (Head::Staged, b),
             (None, Some(s)) => (Head::Spill, s),
             (None, None) => return None,
         };
-        (u64::from(first.start) < limit).then_some(head)
+        (second < limit).then_some(head)
     }
 
-    /// The smallest buffered entry whose start is below `watermark`.
-    pub(crate) fn peek_below(&mut self, watermark: u32) -> Option<&Pending> {
+    /// The smallest buffered item whose second is below `watermark`.
+    pub fn peek_below(&mut self, watermark: u32) -> Option<&T> {
         match self.head(u64::from(watermark))? {
-            Head::Staged => self.staged.last().map(|&i| &self.slab[i as usize].pending),
-            Head::Spill => self.spill.peek().map(|Reverse(p)| p),
+            Head::Staged => self.staged.last().map(|&i| &self.slab[i as usize].item),
+            Head::Spill => self.spill.peek().map(|Reverse((_, t))| t),
         }
     }
 
-    /// Removes and returns the smallest buffered entry whose start is
+    /// Removes and returns the smallest buffered item whose second is
     /// below `watermark`.
-    pub(crate) fn pop_below(&mut self, watermark: u32) -> Option<Pending> {
+    pub fn pop_below(&mut self, watermark: u32) -> Option<T> {
         self.pop_before(u64::from(watermark))
     }
 
-    /// Removes and returns the smallest buffered entry.
-    pub(crate) fn pop(&mut self) -> Option<Pending> {
+    /// Removes and returns the smallest buffered item whose second is at
+    /// or below `second`.
+    pub fn pop_through(&mut self, second: u32) -> Option<T> {
+        self.pop_before(u64::from(second) + 1)
+    }
+
+    /// Removes and returns the smallest buffered item.
+    pub fn pop(&mut self) -> Option<T> {
         self.pop_before(1 << 32)
     }
 
-    fn pop_before(&mut self, limit: u64) -> Option<Pending> {
+    fn pop_before(&mut self, limit: u64) -> Option<T> {
         match self.head(limit)? {
             Head::Staged => {
                 let idx = self.staged.pop()?;
@@ -290,9 +312,9 @@ impl ReorderBuffer {
                 node.next = self.free;
                 self.free = idx;
                 self.live -= 1;
-                Some(node.pending)
+                Some(node.item)
             }
-            Head::Spill => self.spill.pop().map(|Reverse(p)| p),
+            Head::Spill => self.spill.pop().map(|Reverse((_, t))| t),
         }
     }
 }
@@ -313,9 +335,21 @@ mod tests {
         }
     }
 
-    /// Starts cluster around ring-boundary anchors (relative to the test
+    /// The engine's item for a push at `(start, ts)` with line `line`.
+    fn engine_item(start: u32, ts: u32, line: u64) -> Pending {
+        pending(start, start.saturating_add(ts), line)
+    }
+
+    /// An executor's `u32` item for the same push: timestamp offset over
+    /// the line's low bits, so item order opposes push order within a
+    /// timestamp, as it does for the engine's.
+    fn executor_item(_start: u32, ts: u32, line: u64) -> u32 {
+        (ts << 24) | (line as u32 & 0x00ff_ffff)
+    }
+
+    /// Seconds cluster around ring-boundary anchors (relative to the test
     /// cap) and the ends of the `u32` range, so bucket collisions, ring
-    /// growth, beyond-cap spills and equal starts split between the ring
+    /// growth, beyond-cap spills and equal seconds split between the ring
     /// and the spill all occur.
     fn second(cap: u32) -> impl Strategy<Value = u32> {
         let anchors = [
@@ -334,10 +368,13 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// Buffer an entry at `start` with timestamp `start + ts`.
+        /// Buffer an item at `start` with timestamp offset `ts`.
         Push { start: u32, ts: u32 },
         /// Release everything below the watermark.
         Release(u32),
+        /// Release everything at or below the second (the executors'
+        /// release before an arrival).
+        ReleaseThrough(u32),
         /// Release below the watermark only what sorts before `(start,
         /// ts)` (the merge against a sorted chunk prefix).
         ReleaseBefore { watermark: u32, start: u32, ts: u32 },
@@ -350,6 +387,7 @@ mod tests {
             push(),
             push(),
             second(cap).prop_map(Op::Release),
+            second(cap).prop_map(Op::ReleaseThrough),
             (second(cap), second(cap), 0u32..3).prop_map(|(watermark, start, ts)| {
                 Op::ReleaseBefore {
                     watermark,
@@ -360,53 +398,64 @@ mod tests {
         ]
     }
 
-    /// Runs `ops` against the buffer and a min-heap oracle, comparing
-    /// every released entry and the length after every step, then drains
-    /// both completely.
-    fn check_against_heap(cap: usize, ops: &[Op]) {
+    /// Runs `ops` against the queue and a min-heap oracle over `(second,
+    /// item)`, with `item(start, ts, line)` building each pushed item,
+    /// comparing every released item and the length after every step,
+    /// then drains both completely.
+    fn check_against_heap<T: Ord + Copy + std::fmt::Debug>(
+        cap: usize,
+        ops: &[Op],
+        item: impl Fn(u32, u32, u64) -> T,
+    ) {
         let mut buf = ReorderBuffer::with_ring_cap(cap);
-        let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u32, T)>> = BinaryHeap::new();
         let mut line = 0u64;
-        let key = |p: &Pending| (p.start, p.timestamp, p.line);
+        let top = |heap: &BinaryHeap<Reverse<(u32, T)>>| heap.peek().map(|&Reverse(k)| k);
         for op in ops {
             match *op {
                 Op::Push { start, ts } => {
-                    // Lines count down so line order opposes timestamp
-                    // order among equal starts.
+                    // Lines count down so line order opposes push order.
                     line += 1;
-                    let p = pending(start, start.saturating_add(ts), u64::MAX - line);
-                    buf.push(p);
-                    heap.push(Reverse(p));
+                    let t = item(start, ts, u64::MAX - line);
+                    buf.push(start, t);
+                    heap.push(Reverse((start, t)));
                 }
                 Op::Release(w) => {
-                    while heap.peek().is_some_and(|Reverse(p)| p.start < w) {
-                        let want = heap.pop().map(|Reverse(p)| key(&p));
-                        prop_assert_eq!(buf.pop_below(w).map(|p| key(&p)), want);
+                    while top(&heap).is_some_and(|(s, _)| s < w) {
+                        let want = heap.pop().map(|Reverse((_, t))| t);
+                        prop_assert_eq!(buf.pop_below(w), want);
                     }
                     prop_assert!(buf.pop_below(w).is_none());
+                }
+                Op::ReleaseThrough(s) => {
+                    while top(&heap).is_some_and(|(t, _)| t <= s) {
+                        let want = heap.pop().map(|Reverse((_, t))| t);
+                        prop_assert_eq!(buf.pop_through(s), want);
+                    }
+                    prop_assert!(buf.pop_through(s).is_none());
                 }
                 Op::ReleaseBefore {
                     watermark,
                     start,
                     ts,
                 } => {
-                    let bound = pending(start, start.saturating_add(ts), 0);
-                    while heap
-                        .peek()
-                        .is_some_and(|Reverse(p)| p.start < watermark && *p < bound)
-                    {
-                        let want = heap.pop().map(|Reverse(p)| key(&p));
-                        prop_assert_eq!(buf.peek_below(watermark).map(key), want);
-                        prop_assert_eq!(buf.pop_below(watermark).map(|p| key(&p)), want);
+                    let bound = (start, item(start, ts, 0));
+                    loop {
+                        let below = top(&heap).filter(|&(s, _)| s < watermark);
+                        prop_assert_eq!(buf.peek_below(watermark).copied(), below.map(|k| k.1));
+                        if !below.is_some_and(|k| k < bound) {
+                            break;
+                        }
+                        heap.pop();
+                        prop_assert_eq!(buf.pop_below(watermark), below.map(|k| k.1));
                     }
-                    prop_assert!(!buf.peek_below(watermark).is_some_and(|p| *p < bound));
                 }
             }
             prop_assert_eq!(buf.len(), heap.len());
             prop_assert_eq!(buf.is_empty(), heap.is_empty());
         }
-        while let Some(Reverse(p)) = heap.pop() {
-            prop_assert_eq!(buf.pop().map(|p| key(&p)), Some(key(&p)));
+        while let Some(Reverse((_, t))) = heap.pop() {
+            prop_assert_eq!(buf.pop(), Some(t));
             prop_assert_eq!(buf.len(), heap.len());
         }
         prop_assert!(buf.pop().is_none());
@@ -419,7 +468,8 @@ mod tests {
         fn releases_match_a_heap_with_a_small_ring(
             ops in prop::collection::vec(op(64), 1..120),
         ) {
-            check_against_heap(64, &ops);
+            check_against_heap(64, &ops, engine_item);
+            check_against_heap(64, &ops, executor_item);
         }
     }
 
@@ -430,28 +480,29 @@ mod tests {
         fn releases_match_a_heap_with_the_full_ring(
             ops in prop::collection::vec(op(RING_CAP as u32), 1..80),
         ) {
-            check_against_heap(RING_CAP, &ops);
+            check_against_heap(RING_CAP, &ops, engine_item);
+            check_against_heap(RING_CAP, &ops, executor_item);
         }
     }
 
     #[test]
     fn late_pushes_spill_and_release_in_order() {
         let mut buf = ReorderBuffer::with_ring_cap(64);
-        buf.push(pending(10, 12, 1));
-        buf.push(pending(20, 21, 2));
+        buf.push(10, pending(10, 12, 1));
+        buf.push(20, pending(20, 21, 2));
         assert_eq!(buf.pop_below(15).map(|p| p.line), Some(1));
         assert!(buf.pop_below(15).is_none());
         // Below a walked second, into a non-empty buffer.
-        buf.push(pending(5, 30, 3));
+        buf.push(5, pending(5, 30, 3));
         // Equal start to a ring entry, with a smaller timestamp.
-        buf.push(pending(20, 20, 4));
+        buf.push(20, pending(20, 20, 4));
         assert_eq!(buf.len(), 3);
         let order: Vec<u64> = std::iter::from_fn(|| buf.pop_below(25))
             .map(|p| p.line)
             .collect();
         assert_eq!(order, [3, 4, 2]);
         // Below a walked second, into an empty buffer.
-        buf.push(pending(0, 0, 5));
+        buf.push(0, pending(0, 0, 5));
         assert_eq!(buf.pop().map(|p| p.line), Some(5));
         assert!(buf.is_empty());
     }

@@ -121,28 +121,22 @@ pub struct ReorderBuffer<T> {
 impl<T: Ord + Copy> ReorderBuffer<T> {
     /// The empty queue, with the full `RING_CAP` ring.
     pub(crate) fn new() -> Self {
-        Self::with_ring_cap(RING_CAP)
+        Self::with_span(u32::MAX)
     }
 
     /// The empty queue whose ring covers a span of `span` seconds
     /// (rounded up to a power of two, at most `RING_CAP`); an item
     /// further than that from the lowest buffered second spills. The
     /// executors pass the longest transfer, so every client completion
-    /// fits the ring and only longer relay feeds spill.
+    /// fits the ring and only longer relay feeds spill; tests pass small
+    /// spans to reach the spill paths.
     pub fn with_span(span: u32) -> Self {
-        Self::with_ring_cap((span as usize + 1).next_power_of_two().min(RING_CAP))
-    }
-
-    /// The empty queue with a ring of at most `cap` slots (a power of
-    /// two); tests use small caps to reach the spill paths.
-    fn with_ring_cap(cap: usize) -> Self {
-        debug_assert!(cap.is_power_of_two());
         Self {
             slab: Vec::new(),
             free: NIL,
             live: 0,
             ring: Vec::new(),
-            cap,
+            cap: ((span as usize).min(RING_CAP - 1) + 1).next_power_of_two(),
             floor: 0,
             lo: 0,
             hi: 0,
@@ -407,7 +401,7 @@ mod tests {
         ops: &[Op],
         item: impl Fn(u32, u32, u64) -> T,
     ) {
-        let mut buf = ReorderBuffer::with_ring_cap(cap);
+        let mut buf = ReorderBuffer::with_span(cap as u32 - 1);
         let mut heap: BinaryHeap<Reverse<(u32, T)>> = BinaryHeap::new();
         let mut line = 0u64;
         let top = |heap: &BinaryHeap<Reverse<(u32, T)>>| heap.peek().map(|&Reverse(k)| k);
@@ -487,7 +481,7 @@ mod tests {
 
     #[test]
     fn late_pushes_spill_and_release_in_order() {
-        let mut buf = ReorderBuffer::with_ring_cap(64);
+        let mut buf = ReorderBuffer::with_span(63);
         buf.push(10, pending(10, 12, 1));
         buf.push(20, pending(20, 21, 2));
         assert_eq!(buf.pop_below(15).map(|p| p.line), Some(1));

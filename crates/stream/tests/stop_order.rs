@@ -14,6 +14,11 @@
 //! mark. The text side runs at several chunk sizes, since the release
 //! cadence follows the chunking.
 //!
+//! A differential across entry points then holds every file and tap
+//! entry point (text, `ltc`, `ingest_entry`, `ingest_entries`) at several
+//! shard counts, chunk sizes, block sizes and batch sizes, in both
+//! orders, to the start-ordered text report.
+//!
 //! The engines declare the trace's longest duration upfront
 //! (`preset_lookahead`). Without it, an entry whose duration beats every
 //! duration released before it can still arrive below a released start,
@@ -102,4 +107,103 @@ fn stop_ordered_ltc_matches_start_ordered() {
     let stop = ltc_report(&stop_ordered);
     assert!(stop.memory.peak_heap_entries > 0, "the buffer must engage");
     assert_eq!(neutral(ltc_report(&start_ordered)), neutral(stop));
+}
+
+/// The report with every field that may follow the entry point zeroed:
+/// the raw line count (text counts its `#` lines), the buffer high-water
+/// mark (it follows the release cadence) and the shard echo.
+fn entry_point_neutral(mut r: StreamReport) -> String {
+    assert_eq!(r.accounting.late_entries, 0, "no entry may arrive late");
+    r.accounting.lines_total = 0;
+    r.memory.peak_heap_entries = 0;
+    r.shards = 0;
+    r.to_json()
+}
+
+/// An engine with the trace's longest duration declared upfront.
+fn engine(entries: &[LogEntry], cfg: StreamConfig) -> StreamAnalyzer {
+    let mut engine = StreamAnalyzer::new(cfg);
+    engine.preset_lookahead(max_duration(entries));
+    engine
+}
+
+/// Every file and tap entry point, in start and in stop order, produces
+/// the start-ordered text report: text at 1/2/8 shards and three chunk
+/// sizes, `ltc` at 1/2/8 shards and four block sizes (a block of 65,536
+/// holds the whole trace), one entry at a time, and batches of 37, 4,096
+/// and the whole trace.
+#[test]
+fn every_entry_point_matches_the_start_ordered_text_report() {
+    let (start_ordered, stop_ordered) = both_orders();
+    assert!(start_ordered.len() <= 65_536, "one block holds the trace");
+    let reference = {
+        let mut e = engine(&start_ordered, StreamConfig::default());
+        e.ingest_read(std::io::Cursor::new(&wms::format_log(&start_ordered)[..]))
+            .expect("in-memory read");
+        entry_point_neutral(e.finalize())
+    };
+    for (order, entries) in [("start", &start_ordered), ("stop", &stop_ordered)] {
+        let text = wms::format_log(entries);
+        for shards in [1usize, 2, 8] {
+            for chunk_bytes in [4 << 10, 64 << 10, StreamConfig::default().chunk_bytes] {
+                let mut e = engine(
+                    entries,
+                    StreamConfig {
+                        shards,
+                        chunk_bytes,
+                        ..StreamConfig::default()
+                    },
+                );
+                e.ingest_read(std::io::Cursor::new(&text[..]))
+                    .expect("in-memory read");
+                assert_eq!(
+                    entry_point_neutral(e.finalize()),
+                    reference,
+                    "{order} order, text, {shards} shards, {chunk_bytes}-byte chunks"
+                );
+            }
+            for block_records in [16usize, 64, 1024, 65_536] {
+                let mut image = Vec::new();
+                let mut writer = ltc::LtcWriter::with_block_records(&mut image, block_records)
+                    .expect("ltc writer");
+                for e in entries {
+                    writer.push(e).expect("ltc push");
+                }
+                writer.finish().expect("ltc finish");
+                let mut e = engine(
+                    entries,
+                    StreamConfig {
+                        shards,
+                        ..StreamConfig::default()
+                    },
+                );
+                e.ingest_ltc_bytes(&image).expect("in-memory ltc");
+                assert_eq!(
+                    entry_point_neutral(e.finalize()),
+                    reference,
+                    "{order} order, ltc, {shards} shards, {block_records}-record blocks"
+                );
+            }
+        }
+        let mut e = engine(entries, StreamConfig::default());
+        for entry in entries {
+            e.ingest_entry(entry);
+        }
+        assert_eq!(
+            entry_point_neutral(e.finalize()),
+            reference,
+            "{order} order, ingest_entry"
+        );
+        for batch in [37usize, 4096, entries.len()] {
+            let mut e = engine(entries, StreamConfig::default());
+            for chunk in entries.chunks(batch) {
+                e.ingest_entries(chunk);
+            }
+            assert_eq!(
+                entry_point_neutral(e.finalize()),
+                reference,
+                "{order} order, ingest_entries in batches of {batch}"
+            );
+        }
+    }
 }

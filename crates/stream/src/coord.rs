@@ -536,13 +536,9 @@ impl Coordinator {
 
     /// Consumes one released (start-ordered) kept entry.
     pub fn process(&mut self, e: &LogEntry) {
-        self.process_hashed(e, crate::sketch::hash64(u64::from(e.client.0)));
-    }
-
-    /// [`process`](Self::process) with the client hash already computed —
-    /// the fused `ltc` ingest path shares one `hash64` per entry between
-    /// the shard HyperLogLog, the client sample and the sessionizer.
-    pub fn process_hashed(&mut self, e: &LogEntry, client_hash: u64) {
+        // One hash per entry, shared by the client sample and the
+        // sessionizer.
+        let client_hash = crate::sketch::hash64(u64::from(e.client.0));
         self.released += 1;
         if e.start < self.prev_start.unwrap_or(0) {
             self.late_entries += 1;

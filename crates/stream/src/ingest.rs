@@ -1,5 +1,5 @@
-//! The streaming ingest engine: chunked parallel parse, look-ahead
-//! re-ordering, sequential coordination.
+//! The streaming ingest engine: one parse-and-release pipeline for file
+//! sources, a per-entry tap for live ones, sequential coordination.
 //!
 //! A WMS log line is written when a transfer *stops*, so a log may be
 //! stop-ordered while every order-dependent statistic wants start-ordered
@@ -16,13 +16,23 @@
 //! possible only when a duration exceeds every duration seen before it —
 //! is clamped and *counted* (`late_entries`), never dropped or fatal.
 //!
-//! Parallelism follows the PR 1 discipline: each chunk of lines is split
-//! into contiguous sub-ranges, sub-range `i` feeds shard `i`'s sketches,
-//! and shard states merge in shard-index order at the end. Per-entry
-//! sketches are commutative monoids over the entry multiset (max
-//! registers, integer counts, fixed-point sums), and every order-dependent
-//! statistic runs on the single released stream — so the report is
-//! byte-identical at any shard count.
+//! Every file source runs one pipeline. A text chunk splits into one
+//! contiguous line range per parse shard; an `ltc` container deals its
+//! blocks to the shards in rounds. Shard `i` parses or decodes its piece
+//! into its own sketches through the per-entry keep step
+//! (`RangeStats::keep`: §2.4 rules, sketches, bounds) and returns its
+//! kept entries, tagged with their line, plus one `RangeStats`. The
+//! pieces fold back in line order and release once per chunk or block:
+//! through `release_batch`, or, for a container whose footer certifies
+//! start order, straight to the coordinator. The tap entry points
+//! (`ingest_entry`, `ingest_entries`) run the same keep step on each entry
+//! and push it into the buffer, releasing on the stop-order watermark.
+//!
+//! Per-entry sketches are commutative monoids over the entry multiset
+//! (max registers, integer counts, fixed-point sums), shard states merge
+//! in shard-index order at the end, and every order-dependent statistic
+//! runs on the single released stream — so the report is byte-identical
+//! at any shard count.
 
 use crate::coord::Coordinator;
 use crate::fixed::LogMoments;
@@ -178,15 +188,8 @@ impl ShardSketches {
 
     /// Folds one kept entry into every per-entry sketch.
     fn observe(&mut self, e: &LogEntry) {
-        self.observe_hashed(e, crate::sketch::hash64(u64::from(e.client.0)));
-    }
-
-    /// [`observe`](Self::observe) with the client hash already computed —
-    /// the fused direct path shares one hash per entry between the shard
-    /// HLL and the coordinator's client-keyed structures.
-    fn observe_hashed(&mut self, e: &LogEntry, client_hash: u64) {
         self.kept += 1;
-        self.clients.insert_hash(client_hash);
+        self.clients.insert_key(u64::from(e.client.0));
         self.ips.insert_key(u64::from(e.ip.0));
         let disp = e.display_duration();
         self.length_moments.insert(disp);
@@ -236,7 +239,9 @@ impl ShardSketches {
 /// The one-pass streaming characterization engine.
 ///
 /// Feed it text with [`ingest_read`](Self::ingest_read) (any `Read`) or
-/// [`ingest_str`](Self::ingest_str), then call
+/// [`ingest_str`](Self::ingest_str), `ltc` with
+/// [`ingest_ltc`](Self::ingest_ltc), or decoded entries with
+/// [`ingest_entry`](Self::ingest_entry), then call
 /// [`finalize`](Self::finalize) for the [`StreamReport`].
 #[derive(Debug)]
 pub struct StreamAnalyzer {
@@ -246,19 +251,9 @@ pub struct StreamAnalyzer {
     coord: Coordinator,
     lines_total: u64,
     next_line: u64,
-    max_start: u32,
-    /// Start of the last kept entry queued in arrival (line) order.
-    last_start: u32,
-    /// No kept start has yet gone backwards in arrival order, so
-    /// `max_start` still bounds every future start (see the module docs).
-    starts_ordered: bool,
-    max_ts: u32,
-    max_dur: u32,
-    /// Max stop over *parsed* entries — the batch CLI's inferred horizon
-    /// is this plus one.
-    max_stop_parsed: u32,
+    /// Bounds of every entry so far, folded in arrival (line) order.
+    seen: RangeStats,
     peak_heap: usize,
-    peak_active: usize,
     corrupt_blocks: u64,
     corrupt_records: u64,
     first_corrupt: Option<String>,
@@ -267,9 +262,7 @@ pub struct StreamAnalyzer {
     line_offsets: Vec<(usize, usize)>,
     /// Reusable per-shard kept-entry buffers: shard `i` parses into
     /// `kept_scratch[i]`, keeping its capacity from chunk to chunk.
-    kept_scratch: Vec<Vec<Pending>>,
-    /// Reusable merged release buffer for the sort-based release.
-    release_scratch: Vec<Pending>,
+    kept_scratch: Vec<Vec<Kept>>,
 }
 
 impl StreamAnalyzer {
@@ -286,20 +279,13 @@ impl StreamAnalyzer {
             coord,
             lines_total: 0,
             next_line: 1,
-            max_start: 0,
-            last_start: 0,
-            starts_ordered: true,
-            max_ts: 0,
-            max_dur: 0,
-            max_stop_parsed: 0,
+            seen: RangeStats::default(),
             peak_heap: 0,
-            peak_active: 0,
             corrupt_blocks: 0,
             corrupt_records: 0,
             first_corrupt: None,
             line_offsets: Vec::new(),
             kept_scratch: Vec::new(),
-            release_scratch: Vec::new(),
         }
     }
 
@@ -327,29 +313,28 @@ impl StreamAnalyzer {
     /// it will ever deliver (e.g. `lsw-replay`, which extracted the whole
     /// schedule) can declare it upfront and make the release exact.
     pub fn preset_lookahead(&mut self, max_duration: u32) {
-        self.max_dur = self.max_dur.max(max_duration);
+        self.seen.max_dur = self.seen.max_dur.max(max_duration);
     }
 
     /// Ingests one already-decoded entry — the tap entry point for live
     /// sources (the `lsw-replay` serving harness feeds each completed
     /// transfer here as its connection drains). The entry flows through
-    /// the same §2.4 classification, shard sketches, and reorder buffer as
-    /// the text path, so a tap stream and the equivalent log text produce
-    /// the same report. The watermark release runs after every entry; when
-    /// feeding many at once, prefer [`ingest_entries`](Self::ingest_entries),
-    /// which batches it.
+    /// the same keep step and reorder buffer as the file sources, so a tap
+    /// stream and the equivalent log text produce the same report. The
+    /// watermark release runs after every entry; when feeding many at
+    /// once, prefer [`ingest_entries`](Self::ingest_entries), which
+    /// batches it.
     pub fn ingest_entry(&mut self, e: &LogEntry) {
         self.tap_entry(e);
         self.peak_heap = self.peak_heap.max(self.pending.len());
         self.release_below(self.watermark(false));
-        self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
     }
 
     /// Ingests a batch of already-decoded entries (see
     /// [`ingest_entry`](Self::ingest_entry)), deferring the look-ahead
-    /// watermark release to the end of the batch — the same cadence the
-    /// text path uses per chunk. Takes entries by reference or by value,
-    /// so a caller can stream entries it builds on the fly.
+    /// watermark release to the end of the batch. Takes entries by
+    /// reference or by value, so a caller can stream entries it builds on
+    /// the fly.
     pub fn ingest_entries<I>(&mut self, entries: I)
     where
         I: IntoIterator,
@@ -364,35 +349,17 @@ impl StreamAnalyzer {
         }
         self.peak_heap = self.peak_heap.max(self.pending.len());
         self.release_below(self.watermark(false));
-        self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
     }
 
-    /// Classifies and enqueues one decoded entry (shared tap plumbing;
-    /// callers handle the watermark release and peak accounting).
+    /// Keeps one decoded entry into shard 0 and buffers it (callers handle
+    /// the watermark release and peak accounting).
     fn tap_entry(&mut self, e: &LogEntry) {
         let line = self.next_line;
         self.next_line += 1;
         self.lines_total += 1;
-        let shard = &mut self.shards[0];
-        shard.parsed += 1;
-        self.max_stop_parsed = self.max_stop_parsed.max(e.stop());
-        match classify(e, self.cfg.horizon.unwrap_or(u32::MAX)) {
-            Some(r) => shard.rejects[reason_index(r)] += 1,
-            None => {
-                shard.observe(e);
-                self.max_start = self.max_start.max(e.start);
-                self.max_ts = self.max_ts.max(e.timestamp);
-                self.max_dur = self.max_dur.max(e.duration);
-                self.pending.push(
-                    e.start,
-                    Pending {
-                        start: e.start,
-                        timestamp: e.timestamp,
-                        line,
-                        entry: *e,
-                    },
-                );
-            }
+        let horizon = self.cfg.horizon.unwrap_or(u32::MAX);
+        if self.seen.keep(&mut self.shards[0], e, horizon) {
+            self.pending.push(e.start, Pending::new(line, *e));
         }
     }
 
@@ -410,177 +377,69 @@ impl StreamAnalyzer {
     /// Streams any [`ltc::BlockSource`] through the engine.
     ///
     /// Blocks fan out to the parse shards in rounds — block `k` of a round
-    /// decodes into shard `k`'s sketches — and each round merges back in
-    /// shard-index (= file block) order, with a watermark release after
-    /// every block so the buffer evolution is invariant to the shard count.
-    /// Containers whose footer certifies `(start, timestamp)` order skip
-    /// the reorder buffer entirely and feed the coordinator directly.
-    /// Corrupt blocks are counted and skipped, never fatal; only source
-    /// I/O failures and a non-`ltc` header abort the ingest.
+    /// decodes into shard `k`'s sketches — and each round folds back in
+    /// shard-index (= file block) order, releasing after every block so
+    /// the release cadence is invariant to the shard count. Containers
+    /// whose footer certifies `(start, timestamp)` order skip the reorder
+    /// buffer and feed the coordinator directly. Corrupt blocks are
+    /// counted and skipped, never fatal; only source I/O failures and a
+    /// non-`ltc` header abort the ingest.
     pub fn ingest_ltc<S: ltc::BlockSource>(&mut self, mut src: S) -> std::io::Result<()> {
         let index = ltc::read_index(&mut src)?;
         // A sorted container releases in record order with no look-ahead —
         // exactly what the buffer would emit — so bypass it unless entries
         // from an earlier text ingest are still pending.
         let direct = index.sorted && self.pending.is_empty();
-        let n_shards = self.cfg.shards.max(1);
+        let n_shards = self.shards.len();
         let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); n_shards];
-        let mut scratch: Vec<ltc::RecordBlock> = vec![ltc::RecordBlock::default(); n_shards];
-        let mut block_no = 0usize;
-        let mut ordinal = self.lines_total;
-        for round in index.blocks.chunks(n_shards) {
+        let mut blocks: Vec<ltc::RecordBlock> = vec![ltc::RecordBlock::default(); n_shards];
+        let horizon = self.cfg.horizon.unwrap_or(u32::MAX);
+        for (round_no, round) in index.blocks.chunks(n_shards).enumerate() {
             // Sequentially lend each block's raw bytes into a per-worker
             // buffer (one memcpy; the source owns at most one view).
-            for (buf, meta) in bufs.iter_mut().zip(round) {
+            let mut jobs = Vec::with_capacity(round.len());
+            let mut first_record = self.lines_total + 1;
+            for ((buf, block), &meta) in bufs.iter_mut().zip(&mut blocks).zip(round) {
                 let len = ltc::BLOCK_HEADER_LEN + meta.payload_len as usize;
                 buf.clear();
                 buf.extend_from_slice(src.view(meta.offset, len)?);
+                jobs.push((&buf[..], block, meta, first_record));
+                first_record += u64::from(meta.n_records);
             }
-            // Fused fast path: a sorted container on a single-block round
-            // releases in record order anyway, so decode, classify,
-            // observe and coordinate in one pass — no intermediate buffer
-            // of kept entries to fill and drain again in the same order.
-            if direct && round.len() == 1 {
-                let meta = round[0];
-                ordinal += u64::from(meta.n_records);
-                self.lines_total += u64::from(meta.n_records);
-                match self.process_ltc_block_direct(&bufs[0], meta, &mut scratch[0]) {
-                    Err(what) => {
-                        self.corrupt_blocks += 1;
-                        self.corrupt_records += u64::from(meta.n_records);
-                        if self.first_corrupt.is_none() {
-                            self.first_corrupt = Some(format!("block {block_no}: {what}"));
-                        }
-                    }
-                    Ok(max_stop) => self.max_stop_parsed = self.max_stop_parsed.max(max_stop),
-                }
-                block_no += 1;
-                self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
-                continue;
-            }
-            let mut firsts = Vec::with_capacity(round.len());
-            for meta in round {
-                firsts.push(ordinal + 1);
-                ordinal += u64::from(meta.n_records);
-            }
-            let horizon = self.cfg.horizon;
-            type BlockOut = Result<(Vec<(u64, LogEntry)>, u32), &'static str>;
-            let outputs: Vec<BlockOut> = if round.len() == 1 {
-                vec![decode_ltc_block(
-                    &bufs[0],
-                    round[0],
-                    firsts[0],
-                    horizon,
-                    &mut self.shards[0],
-                    &mut scratch[0],
-                )]
-            } else {
-                crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(bufs.iter())
-                        .zip(scratch.iter_mut())
-                        .zip(round.iter().zip(&firsts))
-                        .map(|(((shard, buf), block), (meta, &first))| {
-                            s.spawn(move || {
-                                decode_ltc_block(buf, *meta, first, horizon, shard, block)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(out) => out,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect::<Vec<_>>()
-                })
-            };
-
-            for (out, meta) in outputs.into_iter().zip(round) {
+            let outs = fan_out(
+                &mut self.shards,
+                &mut self.kept_scratch,
+                jobs,
+                |(raw, block, meta, first), shard, kept| {
+                    decode_block(raw, meta, first, horizon, shard, block, kept)
+                },
+            );
+            for (i, (out, meta)) in outs.into_iter().zip(round).enumerate() {
                 self.lines_total += u64::from(meta.n_records);
                 match out {
                     Err(what) => {
                         self.corrupt_blocks += 1;
                         self.corrupt_records += u64::from(meta.n_records);
                         if self.first_corrupt.is_none() {
+                            let block_no = round_no * n_shards + i;
                             self.first_corrupt = Some(format!("block {block_no}: {what}"));
                         }
                     }
-                    Ok((kept, max_stop)) => {
-                        self.max_stop_parsed = self.max_stop_parsed.max(max_stop);
-                        for (line, e) in kept {
-                            self.max_start = self.max_start.max(e.start);
-                            self.max_ts = self.max_ts.max(e.timestamp);
-                            self.max_dur = self.max_dur.max(e.duration);
-                            if direct {
-                                self.coord.process(&e);
-                            } else {
-                                self.starts_ordered &= e.start >= self.last_start;
-                                self.last_start = e.start;
-                                self.pending.push(
-                                    e.start,
-                                    Pending {
-                                        start: e.start,
-                                        timestamp: e.timestamp,
-                                        line,
-                                        entry: e,
-                                    },
-                                );
+                    Ok(st) => {
+                        self.seen.fold(&st);
+                        if direct {
+                            for (_, e) in &self.kept_scratch[i] {
+                                self.coord.process(e);
                             }
-                        }
-                        if !direct {
-                            self.peak_heap = self.peak_heap.max(self.pending.len());
-                            self.release_below(self.watermark(self.starts_ordered));
+                        } else {
+                            self.release_batch(i);
                         }
                     }
                 }
-                block_no += 1;
             }
-            self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
         }
-        self.next_line = ordinal + 1;
+        self.next_line = self.lines_total + 1;
         Ok(())
-    }
-
-    /// Decodes one raw block and feeds kept records straight into the
-    /// coordinator — the fused path for a sorted container, where the
-    /// per-block merge buffer would only be drained again in the same
-    /// order. Returns the block's max stop, or the corruption reason.
-    fn process_ltc_block_direct(
-        &mut self,
-        raw: &[u8],
-        meta: ltc::BlockMeta,
-        block: &mut ltc::RecordBlock,
-    ) -> Result<u32, &'static str> {
-        let header = ltc::parse_block_header(raw).ok_or("truncated block header")?;
-        if header.payload_len != meta.payload_len || header.n_records != meta.n_records {
-            return Err("block header disagrees with index");
-        }
-        let payload = &raw[ltc::BLOCK_HEADER_LEN..];
-        if !ltc::decode_block(payload, header, block) {
-            return Err("crc mismatch or undecodable columns");
-        }
-        let shard = &mut self.shards[0];
-        shard.parsed += block.len() as u64;
-        let classify_horizon = self.cfg.horizon.unwrap_or(u32::MAX);
-        let mut max_stop = 0u32;
-        for e in block.entries() {
-            max_stop = max_stop.max(e.stop());
-            match classify(&e, classify_horizon) {
-                Some(r) => shard.rejects[reason_index(r)] += 1,
-                None => {
-                    let h = crate::sketch::hash64(u64::from(e.client.0));
-                    shard.observe_hashed(&e, h);
-                    self.max_start = self.max_start.max(e.start);
-                    self.max_ts = self.max_ts.max(e.timestamp);
-                    self.max_dur = self.max_dur.max(e.duration);
-                    self.coord.process_hashed(&e, h);
-                }
-            }
-        }
-        Ok(max_stop)
     }
 
     /// The look-ahead watermark: the tightest start no future entry can
@@ -593,9 +452,9 @@ impl StreamAnalyzer {
     /// starts before, many short ones), so only the stop-order bound
     /// `max_ts − max_dur` holds.
     fn watermark(&self, start_ordered: bool) -> u32 {
-        let lookahead = self.max_ts.saturating_sub(self.max_dur);
+        let lookahead = self.seen.max_ts.saturating_sub(self.seen.max_dur);
         if start_ordered {
-            self.max_start.max(lookahead)
+            self.seen.max_start.max(lookahead)
         } else {
             lookahead
         }
@@ -626,108 +485,69 @@ impl StreamAnalyzer {
         if n_lines == 0 {
             return;
         }
-
-        let ranges = Parallelism::fixed(self.cfg.shards.max(1)).chunk_ranges(n_lines);
-        if self.kept_scratch.len() < ranges.len() {
-            self.kept_scratch.resize_with(ranges.len(), Vec::new);
+        // Each shard parses one contiguous sub-range of the chunk.
+        let offsets = &self.line_offsets;
+        let jobs = Parallelism::fixed(self.shards.len())
+            .chunk_ranges(n_lines)
+            .into_iter()
+            .map(|r| (&offsets[r.clone()], first_line + r.start as u64))
+            .collect();
+        let horizon = self.cfg.horizon.unwrap_or(u32::MAX);
+        let stats = fan_out(
+            &mut self.shards,
+            &mut self.kept_scratch,
+            jobs,
+            |(offsets, first), shard, kept| parse_range(text, offsets, first, horizon, shard, kept),
+        );
+        for st in &stats {
+            self.seen.fold(st);
         }
-        let horizon = self.cfg.horizon;
-        // Each worker parses a contiguous sub-range into shard `i`'s
-        // sketches and its reusable kept buffer, in input order.
-        let stats: Vec<RangeStats> = if ranges.len() == 1 {
-            let kept = &mut self.kept_scratch[0];
-            kept.clear();
-            vec![parse_range(
-                text,
-                &self.line_offsets[ranges[0].clone()],
-                first_line + ranges[0].start as u64,
-                horizon,
-                &mut self.shards[0],
-                kept,
-            )]
-        } else {
-            let line_offsets = &self.line_offsets;
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(self.kept_scratch.iter_mut())
-                    .zip(ranges.iter().cloned())
-                    .map(|((shard, kept), range)| {
-                        s.spawn(move || {
-                            kept.clear();
-                            let first = first_line + range.start as u64;
-                            parse_range(text, &line_offsets[range], first, horizon, shard, kept)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(out) => out,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect::<Vec<_>>()
-            })
-        };
-
-        for st in stats {
-            self.max_stop_parsed = self.max_stop_parsed.max(st.max_stop);
-            self.max_start = self.max_start.max(st.max_start);
-            self.max_ts = self.max_ts.max(st.max_ts);
-            self.max_dur = self.max_dur.max(st.max_dur);
-            // Ranges fold in line order, so one range's first kept start
-            // follows the previous range's last.
-            if let Some(first) = st.first_start {
-                self.starts_ordered &= !st.starts_regressed && first >= self.last_start;
-                self.last_start = st.last_start;
+        // The chunk releases as one batch: the ranges concatenate, in line
+        // order, into shard 0's buffer.
+        if let Some((first, rest)) = self.kept_scratch[..stats.len()].split_first_mut() {
+            for kept in rest {
+                first.extend_from_slice(kept);
             }
         }
-        // Concatenate the shard outputs in shard order (= line order) and
-        // release through the sort path.
-        self.release_scratch.clear();
-        for i in 0..ranges.len() {
-            self.release_scratch
-                .extend_from_slice(&self.kept_scratch[i]);
-        }
-        self.release_batch();
+        self.release_batch(0);
     }
 
-    /// Releases a freshly parsed batch below the look-ahead watermark.
+    /// Releases the kept entries in shard `shard`'s buffer below the
+    /// look-ahead watermark.
     ///
     /// Equivalent to pushing every entry through the reorder buffer and
     /// releasing below the watermark, but without buffering the entries
-    /// that leave at once: the batch is sorted by the `(start, timestamp,
-    /// line)` key — text logs arrive nearly start-ordered, so the
-    /// pattern-defeating sort runs close to linear — then merged with the
-    /// buffered entries below the watermark in key order. Only the batch
-    /// tail (the final start cohort or look-ahead window) enters the
-    /// buffer.
-    fn release_batch(&mut self) {
-        self.release_scratch.sort_unstable();
-        let watermark = self.watermark(self.starts_ordered);
-        let mut i = 0;
-        while i < self.release_scratch.len() && self.release_scratch[i].start < watermark {
-            let p = &self.release_scratch[i];
+    /// that leave at once: the batch is sorted in place by the `(start,
+    /// timestamp, line)` key — text logs arrive nearly start-ordered, so
+    /// the pattern-defeating sort runs close to linear — and its prefix
+    /// below the watermark is merged with the buffered entries in key
+    /// order. Only the batch tail (the final start cohort or look-ahead
+    /// window) enters the buffer.
+    fn release_batch(&mut self, shard: usize) {
+        let mut batch = std::mem::take(&mut self.kept_scratch[shard]);
+        batch.sort_unstable_by_key(|&(line, e)| (e.start, e.timestamp, line));
+        let watermark = self.watermark(!self.seen.starts_regressed);
+        let cut = batch.partition_point(|(_, e)| e.start < watermark);
+        for &(line, e) in &batch[..cut] {
+            let p = Pending::new(line, e);
             // Buffered entries that sort before this one release first,
             // preserving the exact single-buffer order.
-            while self.pending.peek_below(watermark).is_some_and(|h| h < p) {
+            while self.pending.peek_below(watermark).is_some_and(|h| *h < p) {
                 let Some(h) = self.pending.pop_below(watermark) else {
                     break;
                 };
                 self.coord.process(&h.entry);
             }
-            self.coord.process(&p.entry);
-            i += 1;
+            self.coord.process(&e);
         }
         // Leftover buffered entries below the watermark sort after every
         // entry released above; the batch tail joins the buffer.
         self.release_below(watermark);
-        for p in &self.release_scratch[i..] {
-            self.pending.push(p.start, *p);
+        for &(line, e) in &batch[cut..] {
+            self.pending.push(e.start, Pending::new(line, e));
         }
         self.peak_heap = self.peak_heap.max(self.pending.len());
-        self.peak_active = self.peak_active.max(self.coord.peak_active_sessions());
+        self.kept_scratch[shard] = batch;
     }
 
     /// Ends the stream and assembles the report.
@@ -738,7 +558,7 @@ impl StreamAnalyzer {
         let horizon = self
             .cfg
             .horizon
-            .unwrap_or_else(|| self.max_stop_parsed.saturating_add(1));
+            .unwrap_or_else(|| self.seen.max_stop.saturating_add(1));
         let (underload_time, underload_transfers) = self.coord.finish(horizon);
 
         // Merge shard sketches in shard-index order.
@@ -843,46 +663,125 @@ impl StreamAnalyzer {
             memory: MemoryFootprint {
                 sketch_bytes: sketch_bytes as u64,
                 peak_heap_entries: self.peak_heap as u64,
-                peak_active_sessions: self.peak_active.max(coord.peak_active_sessions()) as u64,
+                peak_active_sessions: coord.peak_active_sessions() as u64,
             },
         }
     }
 }
 
-/// Parses one contiguous line range into `shard`, returning kept entries
-/// in input order plus the max parsed stop time (for horizon inference).
-///
-/// Lines are raw bytes and go straight through the zero-copy scanner
-/// ([`wms::parse_line_bytes`]) — no `String` is ever materialized on this
-/// path.
-/// Per-sub-range maxima folded back into the analyzer after a parallel
-/// parse pass.
-#[derive(Default)]
+/// What the entries of one parse shard's piece bound, in line order: the
+/// maxima the watermark and the inferred horizon need, and whether kept
+/// starts arrived in order. The analyzer folds the pieces into one
+/// running value for the whole stream.
+#[derive(Debug, Default, Clone, Copy)]
 struct RangeStats {
+    /// Max stop over *parsed* entries — the batch CLI's inferred horizon
+    /// is this plus one.
     max_stop: u32,
     max_start: u32,
     max_ts: u32,
     max_dur: u32,
-    /// Starts of the range's first and last kept entries, in line order.
+    /// Starts of the first and last kept entries, in line order.
     first_start: Option<u32>,
     last_start: u32,
-    /// Some kept start fell below its predecessor in the range.
+    /// Some kept start fell below its predecessor.
     starts_regressed: bool,
 }
 
+impl RangeStats {
+    /// The per-entry keep step every source shares: counts the parse,
+    /// applies the §2.4 rules against `horizon`, and folds a kept entry
+    /// into `shard`'s sketches and these bounds. Returns whether it was
+    /// kept.
+    ///
+    /// With an inferred horizon the two horizon rules cannot fire (every
+    /// duration and start is below `max stop + 1`), which a `horizon` of
+    /// `u32::MAX` reproduces without knowing the maximum in advance.
+    fn keep(&mut self, shard: &mut ShardSketches, e: &LogEntry, horizon: u32) -> bool {
+        shard.parsed += 1;
+        self.max_stop = self.max_stop.max(e.stop());
+        if let Some(r) = classify(e, horizon) {
+            shard.rejects[reason_index(r)] += 1;
+            return false;
+        }
+        shard.observe(e);
+        self.max_start = self.max_start.max(e.start);
+        self.max_ts = self.max_ts.max(e.timestamp);
+        self.max_dur = self.max_dur.max(e.duration);
+        self.first_start.get_or_insert(e.start);
+        self.starts_regressed |= e.start < self.last_start;
+        self.last_start = e.start;
+        true
+    }
+
+    /// Folds in the bounds of the piece that follows in line order.
+    fn fold(&mut self, next: &Self) {
+        self.max_stop = self.max_stop.max(next.max_stop);
+        self.max_start = self.max_start.max(next.max_start);
+        self.max_ts = self.max_ts.max(next.max_ts);
+        self.max_dur = self.max_dur.max(next.max_dur);
+        if let Some(first) = next.first_start {
+            self.first_start.get_or_insert(first);
+            self.starts_regressed |= next.starts_regressed || first < self.last_start;
+            self.last_start = next.last_start;
+        }
+    }
+}
+
+/// A kept entry, tagged with its text line number or `ltc` record ordinal.
+type Kept = (u64, LogEntry);
+
+/// Runs one job per parse shard — job `i` on shard `i`'s sketches and
+/// kept buffer, which it clears first — on scoped threads when there are
+/// several, and returns the results in shard order.
+fn fan_out<J: Send, R: Send>(
+    shards: &mut [ShardSketches],
+    kept: &mut Vec<Vec<Kept>>,
+    jobs: Vec<J>,
+    work: impl Fn(J, &mut ShardSketches, &mut Vec<Kept>) -> R + Sync,
+) -> Vec<R> {
+    let run = |((shard, kept), job): ((&mut ShardSketches, &mut Vec<Kept>), J)| {
+        // The job fills a buffer header on its own stack: the headers in
+        // `kept` share a cache line, and a push writes its header's length.
+        let mut buf = std::mem::take(kept);
+        buf.clear();
+        let out = work(job, shard, &mut buf);
+        *kept = buf;
+        out
+    };
+    kept.resize_with(shards.len(), Vec::new);
+    let slots = shards.iter_mut().zip(kept.iter_mut()).zip(jobs);
+    if slots.len() == 1 {
+        return slots.map(run).collect();
+    }
+    crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = slots.map(|slot| s.spawn(|| run(slot))).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
+}
+
+/// Parses one contiguous line range into `shard`, appending kept entries
+/// to `kept` in line order.
+///
+/// Lines are raw bytes and go straight through the zero-copy scanner
+/// ([`wms::parse_line_bytes`]) — no `String` is ever materialized on this
+/// path.
 fn parse_range(
     text: &[u8],
     offsets: &[(usize, usize)],
     first_line: u64,
-    horizon: Option<u32>,
+    horizon: u32,
     shard: &mut ShardSketches,
-    kept: &mut Vec<Pending>,
+    kept: &mut Vec<Kept>,
 ) -> RangeStats {
     let mut st = RangeStats::default();
-    // With an inferred horizon the two horizon rules cannot fire (every
-    // duration and start is below `max stop + 1`), which `u32::MAX`
-    // reproduces without knowing the maximum in advance.
-    let classify_horizon = horizon.unwrap_or(u32::MAX);
+    kept.reserve(offsets.len());
     for (i, &(s, e)) in offsets.iter().enumerate() {
         let line_no = first_line + i as u64;
         let raw = text[s..e].trim_ascii();
@@ -891,27 +790,8 @@ fn parse_range(
         }
         match wms::parse_line_bytes(raw) {
             Ok(entry) => {
-                shard.parsed += 1;
-                st.max_stop = st.max_stop.max(entry.stop());
-                match classify(&entry, classify_horizon) {
-                    Some(r) => shard.rejects[reason_index(r)] += 1,
-                    None => {
-                        shard.observe(&entry);
-                        st.max_start = st.max_start.max(entry.start);
-                        st.max_ts = st.max_ts.max(entry.timestamp);
-                        st.max_dur = st.max_dur.max(entry.duration);
-                        if st.first_start.is_none() {
-                            st.first_start = Some(entry.start);
-                        }
-                        st.starts_regressed |= entry.start < st.last_start;
-                        st.last_start = entry.start;
-                        kept.push(Pending {
-                            start: entry.start,
-                            timestamp: entry.timestamp,
-                            line: line_no,
-                            entry,
-                        });
-                    }
+                if st.keep(shard, &entry, horizon) {
+                    kept.push((line_no, entry));
                 }
             }
             Err(mut err) => {
@@ -927,22 +807,19 @@ fn parse_range(
     st
 }
 
-/// Kept entries in record order, tagged with 1-based record ordinals,
-/// plus the block's max stop time.
-type DecodedBlock = (Vec<(u64, LogEntry)>, u32);
-
-/// Decodes one raw `ltc` block (header + payload bytes) into `block`,
-/// classifies every record and folds kept entries into `shard`; returns
-/// kept entries in record order (tagged with 1-based record ordinals from
-/// `first_record`) plus the block's max stop, or the corruption reason.
-fn decode_ltc_block(
+/// Checks one raw `ltc` block (header + payload bytes) against its index
+/// entry, decodes it into `block` and keeps its records into `shard`,
+/// appending kept ones to `kept` tagged with 1-based record ordinals from
+/// `first_record`; an error names the corruption.
+fn decode_block(
     raw: &[u8],
     meta: ltc::BlockMeta,
     first_record: u64,
-    horizon: Option<u32>,
+    horizon: u32,
     shard: &mut ShardSketches,
     block: &mut ltc::RecordBlock,
-) -> Result<DecodedBlock, &'static str> {
+    kept: &mut Vec<Kept>,
+) -> Result<RangeStats, &'static str> {
     let header = ltc::parse_block_header(raw).ok_or("truncated block header")?;
     if header.payload_len != meta.payload_len || header.n_records != meta.n_records {
         return Err("block header disagrees with index");
@@ -951,21 +828,14 @@ fn decode_ltc_block(
     if !ltc::decode_block(payload, header, block) {
         return Err("crc mismatch or undecodable columns");
     }
-    shard.parsed += block.len() as u64;
-    let classify_horizon = horizon.unwrap_or(u32::MAX);
-    let mut kept = Vec::with_capacity(block.len());
-    let mut max_stop = 0u32;
+    let mut st = RangeStats::default();
+    kept.reserve(block.len());
     for (i, e) in block.entries().enumerate() {
-        max_stop = max_stop.max(e.stop());
-        match classify(&e, classify_horizon) {
-            Some(r) => shard.rejects[reason_index(r)] += 1,
-            None => {
-                shard.observe(&e);
-                kept.push((first_record + i as u64, e));
-            }
+        if st.keep(shard, &e, horizon) {
+            kept.push((first_record + i as u64, e));
         }
     }
-    Ok((kept, max_stop))
+    Ok(st)
 }
 
 #[cfg(test)]

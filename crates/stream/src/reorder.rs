@@ -52,6 +52,19 @@ pub(crate) struct Pending {
     pub(crate) entry: LogEntry,
 }
 
+impl Pending {
+    /// `entry`, read at `line` (a text line number or an `ltc` record
+    /// ordinal).
+    pub(crate) fn new(line: u64, entry: LogEntry) -> Self {
+        Self {
+            start: entry.start,
+            timestamp: entry.timestamp,
+            line,
+            entry,
+        }
+    }
+}
+
 // The line number is unique, so the key triple is a total order; the
 // payload entry never participates in comparisons.
 impl PartialEq for Pending {

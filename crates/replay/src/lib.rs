@@ -52,7 +52,7 @@ pub use driver::{drive, DriveOutcome, DriverConfig};
 pub use metrics::{Registry, Snapshot};
 pub use server::{ReplayServer, ServeOutcome, ServerConfig, SlowClientPolicy};
 pub use slab::{Key, Slab};
-pub use virt::{pacing_profile, run_virtual, PacingProfile, VirtualOutcome};
+pub use virt::{run_virtual, VirtualOutcome};
 pub use wheel::{TimerId, TimingWheel};
 
 /// Wire status logged for transfers the admission policy turned away.

@@ -27,10 +27,8 @@
 //! and [`StreamConfig`] produce byte-identical JSON reports, at any shard
 //! count (the tap's own determinism guarantee).
 
-use crate::clock::{trace_to_nanos, Nanos};
 use crate::metrics::Registry;
-use crate::wheel::TimingWheel;
-use crate::{payload, proto, STATUS_REJECTED};
+use crate::STATUS_REJECTED;
 use lsw_sim::server::{AdmissionPolicy, MediaServer, ServerConfig, ServerStats};
 use lsw_stream::reorder::ReorderBuffer;
 use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
@@ -117,90 +115,6 @@ pub fn run_virtual(
         completed,
         rejected,
         bytes_served,
-    }
-}
-
-/// Pacing accuracy measured in virtual time: every admitted transfer's
-/// reactor pacing deadlines are scheduled on a [`TimingWheel`] and the
-/// wheel is driven event-to-event, recording `|fire − deadline|` per
-/// step exactly as the live reactor's `srv.pacing_error_ns` histogram
-/// does. All percentiles are strictly below the wheel resolution by the
-/// wheel's quantization contract — this is the harness that pins it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PacingProfile {
-    /// Pacing steps simulated (wheel fires).
-    pub steps: u64,
-    /// Median absolute pacing error, nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile absolute pacing error, nanoseconds.
-    pub p99_ns: u64,
-    /// Worst absolute pacing error, nanoseconds.
-    pub max_ns: u64,
-    /// Wheel resolution the profile ran at, nanoseconds.
-    pub resolution_ns: u64,
-}
-
-/// One simulated subscriber's pacing cursor.
-struct Paced {
-    join: Nanos,
-    rate: u64,
-    budget: u64,
-    sent: u64,
-}
-
-/// Simulates the reactor's per-connection pacing schedule for the whole
-/// schedule on a wheel of the given resolution (see [`PacingProfile`]).
-pub fn pacing_profile(schedule: &Schedule, compression: f64, resolution: Nanos) -> PacingProfile {
-    const BURST: u64 = payload::BLOCK as u64;
-    let mut wheel: TimingWheel<Paced> = TimingWheel::with_resolution(resolution);
-    let t0 = schedule.transfers.first().map_or(0, |t| t.start);
-    for t in &schedule.transfers {
-        let budget = proto::wire_budget(t.bytes, compression);
-        if budget == 0 {
-            continue;
-        }
-        let p = Paced {
-            join: trace_to_nanos(t.start - t0, compression),
-            rate: t.byte_rate().max(1),
-            budget,
-            sent: 0,
-        };
-        let first = p
-            .join
-            .saturating_add(proto::pacing_deadline(p.rate, BURST.min(budget)));
-        wheel.schedule(first, p);
-    }
-    let mut errors: Vec<u64> = Vec::new();
-    let mut fired: Vec<(Nanos, Paced)> = Vec::new();
-    while let Some(bound) = wheel.next_deadline() {
-        wheel.advance(bound, &mut fired);
-        for (deadline, mut p) in fired.drain(..) {
-            errors.push(bound.abs_diff(deadline));
-            // The fire grants the chunk the deadline was computed for.
-            p.sent = (p.sent + BURST).min(p.budget);
-            if p.sent < p.budget {
-                let chunk = BURST.min(p.budget - p.sent);
-                let next = p
-                    .join
-                    .saturating_add(proto::pacing_deadline(p.rate, p.sent + chunk));
-                wheel.schedule(next, p);
-            }
-        }
-    }
-    if errors.is_empty() {
-        return PacingProfile {
-            resolution_ns: wheel.resolution(),
-            ..PacingProfile::default()
-        };
-    }
-    errors.sort_unstable();
-    let pick = |q: f64| errors[((errors.len() - 1) as f64 * q) as usize];
-    PacingProfile {
-        steps: errors.len() as u64,
-        p50_ns: pick(0.50),
-        p99_ns: pick(0.99),
-        max_ns: errors[errors.len() - 1],
-        resolution_ns: wheel.resolution(),
     }
 }
 
@@ -306,24 +220,5 @@ mod tests {
         );
         assert_eq!(out.completed, 2);
         assert_eq!(out.rejected, 0);
-    }
-
-    #[test]
-    fn pacing_profile_error_stays_under_the_wheel_resolution() {
-        let s = schedule();
-        let res = 1 << 17;
-        let p = pacing_profile(&s, 100.0, res);
-        assert!(p.steps > 0);
-        assert_eq!(p.resolution_ns, res);
-        assert!(
-            p.p99_ns < res,
-            "p99 pacing error {} must stay under the wheel resolution {res}",
-            p.p99_ns
-        );
-        assert!(p.max_ns < res, "quantization bounds the worst case too");
-        // And it is deterministic.
-        let q = pacing_profile(&s, 100.0, res);
-        assert_eq!(p.steps, q.steps);
-        assert_eq!(p.p99_ns, q.p99_ns);
     }
 }

@@ -12,8 +12,8 @@
 //! `deadline >> shift`, clamped to the tick after `now` (nothing fires
 //! in the past). [`TimingWheel::advance`] delivers every pending entry
 //! with `tick <= now_tick` in the total order `(tick, insertion seq)`,
-//! independent of cascade timing — the property the reactor's pacing,
-//! `virt::pacing_profile` and the proptest oracle all rely on.
+//! independent of cascade timing — the property the reactor's pacing and
+//! the proptest oracle rely on.
 //!
 //! **Placement invariant.** An entry lands at the *smallest* level
 //! whose parent slot fields of `tick` and `now` agree (the
@@ -46,7 +46,7 @@ struct Entry<T> {
 }
 
 /// The wheel. `T` is the per-timer payload (the reactor schedules slab
-/// keys; `pacing_profile` schedules simulated pacing cursors).
+/// keys).
 #[derive(Debug)]
 pub struct TimingWheel<T> {
     /// Resolution exponent: one tick is `1 << shift` nanoseconds.
@@ -78,11 +78,6 @@ impl<T> TimingWheel<T> {
             occupied: [0; LEVELS],
             batch: Vec::new(),
         }
-    }
-
-    /// One tick, in nanoseconds.
-    pub fn resolution(&self) -> Nanos {
-        1 << self.shift
     }
 
     /// Live entries (scheduled and not yet fired or cancelled).
@@ -146,7 +141,7 @@ impl<T> TimingWheel<T> {
     /// bound in nanoseconds: exact for level-0 entries, the slot-start
     /// bound for coarser levels. Sleeping until this bound never
     /// oversleeps a deadline; a wake that fires nothing re-arms at a
-    /// refined bound (at most [`LEVELS`] spurious wakes per deadline).
+    /// refined bound (at most `LEVELS` spurious wakes per deadline).
     pub fn next_deadline(&self) -> Option<Nanos> {
         if self.pending.is_empty() {
             return None;
@@ -394,5 +389,35 @@ mod tests {
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_eq!(seqs, sorted);
+    }
+
+    #[test]
+    fn event_driven_fires_land_within_one_tick_of_their_deadlines() {
+        // Driven the reactor's way — advance to `next_deadline`, re-arm
+        // each fired pacing cursor further out — every entry fires less
+        // than one tick from its deadline, from whichever level it
+        // cascades.
+        let res = 1 << 17;
+        let mut w = TimingWheel::with_resolution(res);
+        for i in 0..200u64 {
+            w.schedule(1_000_000 + i * 7_919_993 + (i % 7) * (1 << 30), (i, 0u32));
+        }
+        let mut fired = Vec::new();
+        let mut fires = 0;
+        while let Some(bound) = w.next_deadline() {
+            w.advance(bound, &mut fired);
+            for (deadline, (i, n)) in fired.drain(..) {
+                assert!(
+                    bound.abs_diff(deadline) < res,
+                    "cursor {i} fired at {bound} for deadline {deadline}"
+                );
+                fires += 1;
+                if n < 5 {
+                    // More than two ticks out, so never in the past.
+                    w.schedule(deadline + (i + 1) * 3_000_017, (i, n + 1));
+                }
+            }
+        }
+        assert_eq!(fires, 200 * 6);
     }
 }

@@ -238,7 +238,7 @@ const PAR_SINKS: &[&str] = &["reduce", "reduce_with", "sum", "unordered_fold"];
 /// applying allow comments. This covers the per-file rules
 /// (L001–L006, L009, L011); the interprocedural rules (L007, L008) and
 /// stale-allow hygiene (L010) need the whole-workspace pass in
-/// [`crate::analyze`].
+/// [`crate::analyze_sources`].
 pub fn lint_source(class: &FileClass, src: &str) -> Vec<Diagnostic> {
     let lexed = lex(src);
     let items = items::extract(&lexed.tokens);

@@ -411,7 +411,7 @@ impl StreamAnalyzer {
                 &mut self.kept_scratch,
                 jobs,
                 |(raw, block, meta, first), shard, kept| {
-                    decode_block(raw, meta, first, horizon, shard, block, kept)
+                    decode_ltc_block(raw, meta, first, horizon, shard, block, kept)
                 },
             );
             for (i, (out, meta)) in outs.into_iter().zip(round).enumerate() {
@@ -811,7 +811,7 @@ fn parse_range(
 /// entry, decodes it into `block` and keeps its records into `shard`,
 /// appending kept ones to `kept` tagged with 1-based record ordinals from
 /// `first_record`; an error names the corruption.
-fn decode_block(
+fn decode_ltc_block(
     raw: &[u8],
     meta: ltc::BlockMeta,
     first_record: u64,

@@ -129,8 +129,10 @@ impl Broadcast {
     }
 
     /// Appends a `len`-byte chunk at the live edge and returns its
-    /// descriptor; evicts whole chunks from the tail while over either
-    /// retention bound. Zero-length pushes are ignored (`None`).
+    /// descriptor. Whole chunks are evicted from the tail first, while the
+    /// window counting the new chunk is over either retention bound; the
+    /// new chunk itself always stays. Zero-length pushes are ignored
+    /// (`None`).
     pub fn push(&mut self, len: u64) -> Option<Chunk> {
         if len == 0 || self.closed {
             return None;
@@ -143,18 +145,14 @@ impl Broadcast {
         self.next_seq += 1;
         self.head += len;
         self.retained += len;
-        self.chunks.push_back(chunk);
-        while self.chunks.len() > 1
-            && (self.retained > self.capacity || self.chunks.len() > MAX_CHUNKS)
-        {
-            match self.chunks.pop_front() {
-                Some(evicted) => {
-                    self.retained -= evicted.len;
-                    self.base = evicted.offset + evicted.len;
-                }
-                None => break, // unreachable: len > 1 just checked
-            }
+        while self.retained > self.capacity || self.chunks.len() >= MAX_CHUNKS {
+            let Some(evicted) = self.chunks.pop_front() else {
+                break;
+            };
+            self.retained -= evicted.len;
+            self.base = evicted.offset + evicted.len;
         }
+        self.chunks.push_back(chunk);
         Some(chunk)
     }
 
@@ -162,11 +160,6 @@ impl Broadcast {
     /// the live edge poll [`Poll::End`] instead of [`Poll::Pending`].
     pub fn close(&mut self) {
         self.closed = true;
-    }
-
-    /// Whether the producer has closed the feed.
-    pub fn is_closed(&self) -> bool {
-        self.closed
     }
 
     /// A new cursor at the live edge: the mid-stream join point.

@@ -57,11 +57,6 @@ impl Gauge {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Raises the level to at least `v` (for peak tracking).
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current level.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -15,7 +15,7 @@ pub struct Exponential {
 
 impl Exponential {
     /// Creates an exponential with rate `lambda > 0`.
-    pub fn new(lambda: f64) -> Result<Self, ParamError> {
+    pub(crate) fn new(lambda: f64) -> Result<Self, ParamError> {
         if !(lambda > 0.0) || !lambda.is_finite() {
             return Err(ParamError::new(format!(
                 "Exponential requires lambda > 0, got {lambda}"
@@ -32,11 +32,6 @@ impl Exponential {
             )));
         }
         Ok(Self { lambda: 1.0 / mean })
-    }
-
-    /// Rate parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 }
 
@@ -94,7 +89,6 @@ mod tests {
     fn with_mean_matches_rate() {
         let d = Exponential::with_mean(203_150.0).unwrap();
         assert!((d.mean() - 203_150.0).abs() < 1e-6);
-        assert!((d.lambda() - 1.0 / 203_150.0).abs() < 1e-15);
     }
 
     #[test]

@@ -22,23 +22,13 @@ pub struct Gamma {
 
 impl Gamma {
     /// Creates a gamma with shape `k > 0` and scale `theta > 0`.
-    pub fn new(k: f64, theta: f64) -> Result<Self, ParamError> {
+    pub(crate) fn new(k: f64, theta: f64) -> Result<Self, ParamError> {
         if !(k > 0.0) || !k.is_finite() || !(theta > 0.0) || !theta.is_finite() {
             return Err(ParamError::new(format!(
                 "Gamma requires k > 0 and theta > 0, got k={k}, theta={theta}"
             )));
         }
         Ok(Self { k, theta })
-    }
-
-    /// Shape parameter.
-    pub fn shape(&self) -> f64 {
-        self.k
-    }
-
-    /// Scale parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Marsaglia–Tsang sampler for shape >= 1 (standard scale).

@@ -18,7 +18,7 @@ pub struct Geometric {
 
 impl Geometric {
     /// Creates a geometric with success probability `0 < p <= 1`.
-    pub fn new(p: f64) -> Result<Self, ParamError> {
+    pub(crate) fn new(p: f64) -> Result<Self, ParamError> {
         if !(p > 0.0 && p <= 1.0) {
             return Err(ParamError::new(format!(
                 "Geometric requires 0 < p <= 1, got {p}"
@@ -35,11 +35,6 @@ impl Geometric {
             )));
         }
         Self::new(1.0 / mean)
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
     }
 }
 

@@ -25,26 +25,6 @@ impl LogNormal {
         }
         Ok(Self { mu, sigma })
     }
-
-    /// Log-location parameter (mean of `ln X`).
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Log-scale parameter (std dev of `ln X`).
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Median `e^mu`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
-
-    /// Mode `e^{mu - sigma²}`.
-    pub fn mode(&self) -> f64 {
-        (self.mu - self.sigma * self.sigma).exp()
-    }
 }
 
 impl Sample for LogNormal {
@@ -123,8 +103,7 @@ mod tests {
         // mean = exp(mu + sigma^2/2)
         assert!((d.mean() - (1.0 + 0.5 * 0.5625f64).exp()).abs() < 1e-12);
         // median = e^mu
-        assert!((d.median() - 1.0f64.exp()).abs() < 1e-12);
-        assert!((d.cdf(d.median()) - 0.5).abs() < 1e-6);
+        assert!((d.cdf(1.0f64.exp()) - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -141,7 +120,7 @@ mod tests {
         // Sanity numbers for the Table 2 transfer-length distribution:
         // median e^4.383921 ≈ 80 s, mean ≈ e^{mu + sigma^2/2} ≈ 222 s.
         let d = LogNormal::new(paper::TRANSFER_LENGTH_MU, paper::TRANSFER_LENGTH_SIGMA).unwrap();
-        assert!((d.median() - 80.15).abs() < 0.5);
+        assert!((d.quantile(0.5) - 80.15).abs() < 0.5);
         assert!((d.mean() - 221.9).abs() < 2.0);
     }
 }

@@ -26,26 +26,8 @@ impl Normal {
         Ok(Self { mu, sigma })
     }
 
-    /// Standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self {
-            mu: 0.0,
-            sigma: 1.0,
-        }
-    }
-
-    /// Location parameter.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Scale parameter.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Draws one standard-normal variate via Box–Muller.
-    pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    pub(crate) fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         let u1 = u01_open0(rng); // (0, 1]: safe for ln
         let u2 = u01(rng);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -24,16 +24,6 @@ impl Pareto {
         }
         Ok(Self { xm, alpha })
     }
-
-    /// Scale (minimum) parameter.
-    pub fn xm(&self) -> f64 {
-        self.xm
-    }
-
-    /// Shape (tail index) parameter.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl Sample for Pareto {

@@ -29,11 +29,6 @@ impl Poisson {
         Ok(Self { lambda })
     }
 
-    /// Mean parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     fn sample_knuth<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let l = (-self.lambda).exp();
         let mut k = 0u64;

@@ -25,16 +25,6 @@ impl Weibull {
         }
         Ok(Self { lambda, k })
     }
-
-    /// Scale parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Shape parameter.
-    pub fn shape(&self) -> f64 {
-        self.k
-    }
 }
 
 impl Sample for Weibull {

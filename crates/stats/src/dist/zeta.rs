@@ -31,16 +31,6 @@ impl Zeta {
             zeta_alpha: riemann_zeta(alpha),
         })
     }
-
-    /// Tail exponent.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Normalization constant `ζ(alpha)`.
-    pub fn normalization(&self) -> f64 {
-        self.zeta_alpha
-    }
 }
 
 impl Discrete for Zeta {
@@ -125,7 +115,7 @@ mod tests {
         let d = Zeta::new(2.70417).unwrap();
         // CDF at a large k should approach 1.
         assert!(d.cdf_k(100_000) > 0.99999);
-        assert!((d.pmf(1) - 1.0 / d.normalization()).abs() < 1e-12);
+        assert!((d.pmf(1) - 1.0 / riemann_zeta(2.70417)).abs() < 1e-12);
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl Summary {
 }
 
 /// Linear-interpolation quantile of a pre-sorted slice.
-pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty slice");
     let p = p.clamp(0.0, 1.0);
     let pos = p * (sorted.len() - 1) as f64;
@@ -136,7 +136,7 @@ impl Ecdf {
     }
 
     /// Number of observations.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.sorted.len()
     }
 
@@ -156,11 +156,6 @@ impl Ecdf {
         }
         let below = self.sorted.partition_point(|&v| v < x);
         (self.sorted.len() - below) as f64 / self.sorted.len() as f64
-    }
-
-    /// Quantile by linear interpolation.
-    pub fn quantile(&self, p: f64) -> f64 {
-        quantile_sorted(&self.sorted, p)
     }
 
     /// Step points `(x_i, i/n)` with duplicates collapsed — ready to plot.
@@ -198,7 +193,7 @@ impl Ecdf {
     }
 
     /// Sorted backing data (for fitters that want order statistics).
-    pub fn sorted(&self) -> &[f64] {
+    pub(crate) fn sorted(&self) -> &[f64] {
         &self.sorted
     }
 }
@@ -242,7 +237,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates an empty histogram with the given binning.
-    pub fn new(binning: Binning) -> Self {
+    pub(crate) fn new(binning: Binning) -> Self {
         let edges = match binning {
             Binning::Linear { lo, hi, nbins } => {
                 assert!(lo < hi && nbins >= 1, "invalid linear binning");
@@ -289,7 +284,7 @@ impl Histogram {
     }
 
     /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         self.total += 1;
         let first = self.edges[0];
         // lsw::allow(L005): constructor guarantees at least two edges
@@ -315,16 +310,6 @@ impl Histogram {
         self.counts[idx] += 1;
     }
 
-    /// Number of bins.
-    pub fn nbins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Bin edges (`nbins + 1` values).
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
     /// Raw counts per bin.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -346,7 +331,7 @@ impl Histogram {
     }
 
     /// Geometric (log bins) or arithmetic (linear bins) bin centers.
-    pub fn centers(&self) -> Vec<f64> {
+    pub(crate) fn centers(&self) -> Vec<f64> {
         self.edges
             .windows(2)
             .map(|w| match self.binning {
@@ -358,25 +343,13 @@ impl Histogram {
 
     /// Relative frequency per bin: `count / total`. This matches the
     /// "Frequency" axis of the paper's marginal plots.
-    pub fn frequencies(&self) -> Vec<f64> {
+    pub(crate) fn frequencies(&self) -> Vec<f64> {
         if self.total == 0 {
             return vec![0.0; self.counts.len()];
         }
         self.counts
             .iter()
             .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// Density per bin: `count / (total · width)` — integrates to ≤ 1.
-    pub fn densities(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.edges
-            .windows(2)
-            .zip(&self.counts)
-            .map(|(w, &c)| c as f64 / (self.total as f64 * (w[1] - w[0])))
             .collect()
     }
 
@@ -441,15 +414,6 @@ impl RankFrequency {
             .map(|(i, &c)| ((i + 1) as f64, c as f64))
             .collect()
     }
-
-    /// Fraction of the total commanded by the top `k` entities.
-    pub fn top_k_share(&self, k: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let s: u64 = self.counts.iter().take(k).sum();
-        s as f64 / self.total as f64
-    }
 }
 
 #[cfg(test)]
@@ -509,7 +473,6 @@ mod tests {
             },
             &[0.5, 1.5, 2.5, 2.6, 9.9, 10.0, -1.0, 11.0],
         );
-        assert_eq!(h.nbins(), 5);
         assert_eq!(h.counts(), &[2, 2, 0, 0, 2]);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
@@ -523,7 +486,7 @@ mod tests {
             hi: 1_000.0,
             per_decade: 2,
         });
-        assert_eq!(h.nbins(), 6);
+        assert_eq!(h.counts().len(), 6);
         let mut h = h;
         h.add(1.0);
         h.add(5.0);
@@ -537,25 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn densities_integrate_to_one() {
-        let h = Histogram::from_data(
-            Binning::Linear {
-                lo: 0.0,
-                hi: 1.0,
-                nbins: 10,
-            },
-            &(0..1000).map(|i| i as f64 / 1000.0).collect::<Vec<_>>(),
-        );
-        let integral: f64 = h
-            .densities()
-            .iter()
-            .zip(h.edges().windows(2))
-            .map(|(d, w)| d * (w[1] - w[0]))
-            .sum();
-        assert!((integral - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn rank_frequency_sorts_and_normalizes() {
         let rf = RankFrequency::from_counts(vec![5, 0, 20, 10]);
         assert_eq!(rf.n(), 3);
@@ -565,7 +509,5 @@ mod tests {
         assert_eq!(rf.count_at(4), None);
         let pts = rf.points();
         assert_eq!(pts[0], (1.0, 20.0 / 35.0));
-        assert!((rf.top_k_share(2) - 30.0 / 35.0).abs() < 1e-12);
-        assert_eq!(rf.top_k_share(100), 1.0);
     }
 }

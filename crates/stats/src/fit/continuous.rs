@@ -74,35 +74,6 @@ pub fn fit_exponential(data: &[f64]) -> Result<ExponentialFit, FitError> {
     })
 }
 
-/// Fitted normal parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NormalFit {
-    /// Mean.
-    pub mu: f64,
-    /// Standard deviation.
-    pub sigma: f64,
-    /// Observations used.
-    pub n: usize,
-}
-
-/// MLE normal fit (sample mean / population std dev).
-pub fn fit_normal(data: &[f64]) -> Result<NormalFit, FitError> {
-    if data.len() < 2 {
-        return Err(FitError::new("normal fit needs >= 2 observations"));
-    }
-    let n = data.len() as f64;
-    let mu = data.iter().sum::<f64>() / n;
-    let var = data.iter().map(|&x| (x - mu).powi(2)).sum::<f64>() / n;
-    if var <= 0.0 {
-        return Err(FitError::new("normal fit: zero variance"));
-    }
-    Ok(NormalFit {
-        mu,
-        sigma: var.sqrt(),
-        n: data.len(),
-    })
-}
-
 /// Fitted Pareto parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ParetoFit {
@@ -306,15 +277,5 @@ mod tests {
         assert!(fit_gamma(&[1.0]).is_err());
         assert!(fit_gamma(&[1.0, -2.0]).is_err());
         assert!(fit_gamma(&[3.0, 3.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn normal_recovers_params() {
-        let d = crate::dist::Normal::new(-3.0, 2.5).unwrap();
-        let mut rng = SeedStream::new(305).rng("fit-norm");
-        let xs = d.sample_n(&mut rng, 100_000);
-        let f = fit_normal(&xs).unwrap();
-        assert!((f.mu + 3.0).abs() < 0.03);
-        assert!((f.sigma - 2.5).abs() < 0.03);
     }
 }

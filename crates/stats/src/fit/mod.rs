@@ -10,11 +10,9 @@ mod continuous;
 mod tail;
 mod zipf;
 
-pub use continuous::{
-    fit_exponential, fit_gamma, fit_lognormal, fit_normal, fit_pareto, fit_weibull, ExponentialFit,
-    GammaFit, LogNormalFit, NormalFit, ParetoFit, WeibullFit,
-};
-pub use tail::{hill_estimator, two_regime_tail, TwoRegimeTail};
+pub use continuous::{fit_exponential, fit_lognormal, ExponentialFit, LogNormalFit};
+pub(crate) use continuous::{fit_gamma, fit_pareto, fit_weibull};
+pub use tail::{two_regime_tail, TwoRegimeTail};
 pub use zipf::{fit_zipf_points, fit_zipf_rank_frequency, ZipfFit};
 
 use serde::{Deserialize, Serialize};
@@ -99,24 +97,14 @@ pub enum Family {
 pub struct ModelChoice {
     /// Winning family (smallest KS distance).
     pub family: Family,
-    /// KS distance of each candidate, in [`ModelChoice::CANDIDATES`] order.
+    /// KS distance of each family that could be fitted, in [`Family`]
+    /// declaration order.
     pub ks_distances: Vec<(Family, f64)>,
-}
-
-impl ModelChoice {
-    /// The candidate families considered, in evaluation order.
-    pub const CANDIDATES: [Family; 5] = [
-        Family::LogNormal,
-        Family::Exponential,
-        Family::Pareto,
-        Family::Weibull,
-        Family::Gamma,
-    ];
 }
 
 impl Family {
     /// Number of free parameters the family's fit estimates.
-    pub fn n_params(self) -> usize {
+    pub(crate) fn n_params(self) -> usize {
         match self {
             Family::Exponential => 1,
             Family::LogNormal | Family::Pareto | Family::Weibull | Family::Gamma => 2,

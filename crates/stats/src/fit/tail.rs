@@ -2,38 +2,10 @@
 //!
 //! Fig 17 of the paper reads *two* tail exponents off the transfer
 //! interarrival CCDF: α ≈ 2.8 for interarrivals up to 100 s and α ≈ 1
-//! beyond. [`two_regime_tail`] reproduces that measurement; the Hill
-//! estimator provides an independent check on the far tail.
+//! beyond. [`two_regime_tail`] reproduces that measurement.
 
 use super::{linear_regression, FitError};
 use serde::{Deserialize, Serialize};
-
-/// Hill estimator of the tail index from the top `k` order statistics.
-///
-/// For `P[X > x] ~ x^{-alpha}`, returns the estimate of `alpha`.
-/// `data` need not be sorted. Requires `2 <= k < data.len()` and positive
-/// upper order statistics.
-pub fn hill_estimator(data: &[f64], k: usize) -> Result<f64, FitError> {
-    if data.len() < 3 || k < 2 || k >= data.len() {
-        return Err(FitError::new(format!(
-            "Hill estimator needs 2 <= k < n, got k={k}, n={}",
-            data.len()
-        )));
-    }
-    let mut sorted = data.to_vec();
-    sorted.sort_unstable_by(|a, b| b.total_cmp(a)); // descending
-    let xk = sorted[k];
-    if !(xk > 0.0) {
-        return Err(FitError::new(
-            "Hill estimator requires positive order statistics",
-        ));
-    }
-    let mean_log: f64 = sorted[..k].iter().map(|&x| (x / xk).ln()).sum::<f64>() / k as f64;
-    if !(mean_log > 0.0) {
-        return Err(FitError::new("Hill estimator: degenerate upper tail"));
-    }
-    Ok(1.0 / mean_log)
-}
 
 /// Result of the Fig 17 two-regime CCDF tail analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,25 +65,6 @@ pub fn two_regime_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Pareto, Sample};
-    use crate::rng::SeedStream;
-
-    #[test]
-    fn hill_recovers_pareto_index() {
-        let d = Pareto::new(1.0, 1.5).unwrap();
-        let mut rng = SeedStream::new(501).rng("hill");
-        let xs = d.sample_n(&mut rng, 100_000);
-        let alpha = hill_estimator(&xs, 5_000).unwrap();
-        assert!((alpha - 1.5).abs() < 0.1, "alpha {alpha}");
-    }
-
-    #[test]
-    fn hill_rejects_bad_k() {
-        let xs = vec![1.0, 2.0, 3.0];
-        assert!(hill_estimator(&xs, 1).is_err());
-        assert!(hill_estimator(&xs, 3).is_err());
-        assert!(hill_estimator(&[], 2).is_err());
-    }
 
     #[test]
     fn two_regimes_from_synthetic_ccdf() {

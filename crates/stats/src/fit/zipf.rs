@@ -22,12 +22,7 @@ pub struct ZipfFit {
     pub n_points: usize,
 }
 
-impl ZipfFit {
-    /// Predicted frequency at rank `k`.
-    pub fn predict(&self, k: f64) -> f64 {
-        self.prefactor * k.powf(-self.alpha)
-    }
-}
+impl ZipfFit {}
 
 /// Fits a Zipf law to explicit `(rank, frequency)` points.
 ///

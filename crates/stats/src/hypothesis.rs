@@ -27,7 +27,7 @@ impl TestResult {
 /// KS distance between a *sorted* sample and a theoretical CDF.
 ///
 /// `D = sup_x |F_n(x) − F(x)|`, evaluated at the jump points.
-pub fn ks_distance(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
+pub(crate) fn ks_distance(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
     let n = sorted.len() as f64;
     let mut d: f64 = 0.0;
     for (i, &x) in sorted.iter().enumerate() {
@@ -99,13 +99,15 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Result<TestResult, FitError> {
 
 /// Chi-square goodness-of-fit test from observed and expected bin counts.
 ///
-/// Bins with expected count below `min_expected` (conventionally 5) are
-/// pooled into their neighbor. `ddof` is the number of parameters estimated
-/// from the data (subtracted from the degrees of freedom along with 1).
+/// Bins with expected count below 5 are pooled into their neighbor. `ddof`
+/// is the number of parameters estimated from the data (subtracted from
+/// the degrees of freedom along with 1). Only tests call it: it is the
+/// reference check on `ZipfTable`'s sampler.
 ///
 /// Errors on mismatched bin vectors or when pooling leaves too few bins
 /// for the requested degrees of freedom.
-pub fn chi_square_test(
+#[cfg(test)]
+pub(crate) fn chi_square_test(
     observed: &[f64],
     expected: &[f64],
     ddof: usize,

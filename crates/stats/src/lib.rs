@@ -5,15 +5,13 @@
 //! Media Workload"* (Veloso et al., IMC 2002), implemented from scratch:
 //!
 //! * **Distributions** ([`dist`]) — lognormal, exponential, bounded Zipf,
-//!   zeta, Pareto, normal, Poisson, geometric, Weibull, mixtures and
-//!   empirical distributions, all with sampling, densities, CDFs, quantiles
-//!   and moments.
-//! * **Arrival processes** ([`process`]) — homogeneous Poisson, the paper's
-//!   *piecewise-stationary* Poisson process, general non-homogeneous Poisson
-//!   via thinning, and ON/OFF renewal processes.
+//!   zeta, Pareto, normal, Poisson, geometric, Weibull and gamma, all with
+//!   sampling, densities, CDFs, quantiles and moments.
+//! * **Arrival processes** ([`process`]) — homogeneous Poisson and the
+//!   paper's *piecewise-stationary* Poisson process.
 //! * **Estimators** ([`fit`]) — maximum-likelihood fits (lognormal,
-//!   exponential, normal, Pareto), log-log least-squares Zipf fits, Hill tail
-//!   estimation and simple model selection.
+//!   exponential, plus Pareto, Weibull and gamma for model selection),
+//!   log-log least-squares Zipf fits and the Fig 17 two-regime tail.
 //! * **Empirical statistics** ([`empirical`]) — summary moments, ECDF/CCDF,
 //!   linear and logarithmic histograms, rank-frequency tables.
 //! * **Time series** ([`timeseries`]) — fixed-width binning, periodic folding
@@ -31,6 +29,10 @@
 //!
 //! The paper's published parameters are collected in [`paper`] so the rest of
 //! the workspace can refer to a single source of truth.
+//!
+//! The crate exports only what some caller outside it uses; helpers such as
+//! the special functions are crate-private, so `dead_code` reports the
+//! first one nobody calls.
 //!
 //! ## Example
 //!
@@ -65,7 +67,7 @@ pub mod par;
 pub mod process;
 pub mod rng;
 pub mod selfsim;
-pub mod special;
+mod special;
 pub mod timeseries;
 
 pub use dist::Sample;

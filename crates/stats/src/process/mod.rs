@@ -3,14 +3,9 @@
 //! The paper's central modeling claim (§3.4) is that client arrivals follow
 //! a **piecewise-stationary Poisson process**: a strong diurnal profile sets
 //! the mean rate per 15-minute window, and within a window arrivals are
-//! Poisson. [`PiecewisePoisson`] implements exactly that; [`ThinnedPoisson`]
-//! handles arbitrary (programmable) rate functions via Lewis–Shedler
-//! thinning, which is how GISMO's "user-supplied diurnal function" extension
-//! is realized; [`OnOff`] generates the session-layer ON/OFF alternation of
-//! Figure 1.
+//! Poisson. [`PiecewisePoisson`] implements exactly that; [`PoissonProcess`]
+//! is the homogeneous special case the stored-media generator draws from.
 
-mod onoff;
 mod poisson;
 
-pub use onoff::{OnOff, OnOffInterval};
-pub use poisson::{PiecewisePoisson, PiecewiseRate, PoissonProcess, RateFn, ThinnedPoisson};
+pub use poisson::{PiecewisePoisson, PiecewiseRate, PoissonProcess};

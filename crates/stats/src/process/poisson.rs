@@ -1,4 +1,4 @@
-//! Poisson arrival processes: homogeneous, piecewise-stationary, thinned.
+//! Poisson arrival processes: homogeneous and piecewise-stationary.
 
 use crate::dist::{Discrete, ParamError, Poisson};
 use crate::rng::{u01, u01_open0};
@@ -21,11 +21,6 @@ impl PoissonProcess {
         Ok(Self { rate })
     }
 
-    /// Arrival rate (events per second).
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Generates sorted arrival times in `[t0, t1)` via exponential gaps.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, t0: f64, t1: f64) -> Vec<f64> {
         assert!(t0 <= t1, "empty interval");
@@ -40,15 +35,6 @@ impl PoissonProcess {
         }
         out
     }
-}
-
-/// A time-varying arrival rate function.
-pub trait RateFn {
-    /// Instantaneous rate at time `t` (events per second, >= 0).
-    fn rate(&self, t: f64) -> f64;
-
-    /// An upper bound on the rate over `[t0, t1)` (for thinning).
-    fn max_rate(&self, t0: f64, t1: f64) -> f64;
 }
 
 /// Piecewise-constant rate: `rates[i]` applies on
@@ -86,19 +72,10 @@ impl PiecewiseRate {
         })
     }
 
-    /// Window width in seconds.
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    /// The raw per-window rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Total covered duration of one pass over the profile.
-    pub fn span(&self) -> f64 {
-        self.rates.len() as f64 * self.window
+    /// Rate at time `t` (events per second); 0 before the profile starts
+    /// and, unless periodic, after it ends.
+    pub(crate) fn rate(&self, t: f64) -> f64 {
+        self.index_at(t).map_or(0.0, |i| self.rates[i])
     }
 
     fn index_at(&self, t: f64) -> Option<usize> {
@@ -113,16 +90,6 @@ impl PiecewiseRate {
         } else {
             None
         }
-    }
-}
-
-impl RateFn for PiecewiseRate {
-    fn rate(&self, t: f64) -> f64 {
-        self.index_at(t).map_or(0.0, |i| self.rates[i])
-    }
-
-    fn max_rate(&self, _t0: f64, _t1: f64) -> f64 {
-        self.rates.iter().cloned().fold(0.0, f64::max)
     }
 }
 
@@ -141,11 +108,6 @@ impl PiecewisePoisson {
     /// Creates the process from a rate profile.
     pub fn new(profile: PiecewiseRate) -> Self {
         Self { profile }
-    }
-
-    /// The rate profile.
-    pub fn profile(&self) -> &PiecewiseRate {
-        &self.profile
     }
 
     /// Generates sorted arrival times in `[t0, t1)`.
@@ -189,48 +151,6 @@ impl PiecewisePoisson {
             wstart = wend;
         }
         total
-    }
-}
-
-/// Lewis–Shedler thinning for arbitrary rate functions.
-///
-/// Generates a homogeneous process at the bounding rate and keeps each
-/// arrival at `t` with probability `rate(t) / max_rate`. This is the
-/// mechanism behind GISMO's programmable (user-supplied) diurnal profiles.
-pub struct ThinnedPoisson<F: RateFn> {
-    rate_fn: F,
-}
-
-impl<F: RateFn> ThinnedPoisson<F> {
-    /// Wraps a rate function.
-    pub fn new(rate_fn: F) -> Self {
-        Self { rate_fn }
-    }
-
-    /// The underlying rate function.
-    pub fn rate_fn(&self) -> &F {
-        &self.rate_fn
-    }
-
-    /// Generates sorted arrival times in `[t0, t1)`.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, t0: f64, t1: f64) -> Vec<f64> {
-        assert!(t0 <= t1, "empty interval");
-        let lambda_max = self.rate_fn.max_rate(t0, t1);
-        if !(lambda_max > 0.0) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut t = t0;
-        loop {
-            t += -u01_open0(rng).ln() / lambda_max;
-            if t >= t1 {
-                break;
-            }
-            if u01(rng) * lambda_max < self.rate_fn.rate(t) {
-                out.push(t);
-            }
-        }
-        out
     }
 }
 
@@ -281,7 +201,6 @@ mod tests {
         assert_eq!(r.rate(-5.0), 0.0);
         let r2 = PiecewiseRate::new(vec![1.0, 2.0], 10.0, false).unwrap();
         assert_eq!(r2.rate(25.0), 0.0); // beyond the profile, non-periodic
-        assert_eq!(r2.max_rate(0.0, 100.0), 2.0);
     }
 
     #[test]
@@ -324,34 +243,5 @@ mod tests {
         let pp = PiecewisePoisson::new(profile);
         assert!((pp.expected_count(0.0, 200.0) - 400.0).abs() < 1e-9);
         assert!((pp.expected_count(50.0, 150.0) - (50.0 + 150.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thinning_matches_piecewise() {
-        // The same profile generated by thinning must produce statistically
-        // indistinguishable counts.
-        let profile = PiecewiseRate::new(vec![0.5, 5.0], 1_000.0, true).unwrap();
-        let thin = ThinnedPoisson::new(profile);
-        let mut rng = SeedStream::new(705).rng("thin");
-        let arrivals = thin.generate(&mut rng, 0.0, 20_000.0);
-        let counts = bin_counts(&arrivals, 1_000.0, 20_000.0);
-        let lo_mean = counts.iter().step_by(2).map(|&c| c as f64).sum::<f64>() / 10.0;
-        let hi_mean = counts
-            .iter()
-            .skip(1)
-            .step_by(2)
-            .map(|&c| c as f64)
-            .sum::<f64>()
-            / 10.0;
-        assert!((lo_mean - 500.0).abs() < 100.0, "lo {lo_mean}");
-        assert!((hi_mean - 5_000.0).abs() < 300.0, "hi {hi_mean}");
-    }
-
-    #[test]
-    fn thinning_zero_rate_yields_nothing() {
-        let profile = PiecewiseRate::new(vec![0.0], 100.0, true).unwrap();
-        let thin = ThinnedPoisson::new(profile);
-        let mut rng = SeedStream::new(706).rng("thin0");
-        assert!(thin.generate(&mut rng, 0.0, 1_000.0).is_empty());
     }
 }

@@ -46,11 +46,6 @@ impl SeedStream {
         Self { master }
     }
 
-    /// Returns the master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives the substream seed for `label`.
     pub fn seed(&self, label: &str) -> u64 {
         fnv1a_with(self.master, label.as_bytes())
@@ -111,7 +106,7 @@ pub fn u01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Draws a uniform `f64` in `(0, 1]` — safe to pass to `ln()`.
 #[inline]
-pub fn u01_open0<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn u01_open0<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     1.0 - u01(rng)
 }
 

@@ -205,15 +205,6 @@ impl CpuAudit {
         };
         (time, transfers)
     }
-
-    /// Live window size (non-empty bins currently held).
-    pub fn window_bins(&self) -> usize {
-        self.ring
-            .iter()
-            .flatten()
-            .map(|b| b.counts.iter().filter(|&&n| n > 0).count())
-            .sum()
-    }
 }
 
 /// Number of 15-minute bins in a day (the paper's piecewise window).
@@ -612,11 +603,6 @@ impl Coordinator {
             .filter(|&(_, &n)| n > 0)
             .map(|(k, &n)| (k as f64, n as f64 / total as f64))
             .collect()
-    }
-
-    /// Currently open sessions.
-    pub fn active_sessions(&self) -> usize {
-        self.sessionizer.active_len()
     }
 
     /// High-water mark of open sessions.

@@ -49,11 +49,6 @@ impl FixedSum {
     pub fn value(&self) -> f64 {
         self.raw as f64 / SCALE
     }
-
-    /// True when nothing has been added (or additions cancelled exactly).
-    pub fn is_zero(&self) -> bool {
-        self.raw == 0
-    }
 }
 
 /// Streaming first and second log-moments for lognormal fitting.

@@ -810,13 +810,6 @@ pub struct LineChunk {
 }
 
 impl LineChunk {
-    /// The chunk as text, replacing invalid UTF-8 — diagnostics only; the
-    /// ingest path parses [`bytes`](Self::bytes) directly.
-    pub fn text_lossy(&self) -> std::borrow::Cow<'_, str> {
-        // lsw::allow(L006): diagnostics helper, never called by ingest
-        String::from_utf8_lossy(&self.bytes)
-    }
-
     /// Number of lines in the chunk (a final unterminated line counts).
     pub fn line_count(&self) -> usize {
         let mut lines = self.bytes.iter().filter(|&&b| b == b'\n').count();

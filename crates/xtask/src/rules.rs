@@ -911,17 +911,26 @@ const GROW_METHODS: &[&str] = &[
     "push_front",
 ];
 
-/// Identifier evidence that a capacity check dominates a growth site:
-/// a length/capacity probe, or a named bound (`MAX_*`, `*_LIMIT`,
-/// `budget`, …) consulted earlier in the same function.
-fn is_capacity_guard(name: &str) -> bool {
-    if name == "len" || name == "capacity" || name == "is_full" || name == "truncate" {
-        return true;
-    }
-    let lower = name.to_ascii_lowercase();
-    ["max", "limit", "budget", "bound", "cap"]
-        .iter()
-        .any(|p| lower.contains(p))
+/// Probes that count as a capacity check when called on the growing
+/// field itself (`<field>.len()`); on anything else they prove nothing.
+const CAPACITY_PROBES: &[&str] = &["len", "capacity", "is_full", "truncate"];
+
+/// Evidence that a capacity check dominates a growth site on `field`:
+/// in `toks` (the enclosing fn body up to the site), either a probe called
+/// on that field, or a named bound (`MAX_*`, `*_LIMIT`, `budget`, …).
+fn is_capacity_guard(toks: &[Token], field: &str) -> bool {
+    toks.iter().enumerate().any(|(j, t)| {
+        let Some(name) = t.ident() else {
+            return false;
+        };
+        if CAPACITY_PROBES.contains(&name) {
+            return j >= 2 && toks[j - 1].is_punct('.') && toks[j - 2].ident() == Some(field);
+        }
+        let lower = name.to_ascii_lowercase();
+        ["max", "limit", "budget", "bound", "cap"]
+            .iter()
+            .any(|p| lower.contains(p))
+    })
 }
 
 /// L009: growable-container mutation on struct/variant fields in
@@ -967,12 +976,7 @@ fn rule_l009(ctx: &Ctx<'_>, items: &Items, diags: &mut Vec<Diagnostic>) {
             .iter()
             .filter_map(|f| f.body.filter(|&(a, b)| a < k && k < b))
             .max_by_key(|&(a, _)| a);
-        let guarded = encl.is_some_and(|(a, _)| {
-            toks[a..k]
-                .iter()
-                .filter_map(Token::ident)
-                .any(is_capacity_guard)
-        });
+        let guarded = encl.is_some_and(|(a, _)| is_capacity_guard(&toks[a..k], field));
         if !guarded {
             ctx.flag(
                 diags,

@@ -200,6 +200,78 @@ fn l009_fixture_positive_allowed_negative() {
     assert!(report.exemptions.iter().any(|e| e.rule == "L009"));
 }
 
+fn l009_lines(class: &FileClass, src: &str) -> Vec<usize> {
+    lint_source(class, src)
+        .into_iter()
+        .filter(|d| d.rule == RuleId::L009)
+        .map(|d| d.line)
+        .collect()
+}
+
+fn bounded_class() -> FileClass {
+    FileClass {
+        bounded_mem: true,
+        ..fixture_class()
+    }
+}
+
+#[test]
+fn l009_probe_on_another_container_is_no_guard() {
+    let src = "struct Backlog { q: Vec<u8> }\n\
+               impl Backlog {\n\
+                   fn add(&mut self, b: u8, other: &[u8]) {\n\
+                       if other.len() > 4 { return; }\n\
+                       self.q.push(b);\n\
+                   }\n\
+               }";
+    assert_eq!(l009_lines(&bounded_class(), src), [5]);
+}
+
+#[test]
+fn l009_probe_on_the_growing_field_against_a_bound_is_a_guard() {
+    let src = "struct Backlog { q: Vec<u8> }\n\
+               impl Backlog {\n\
+                   fn add(&mut self, b: u8) {\n\
+                       if self.q.len() < MAX {\n\
+                           self.q.push(b);\n\
+                       }\n\
+                   }\n\
+               }";
+    assert!(l009_lines(&bounded_class(), src).is_empty());
+}
+
+/// A real workspace file rather than a synthetic fixture: the broadcast
+/// ring evicts down to `MAX_CHUNKS` before it appends. Moving the append
+/// ahead of that check must make L009 fire at the append in
+/// `Broadcast::push`, although the method's parameter is named `len`.
+#[test]
+fn l009_fires_when_the_ring_appends_before_its_eviction_check() {
+    let rel = "crates/edge/src/ring.rs";
+    let path = workspace::workspace_root().join(rel);
+    let src = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    let class = workspace::classify(rel);
+    assert!(class.bounded_mem, "{rel} left the bounded-memory contract");
+    assert!(l009_lines(&class, &src).is_empty());
+
+    let append = "        self.chunks.push_back(chunk);\n";
+    let counted = "        self.retained += len;\n";
+    assert_eq!(src.matches(append).count(), 1, "append moved in {rel}");
+    assert_eq!(src.matches(counted).count(), 1, "accounting moved in {rel}");
+    let unguarded = src
+        .replacen(append, "", 1)
+        .replacen(counted, &format!("{counted}{append}"), 1);
+    let push_line = 1 + unguarded[..unguarded.find(append).expect("append kept")]
+        .matches('\n')
+        .count();
+    let push_fn = unguarded
+        .find("pub fn push(")
+        .map(|at| 1 + unguarded[..at].matches('\n').count())
+        .expect("Broadcast::push");
+    assert!(push_fn < push_line && push_line < push_fn + 20);
+    assert_eq!(l009_lines(&class, &unguarded), [push_line]);
+}
+
 #[test]
 fn l010_fixture_positive_allowed_negative() {
     let report = analyze_fixture("l010.rs", fixture_class());

@@ -311,6 +311,71 @@ mod tests {
         assert_eq!(ring.head(), 10);
     }
 
+    #[test]
+    fn push_assigns_dense_seqs_and_contiguous_offsets() {
+        let mut ring = Broadcast::new(1 << 20);
+        let chunks: Vec<Chunk> = [10, 20, 5].iter().filter_map(|&n| ring.push(n)).collect();
+        let expect = [(0, 0, 10), (1, 10, 20), (2, 30, 5)];
+        for (c, &(seq, offset, len)) in chunks.iter().zip(&expect) {
+            assert_eq!(*c, Chunk { seq, offset, len });
+        }
+        assert_eq!(ring.head(), 35);
+    }
+
+    #[test]
+    fn ready_range_is_clamped_and_partial_commits_resume() {
+        let mut ring = Broadcast::new(1 << 20);
+        let mut cur = ring.join();
+        ring.push(100);
+        assert_eq!(ring.poll(&mut cur, 30), Poll::Ready { offset: 0, len: 30 });
+        ring.commit(&mut cur, 12);
+        assert_eq!(cur.offset(), 12);
+        assert_eq!(ring.lag(&cur), 88);
+        assert_eq!(
+            ring.poll(&mut cur, 500),
+            Poll::Ready {
+                offset: 12,
+                len: 88
+            }
+        );
+    }
+
+    #[test]
+    fn retained_bytes_always_span_base_to_head() {
+        let mut ring = Broadcast::new(50);
+        for len in [7, 30, 1, 44, 90, 3, 3, 12] {
+            ring.push(len);
+            assert_eq!(ring.retained, ring.head() - ring.base());
+            assert_eq!(
+                ring.chunks.front().map_or(ring.head(), |c| c.offset),
+                ring.base()
+            );
+        }
+    }
+
+    #[test]
+    fn descriptor_cap_evicts_the_oldest_chunk_first() {
+        let mut ring = Broadcast::new(u64::MAX);
+        for _ in 0..=MAX_CHUNKS {
+            ring.push(1);
+        }
+        assert_eq!(ring.chunks.len(), MAX_CHUNKS);
+        assert_eq!(ring.base(), 1);
+        assert_eq!(ring.head(), MAX_CHUNKS as u64 + 1);
+    }
+
+    #[test]
+    fn closed_ring_still_serves_the_retained_suffix() {
+        let mut ring = Broadcast::new(1 << 20);
+        let mut cur = ring.join();
+        ring.push(25);
+        ring.close();
+        assert_eq!(ring.poll(&mut cur, 64), Poll::Ready { offset: 0, len: 25 });
+        ring.commit(&mut cur, 25);
+        assert_eq!(ring.poll(&mut cur, 64), Poll::End);
+        assert_eq!(ring.poll(&mut ring.join(), 64), Poll::End);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -456,6 +456,63 @@ mod tests {
     }
 
     #[test]
+    fn zero_and_one_share_the_lowest_bucket() {
+        let h = LogHistogram::default();
+        h.record(0);
+        h.record(1);
+        let f = h.freeze();
+        assert_eq!(f.count(), 2);
+        // Bucket 0 covers [0, 2); its representative is floored at 1.
+        assert_eq!(f.quantile(0.0), Some(1.0));
+        assert_eq!(f.quantile(1.0), Some(1.0));
+    }
+
+    #[test]
+    fn quantile_clamps_q_to_the_unit_interval() {
+        let h = LogHistogram::default();
+        for v in [3u64, 300, 30_000] {
+            h.record(v);
+        }
+        let f = h.freeze();
+        assert_eq!(f.quantile(-1.0), f.quantile(0.0));
+        assert_eq!(f.quantile(7.0), f.quantile(1.0));
+        assert!(f.quantile(0.0) < f.quantile(1.0));
+    }
+
+    #[test]
+    fn snapshot_lookups_respect_the_metric_kind() {
+        let r = Registry::new();
+        r.counter("hits").add(3);
+        let h = r.histogram("lat");
+        h.record(10);
+        h.record(20);
+        let snap = r.snapshot();
+        assert_eq!(snap.histogram("hits"), None);
+        assert_eq!(snap.histogram("lat").map(|(n, ..)| n), Some(2));
+        assert_eq!(
+            snap.value("lat"),
+            Some(2),
+            "a histogram's value is its count"
+        );
+        assert_eq!(snap.value("missing"), None);
+    }
+
+    #[test]
+    fn json_keys_follow_registration_order() {
+        let r = Registry::new();
+        r.gauge("z.level").set(4);
+        r.counter("a.total").add(9);
+        r.histogram("m.lat").record(100);
+        let serde_json::Value::Object(fields) = r.snapshot().to_json() else {
+            panic!("snapshot JSON is an object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["z.level", "a.total", "m.lat"]);
+        assert_eq!(fields[0].1, serde_json::Value::U64(4));
+        assert_eq!(fields[1].1, serde_json::Value::U64(9));
+    }
+
+    #[test]
     fn concurrent_updates_are_not_lost() {
         let r = Registry::new();
         let c = r.counter("n");

@@ -230,6 +230,51 @@ mod tests {
     }
 
     #[test]
+    fn model_selection_needs_ten_observations() {
+        let xs: Vec<f64> = (1..10).map(f64::from).collect();
+        let err = select_model(&xs).unwrap_err();
+        assert!(err.to_string().starts_with("fit error: "), "{err}");
+        assert!(select_model(&[xs.as_slice(), &[10.0]].concat()).is_ok());
+    }
+
+    #[test]
+    fn model_selection_scores_every_family_in_declaration_order() {
+        let d = LogNormal::new(1.0, 0.5).unwrap();
+        let mut rng = SeedStream::new(203).rng("select3");
+        let xs = d.sample_n(&mut rng, 2_000);
+        let choice = select_model(&xs).unwrap();
+        let families: Vec<Family> = choice.ks_distances.iter().map(|f| f.0).collect();
+        let declared = [
+            Family::LogNormal,
+            Family::Exponential,
+            Family::Pareto,
+            Family::Weibull,
+            Family::Gamma,
+        ];
+        assert_eq!(families, declared);
+        let best = choice
+            .ks_distances
+            .iter()
+            .map(|f| f.1)
+            .fold(f64::INFINITY, f64::min);
+        let won = choice
+            .ks_distances
+            .iter()
+            .find(|f| f.0 == choice.family)
+            .unwrap();
+        assert!(won.1 - best <= 0.5 / (xs.len() as f64).sqrt());
+    }
+
+    #[test]
+    fn model_selection_prefers_pareto_for_pareto_data() {
+        let d = crate::dist::Pareto::new(1.0, 1.2).unwrap();
+        let mut rng = SeedStream::new(204).rng("select4");
+        let xs = d.sample_n(&mut rng, 20_000);
+        let choice = select_model(&xs).unwrap();
+        assert_eq!(choice.family, Family::Pareto, "{:?}", choice.ks_distances);
+    }
+
+    #[test]
     fn model_selection_prefers_exponential_for_exponential_data() {
         let d = crate::dist::Exponential::with_mean(203_150.0).unwrap();
         let mut rng = SeedStream::new(202).rng("select2");

@@ -92,6 +92,45 @@ mod tests {
         assert!(t.r2_short > 0.999 && t.r2_long > 0.999);
     }
 
+    /// A Fig 17-shaped CCDF (slope -2.8 on [1, 100], -1 beyond) with a
+    /// flat body (slope -0.2) on [0.1, 1).
+    fn kinked_ccdf_with_body() -> Vec<(f64, f64)> {
+        let body = (1..10).map(|i| 0.1 * i as f64).map(|x| (x, x.powf(-0.2)));
+        let short = (0..=40)
+            .map(|i| 10f64.powf(i as f64 / 20.0))
+            .map(|x| (x, x.powf(-2.8)));
+        let c = 100f64.powf(-1.8);
+        let long = (1..=40).map(|i| 100.0 * 1.1f64.powi(i)).map(|x| (x, c / x));
+        body.chain(short).chain(long).collect()
+    }
+
+    #[test]
+    fn min_x_drops_the_body_from_the_short_regime() {
+        let pts = kinked_ccdf_with_body();
+        let t = two_regime_tail(&pts, 100.0, 1.0).unwrap();
+        assert!(
+            (t.alpha_short - 2.8).abs() < 1e-9,
+            "short {}",
+            t.alpha_short
+        );
+        assert!((t.alpha_long - 1.0).abs() < 1e-9, "long {}", t.alpha_long);
+        let with_body = two_regime_tail(&pts, 100.0, 0.0).unwrap();
+        assert!(
+            with_body.alpha_short < 2.7,
+            "body kept: {}",
+            with_body.alpha_short
+        );
+    }
+
+    #[test]
+    fn zero_probability_points_are_skipped() {
+        let pts = kinked_ccdf_with_body();
+        let mut padded = pts.clone();
+        padded.extend([(50.0, 0.0), (5e3, 0.0), (-1.0, 0.5)]);
+        let t = two_regime_tail(&pts, 100.0, 1.0).unwrap();
+        assert_eq!(two_regime_tail(&padded, 100.0, 1.0).unwrap(), t);
+    }
+
     #[test]
     fn two_regimes_need_points_on_both_sides() {
         let pts = vec![(1.0, 0.9), (2.0, 0.5), (3.0, 0.2)];

@@ -238,6 +238,29 @@ mod tests {
     }
 
     #[test]
+    fn homogeneous_arrivals_stay_inside_the_interval() {
+        let p = PoissonProcess::new(3.0).unwrap();
+        let mut rng = SeedStream::new(705).rng("pp3");
+        let arrivals = p.generate(&mut rng, 5.0, 50.0);
+        assert!(!arrivals.is_empty());
+        assert!(arrivals.iter().all(|&t| (5.0..50.0).contains(&t)));
+        assert!(p.generate(&mut rng, 7.0, 7.0).is_empty());
+    }
+
+    #[test]
+    fn piecewise_zero_rate_windows_and_the_end_stay_silent() {
+        let profile = PiecewiseRate::new(vec![2.0, 0.0, 2.0], 10.0, false).unwrap();
+        let pp = PiecewisePoisson::new(profile);
+        let mut rng = SeedStream::new(706).rng("pwp3");
+        let arrivals = pp.generate(&mut rng, 0.0, 60.0);
+        assert!(arrivals.iter().any(|&t| t < 10.0));
+        assert!(arrivals
+            .iter()
+            .all(|&t| !(10.0..20.0).contains(&t) && t < 30.0));
+        assert_eq!(pp.expected_count(30.0, 60.0), 0.0);
+    }
+
+    #[test]
     fn piecewise_expected_count() {
         let profile = PiecewiseRate::new(vec![1.0, 3.0], 100.0, true).unwrap();
         let pp = PiecewisePoisson::new(profile);

@@ -686,6 +686,81 @@ mod tests {
     }
 
     #[test]
+    fn cpu_audit_flushing_leaves_the_fractions_unchanged() {
+        let readings: Vec<(u32, f32)> = (0..40u32)
+            .map(|i| (i * 37, if i % 3 == 0 { 0.4 } else { 0.05 }))
+            .collect();
+        let mut whole = CpuAudit::default();
+        let mut flushed = CpuAudit::default();
+        for &(ts, cpu) in &readings {
+            whole.observe(ts, cpu);
+            flushed.flush_below(ts);
+            flushed.observe(ts, cpu);
+        }
+        assert_eq!(flushed.finish(), whole.finish());
+    }
+
+    #[test]
+    fn cpu_audit_bins_average_their_readings() {
+        let mut audit = CpuAudit::default();
+        // One second whose mean (0.11) is hot though one reading is cool.
+        audit.observe(7, 0.02);
+        audit.observe(7, 0.20);
+        assert_eq!(audit.finish(), (0.0, 0.5));
+        assert_eq!(
+            CpuAudit::default().finish(),
+            (1.0, 1.0),
+            "empty is underloaded"
+        );
+    }
+
+    #[test]
+    fn concurrency_fold_splits_a_transfer_at_the_bin_boundary() {
+        let mut sweep = OnlineConcurrency::new();
+        sweep.observe(600, 1_199); // active [600, 1200): straddles 900
+        sweep.finish(1_800);
+        assert_eq!(sweep.peak(), 1);
+        assert_eq!(sweep.marginal(), [(0, 1_200), (1, 600)]);
+        let fold = sweep.daily_fold();
+        assert!((fold[0] - 300.0 / 900.0).abs() < 1e-12);
+        assert!((fold[1] - 300.0 / 900.0).abs() < 1e-12);
+        assert!(fold[2..].iter().all(|&f| f == 0.0));
+        assert!((sweep.mean(1_800) - 600.0 / 1_800.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn concurrency_clamps_a_late_start_to_the_clock() {
+        let mut sweep = OnlineConcurrency::new();
+        sweep.observe(100, 200);
+        sweep.observe(50, 60); // late: active only at second 100
+        sweep.finish(300);
+        assert_eq!(sweep.peak(), 2);
+        assert_eq!(sweep.marginal(), [(0, 199), (1, 100), (2, 1)]);
+    }
+
+    #[test]
+    fn concurrency_overflow_leads_match_the_batch_profile() {
+        use lsw_trace::concurrency::ConcurrencyProfile;
+
+        let long = CONC_WHEEL_CAP as u32 + 5_000;
+        let intervals = [(0, long), (10, 20), (15, long + 3), (30_000, 30_010)];
+        let horizon = long + 1_000;
+        let batch = ConcurrencyProfile::from_intervals(intervals.iter().copied(), horizon);
+        let mut sweep = OnlineConcurrency::new();
+        for &(s, e) in &intervals {
+            sweep.observe(s, e);
+        }
+        assert!(sweep.peak_pending() >= 2);
+        sweep.finish(horizon);
+        let mut expect: BTreeMap<u32, u64> = BTreeMap::new();
+        for &c in batch.per_second() {
+            *expect.entry(c).or_insert(0) += 1;
+        }
+        assert_eq!(sweep.marginal(), expect.into_iter().collect::<Vec<_>>());
+        assert_eq!(sweep.peak(), batch.peak());
+    }
+
+    #[test]
     fn late_entries_are_counted_not_fatal() {
         let mut c = Coordinator::new(1500.0, 1024);
         let mk = |start: u32, dur: u32| {

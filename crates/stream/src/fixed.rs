@@ -178,6 +178,55 @@ mod tests {
     }
 
     #[test]
+    fn fixed_sum_rounds_each_observation_to_the_quantum() {
+        let quantum = 1.0 / SCALE;
+        let mut s = FixedSum::new();
+        s.add(0.25 * quantum); // rounds to zero
+        assert_eq!(s, FixedSum::new());
+        s.add(0.75 * quantum); // rounds to one quantum
+        assert_eq!(s.value(), quantum);
+        s.add(1.5);
+        assert_eq!(s.value(), 1.5 + quantum);
+    }
+
+    #[test]
+    fn fixed_sum_cancels_exactly() {
+        let mut s = FixedSum::new();
+        for v in [0.1, 2.7, -0.1, 1e-3, -2.7, -1e-3] {
+            s.add(v);
+        }
+        assert_eq!(s, FixedSum::new());
+        assert_eq!(s.value(), 0.0);
+    }
+
+    #[test]
+    fn log_moments_merge_equals_one_pass() {
+        let data: Vec<f64> = (1..100).map(|i| f64::from(i).powf(1.3)).collect();
+        let mut all = LogMoments::new();
+        for &x in &data {
+            all.insert(x);
+        }
+        let (a, b) = data.split_at(37);
+        let (mut left, mut right) = (LogMoments::new(), LogMoments::new());
+        a.iter().for_each(|&x| left.insert(x));
+        b.iter().for_each(|&x| right.insert(x));
+        right.merge(&left);
+        assert_eq!(right, all);
+        assert_eq!(right.lognormal(), all.lognormal());
+    }
+
+    #[test]
+    fn log_moments_mu_needs_an_observation() {
+        let mut lm = LogMoments::new();
+        assert_eq!(lm.mu(), None);
+        lm.insert(f64::NAN);
+        lm.insert(0.0);
+        assert_eq!(lm.mu(), None);
+        lm.insert(std::f64::consts::E);
+        assert!((lm.mu().unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn log_moments_reject_degenerate() {
         let mut lm = LogMoments::new();
         lm.insert(5.0);

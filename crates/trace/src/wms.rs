@@ -1162,6 +1162,55 @@ mod tests {
     }
 
     #[test]
+    fn line_count_counts_an_unterminated_tail() {
+        let count = |b: &[u8]| {
+            LineChunk {
+                bytes: b.to_vec(),
+                first_line: 1,
+            }
+            .line_count()
+        };
+        assert_eq!(count(b""), 0);
+        assert_eq!(count(b"\n"), 1);
+        assert_eq!(count(b"a\nb\n"), 2);
+        assert_eq!(count(b"a\nb"), 2);
+    }
+
+    #[test]
+    fn line_chunks_keep_a_line_longer_than_the_chunk_whole() {
+        let long = vec![b'x'; 10_000];
+        let data = [long.as_slice(), b"\nshort\n"].concat();
+        let chunks: Vec<LineChunk> = LineChunks::new(&data[..], 4096)
+            .map(|c| c.unwrap())
+            .collect();
+        // No chunk boundary falls inside the long line.
+        assert!(chunks[0].bytes.len() > 10_000);
+        assert_eq!(chunks[0].bytes[10_000], b'\n');
+        assert_eq!(chunks.iter().map(LineChunk::line_count).sum::<usize>(), 2);
+        let all: Vec<u8> = chunks.iter().flat_map(|c| c.bytes.clone()).collect();
+        assert_eq!(all, data);
+    }
+
+    #[test]
+    fn line_chunks_of_empty_input_yield_nothing() {
+        assert!(LineChunks::new(&b""[..], 4096).next().is_none());
+    }
+
+    #[test]
+    fn line_chunks_end_after_a_read_error() {
+        struct Broken;
+        impl std::io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk gone"))
+            }
+        }
+        let mut chunks = LineChunks::new(Broken, 4096);
+        let err = chunks.next().unwrap().unwrap_err();
+        assert_eq!(err.to_string(), "disk gone");
+        assert!(chunks.next().is_none());
+    }
+
+    #[test]
     fn packet_loss_precision_preserved() {
         let mut e = sample_entry();
         e.packet_loss = 0.1234;

@@ -272,6 +272,108 @@ fn l009_fires_when_the_ring_appends_before_its_eviction_check() {
     assert_eq!(l009_lines(&class, &unguarded), [push_line]);
 }
 
+/// A `Backlog` whose `add` runs `check` and then pushes onto `q` (the
+/// push sits on line 5). `other` is a second growable field.
+fn backlog_with_check(check: &str) -> String {
+    format!(
+        "struct Backlog {{ q: Vec<u8>, other: Vec<u8>, ceiling: usize }}\n\
+         impl Backlog {{\n\
+             fn add(&mut self, b: u8) {{\n\
+                 {check}\n\
+                 self.q.push(b);\n\
+             }}\n\
+         }}"
+    )
+}
+
+#[test]
+fn l009_capacity_probe_on_the_growing_field_is_a_guard() {
+    let src = backlog_with_check("if self.q.capacity() == self.q.len() { return; }");
+    assert!(l009_lines(&bounded_class(), &src).is_empty());
+}
+
+#[test]
+fn l009_is_full_probe_on_the_growing_field_is_a_guard() {
+    let src = backlog_with_check("if self.q.is_full() { return; }");
+    assert!(l009_lines(&bounded_class(), &src).is_empty());
+}
+
+#[test]
+fn l009_truncate_on_the_growing_field_is_a_guard() {
+    let src = backlog_with_check("self.q.truncate(self.ceiling);");
+    assert!(l009_lines(&bounded_class(), &src).is_empty());
+}
+
+#[test]
+fn l009_probe_on_a_sibling_field_is_no_guard() {
+    let src = backlog_with_check("if self.other.len() >= self.ceiling { return; }");
+    assert_eq!(l009_lines(&bounded_class(), &src), [5]);
+}
+
+#[test]
+fn l009_a_named_limit_is_a_guard() {
+    let src = backlog_with_check("if self.ceiling >= QUEUE_LIMIT { return; }");
+    assert!(l009_lines(&bounded_class(), &src).is_empty());
+}
+
+#[test]
+fn l009_a_named_budget_is_a_guard() {
+    let src = backlog_with_check("if !self.budget.admit(1) { return; }");
+    assert!(l009_lines(&bounded_class(), &src).is_empty());
+}
+
+#[test]
+fn l009_check_after_the_growth_site_is_no_guard() {
+    let src = "struct Backlog { q: Vec<u8> }\n\
+               impl Backlog {\n\
+                   fn add(&mut self, b: u8) {\n\
+                       self.q.push(b);\n\
+                       if self.q.len() > MAX { self.q.clear(); }\n\
+                   }\n\
+               }";
+    assert_eq!(l009_lines(&bounded_class(), src), [4]);
+}
+
+#[test]
+fn l009_check_in_another_fn_is_no_guard() {
+    let src = "struct Backlog { q: Vec<u8> }\n\
+               impl Backlog {\n\
+                   fn full(&self) -> bool { self.q.len() >= MAX }\n\
+                   fn add(&mut self, b: u8) {\n\
+                       if self.full() { return; }\n\
+                       self.q.push(b);\n\
+                   }\n\
+               }";
+    assert_eq!(l009_lines(&bounded_class(), src), [6]);
+}
+
+#[test]
+fn l009_growth_of_a_non_growable_field_is_silent() {
+    let src = "struct Backlog { q: Ring<u8> }\n\
+               impl Backlog {\n\
+                   fn add(&mut self, b: u8) {\n\
+                       self.q.push(b);\n\
+                   }\n\
+               }";
+    assert!(l009_lines(&bounded_class(), src).is_empty());
+}
+
+#[test]
+fn l009_fires_for_every_growth_method() {
+    let src = "struct Backlog { v: Vec<u8>, d: VecDeque<u8>, m: BTreeMap<u8, u8>, s: String }\n\
+               impl Backlog {\n\
+                   fn add(&mut self, b: u8, more: &[u8]) {\n\
+                       self.v.extend_from_slice(more);\n\
+                       self.v.resize(9, b);\n\
+                       self.d.push_front(b);\n\
+                       self.d.extend(more.iter().copied());\n\
+                       self.m.insert(b, b);\n\
+                       self.s.push('x');\n\
+                   }\n\
+               }";
+    assert_eq!(l009_lines(&bounded_class(), src), [4, 5, 6, 7, 8, 9]);
+}
+
 #[test]
 fn l010_fixture_positive_allowed_negative() {
     let report = analyze_fixture("l010.rs", fixture_class());

@@ -142,19 +142,8 @@ pub fn run_edge(
     let compression = cfg.origin.compression.max(1.0);
     let plans = plan_feeds(schedule, &cfg.topology);
 
-    // The origin must hold subscription-length transfers in its tap
-    // window and pace them to completion; its lookahead is the horizon
-    // of the longest planned span, not just the longest client.
-    let horizon = plans
-        .iter()
-        .flat_map(|m| m.values())
-        .map(|p| p.span_duration)
-        .max()
-        .unwrap_or(0)
-        .max(schedule.max_duration());
     let origin_cfg = ServerConfig {
         compression,
-        lookahead: horizon,
         ..cfg.origin.clone()
     };
 
@@ -167,11 +156,7 @@ pub fn run_edge(
     )?;
     let origin_addr = origin.local_addr();
 
-    let tap = Arc::new(Mutex::new({
-        let mut tap = MultiTap::new(cfg.origin.stream.clone(), relays);
-        tap.preset_lookahead(schedule.max_duration());
-        tap
-    }));
+    let tap = Arc::new(Mutex::new(MultiTap::new(cfg.origin.stream.clone(), relays)));
 
     // Partition the schedule: routing preserves relative start order
     // within each relay because the source order is already sorted.

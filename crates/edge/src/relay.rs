@@ -23,7 +23,9 @@
 //! **Tap.** Client completions are logged in trace coordinates into the
 //! cluster's shared [`MultiTap`], tier = relay index, so the run ends
 //! with per-relay reports plus the edge-aggregated report the closed
-//! loop diffs against the trace.
+//! loop diffs against the trace. Each admitted client registers its
+//! start there, so the tap releases below the starts every relay still
+//! has open, whatever order completions arrive in.
 //!
 //! **Subscription closure.** A feed whose upstream delivered its full
 //! subscription wire budget is *complete*: a subscriber still short of
@@ -50,7 +52,7 @@ use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::schedule::{Schedule, ScheduledTransfer};
 use mio::unix::SourceFd;
 use mio::{Interest, Waker};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -223,12 +225,18 @@ struct RelayShared {
 
 impl RelayShared {
     /// Logs one finished (or refused) client transfer into this relay's
-    /// tier of the shared tap.
-    fn log_tap(&self, t: &ScheduledTransfer, status: u16) {
+    /// tier of the shared tap; `admitted` says whether it was opened
+    /// there (see [`MultiTap::admit`]).
+    fn log_tap(&self, t: &ScheduledTransfer, status: u16, admitted: bool) {
         let mut e = t.to_entry();
         e.status = status;
-        // lsw::allow(L008): tap ingest is a short bounded critical section with no I/O under the lock
-        self.tap.lock().ingest(self.cfg.index as usize, &e);
+        self.tap().log(self.cfg.index as usize, &e, admitted);
+    }
+
+    /// The shared tap, locked for one update.
+    fn tap(&self) -> MutexGuard<'_, MultiTap> {
+        // lsw::allow(L008): a tap update is a short bounded critical section with no I/O under the lock
+        self.tap.lock()
     }
 
     /// Releases the admission slot, logs the tap entry and counts the
@@ -236,7 +244,7 @@ impl RelayShared {
     /// truncated). Returns true: the connection is finished.
     fn close(&self, s: &CStream, status: u16, count: &Counter) -> bool {
         self.gate.release();
-        self.log_tap(&s.x.t, status);
+        self.log_tap(&s.x.t, status, true);
         count.inc();
         true
     }
@@ -559,10 +567,11 @@ fn advance_client(
     let x = match shared.gate.admit(&mut conn.stream, &t, shared.clock.now()) {
         Ok(x) => x,
         Err(status) => {
-            shared.log_tap(&t, status);
+            shared.log_tap(&t, status, false);
             return true;
         }
     };
+    shared.tap().admit(t.start);
     // Ensure the feed (subscribing upstream on first demand) and join
     // its ring at the live edge.
     let object = t.object.0;

@@ -807,7 +807,7 @@ fn edge_json(
 /// The origin's serving flags, shared by `replay` and `serve` and parsed
 /// once: `--listen`, `--compression`, `--admission` and `--workers` as a
 /// server configuration, plus the `--expose` cadence in seconds.
-fn serve_flags(args: &[String], schedule: &Schedule) -> (ServerConfig, u64) {
+fn serve_flags(args: &[String]) -> (ServerConfig, u64) {
     let cfg = ServerConfig {
         listen: flag_value(args, "--listen")
             .unwrap_or("127.0.0.1:0")
@@ -815,7 +815,6 @@ fn serve_flags(args: &[String], schedule: &Schedule) -> (ServerConfig, u64) {
         compression: parse_or(flag_value(args, "--compression"), 100.0, "--compression"),
         admission: admission_flag(args, "--admission"),
         workers: parse_or(flag_value(args, "--workers"), 2usize, "--workers").max(1),
-        lookahead: schedule.max_duration(),
         ..ServerConfig::default()
     };
     (cfg, parse_or(flag_value(args, "--expose"), 10, "--expose"))
@@ -937,7 +936,7 @@ fn cmd_replay(args: &[String]) {
     use lsw::replay::{closed_loop, drive, reference_report, run_virtual, DriverConfig};
 
     let schedule = load_schedule(args);
-    let (server, expose) = serve_flags(args, &schedule);
+    let (server, expose) = serve_flags(args);
     let topology = topology_flag(args);
     let registry = Arc::new(Registry::new());
     let reference = reference_report(&schedule, StreamConfig::default());
@@ -998,7 +997,7 @@ fn cmd_replay(args: &[String]) {
 
 fn cmd_serve(args: &[String]) {
     let schedule = load_schedule(args);
-    let (cfg, expose) = serve_flags(args, &schedule);
+    let (cfg, expose) = serve_flags(args);
     let compression = cfg.compression;
     // Default lifetime: the whole compressed trace span plus drain slack.
     let default_for = f64::from(schedule.horizon()) / compression.max(1.0) + 5.0;

@@ -30,8 +30,11 @@
 //!
 //! **Tap.** Completions are logged WMS-style — at connection close, in
 //! trace coordinates taken from the request line — into an embedded
-//! [`StreamAnalyzer`], which is finalized into the run's closed-loop
-//! [`StreamReport`] on drain.
+//! [`MultiTap`] with no tiers, which is finalized into the run's
+//! closed-loop [`StreamReport`] on drain. Each admission registers its
+//! start there, and the tap releases strictly below the smallest start
+//! still open ([`lsw_stream::tap::InFlight`]), so the order in which
+//! completions reach it over real sockets cannot make an entry late.
 
 use crate::clock::{Nanos, WallClock};
 use crate::metrics::{Counter, LogHistogram, Registry, Snapshot};
@@ -41,10 +44,10 @@ use crate::reactor::{peer_gone, read_request, write_arena, Conn, Gate, Reactor, 
 use crate::slab::{Key, Slab};
 use crate::STATUS_TRUNCATED;
 use lsw_sim::server::{AdmissionPolicy, ServerStats};
-use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
+use lsw_stream::{MultiTap, StreamConfig, StreamReport};
 use lsw_trace::schedule::ScheduledTransfer;
 use mio::Waker;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,10 +106,9 @@ pub struct ServerConfig {
     pub drain: Nanos,
     /// Tap (characterization) configuration.
     pub stream: StreamConfig,
-    /// Longest transfer duration the tap will see (trace seconds),
-    /// usually `Schedule::max_duration`. Completions reach the tap in
-    /// stop order, so this presets its look-ahead reorder window; 0 lets
-    /// the tap infer the window from what it has seen.
+    /// Unused: the tap releases below the starts still in flight, which
+    /// needs no look-ahead window. Kept only because `lsw-benchmark`
+    /// sets it; it goes with the benchmark's next change.
     pub lookahead: u32,
 }
 
@@ -167,7 +169,7 @@ struct Shared {
     slow_policy: SlowClientPolicy,
     /// Encoded trace-byte rate per object id (dense, indexed by id).
     rates: Vec<u64>,
-    tap: Mutex<StreamAnalyzer>,
+    tap: Mutex<MultiTap>,
     /// Aggregate backlog per client in bytes, hashed into a fixed slot
     /// table (see [`client_slot`]). Updated by delta from each
     /// connection's step so the sum stays exact per connection.
@@ -191,12 +193,18 @@ impl Shared {
         }
     }
 
-    /// Logs one finished (or refused) transfer into the tap.
-    fn log_tap(&self, t: &ScheduledTransfer, status: u16) {
+    /// The tap, locked for one update.
+    fn tap(&self) -> MutexGuard<'_, MultiTap> {
+        // lsw::allow(L008): a tap update is a short bounded critical section (no I/O under the lock)
+        self.tap.lock()
+    }
+
+    /// Logs one finished (or refused) transfer into the tap; `admitted`
+    /// says whether it was admitted there (see [`MultiTap::admit`]).
+    fn log_tap(&self, t: &ScheduledTransfer, status: u16, admitted: bool) {
         let mut e = t.to_entry();
         e.status = status;
-        // lsw::allow(L008): tap ingest is a short bounded critical section (no I/O under the lock)
-        self.tap.lock().ingest_entry(&e);
+        self.tap().log(0, &e, admitted);
     }
 
     /// Folds a connection's fresh backlog reading into its client's
@@ -286,11 +294,7 @@ impl ReplayServer {
             send_buffer: cfg.send_buffer,
             slow_policy: cfg.slow_policy,
             rates: rate_table,
-            tap: Mutex::new({
-                let mut tap = StreamAnalyzer::new(cfg.stream.clone());
-                tap.preset_lookahead(cfg.lookahead);
-                tap
-            }),
+            tap: Mutex::new(MultiTap::new(cfg.stream.clone(), 0)),
             client_backlog: (0..CLIENT_BACKLOG_SLOTS)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -371,12 +375,12 @@ impl ReplayServer {
             join_or_propagate(h);
         }
         let admission = self.shared.gate.admission.lock().stats().clone();
-        let analyzer = std::mem::replace(
+        let tap = std::mem::replace(
             &mut *self.shared.tap.lock(),
-            StreamAnalyzer::new(StreamConfig::default()),
+            MultiTap::new(StreamConfig::default(), 0),
         );
         ServeOutcome {
-            tap: analyzer.finalize(),
+            tap: tap.finalize().1,
             admission,
             metrics: self.registry.snapshot(),
         }
@@ -538,6 +542,7 @@ fn advance_reactor(
     };
     match shared.gate.admit(&mut conn.stream, &t, now) {
         Ok(x) => {
+            shared.tap().admit(t.start);
             conn.state = ConnState::Streaming(Box::new(Streaming {
                 rate: shared.rate_for(&t),
                 join: now,
@@ -548,7 +553,7 @@ fn advance_reactor(
             stream_step(shared, conn, r, key, now, false)
         }
         Err(status) => {
-            shared.log_tap(&t, status);
+            shared.log_tap(&t, status, false);
             true
         }
     }
@@ -642,7 +647,7 @@ fn stream_step(
 fn close(shared: &Shared, s: &Streaming, now: Nanos, status: u16, count: &Counter) -> bool {
     shared.release_backlog(&s.x.t, s.accounted);
     shared.gate.release();
-    shared.log_tap(&s.x.t, status);
+    shared.log_tap(&s.x.t, status, true);
     shared
         .metrics
         .transfer_wall_ms
@@ -661,7 +666,7 @@ mod tests {
             send_buffer,
             slow_policy: SlowClientPolicy::Drop,
             rates: vec![0, 500],
-            tap: Mutex::new(StreamAnalyzer::new(StreamConfig::default())),
+            tap: Mutex::new(MultiTap::new(StreamConfig::default(), 0)),
             clock: Arc::new(WallClock::start()),
             metrics: ServerMetrics::register(&Registry::new()),
             shutdown: AtomicBool::new(false),

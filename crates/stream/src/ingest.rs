@@ -25,8 +25,10 @@
 //! pieces fold back in line order and release once per chunk or block:
 //! through `release_batch`, or, for a container whose footer certifies
 //! start order, straight to the coordinator. The tap entry points
-//! (`ingest_entry`, `ingest_entries`) run the same keep step on each entry
-//! and push it into the buffer, releasing on the stop-order watermark.
+//! (`ingest_entry`, `ingest_entries`, `ingest_below`) run the same keep
+//! step on each entry and push it into the buffer; the first two release
+//! on the stop-order watermark, `ingest_below` below a bound its caller
+//! supplies (a live server's in-flight starts, `tap::InFlight`).
 //!
 //! Per-entry sketches are commutative monoids over the entry multiset
 //! (max registers, integer counts, fixed-point sums), shard states merge
@@ -326,8 +328,20 @@ impl StreamAnalyzer {
     /// batches it.
     pub fn ingest_entry(&mut self, e: &LogEntry) {
         self.tap_entry(e);
-        self.peak_heap = self.peak_heap.max(self.pending.len());
-        self.release_below(self.watermark(false));
+        self.settle(self.watermark(false));
+    }
+
+    /// Ingests one already-decoded entry, like
+    /// [`ingest_entry`](Self::ingest_entry), but releases every buffered
+    /// entry whose start is strictly below the caller's `bound` instead
+    /// of below the stop-order watermark. The caller vouches that no
+    /// entry still to come starts below `bound`: a live server knows it
+    /// from the transfers it still has open
+    /// ([`InFlight`](crate::tap::InFlight)), whatever order their
+    /// completions reach the tap in.
+    pub fn ingest_below(&mut self, e: &LogEntry, bound: u32) {
+        self.tap_entry(e);
+        self.settle(bound);
     }
 
     /// Ingests a batch of already-decoded entries (see
@@ -347,12 +361,18 @@ impl StreamAnalyzer {
         for e in entries {
             self.tap_entry(e.borrow());
         }
-        self.peak_heap = self.peak_heap.max(self.pending.len());
-        self.release_below(self.watermark(false));
+        self.settle(self.watermark(false));
     }
 
-    /// Keeps one decoded entry into shard 0 and buffers it (callers handle
-    /// the watermark release and peak accounting).
+    /// Records the buffer's high-water mark, then releases below
+    /// `watermark`: the tail of every tap entry point.
+    fn settle(&mut self, watermark: u32) {
+        self.peak_heap = self.peak_heap.max(self.pending.len());
+        self.release_below(watermark);
+    }
+
+    /// Keeps one decoded entry into shard 0 and buffers it (callers then
+    /// [`settle`](Self::settle)).
     fn tap_entry(&mut self, e: &LogEntry) {
         let line = self.next_line;
         self.next_line += 1;

@@ -1,4 +1,5 @@
-//! Multi-tap merge: per-tier characterization over one logged stream.
+//! Multi-tap merge: per-tier characterization over one logged stream,
+//! and the release rule of a live tap.
 //!
 //! A hierarchical replay logs completions at several tiers — the origin
 //! sees relay subscriptions, each relay sees its own clients — and the
@@ -17,27 +18,84 @@
 //! inherits every determinism and accuracy guarantee the single tap has
 //! — the differential test in `crates/edge` pins byte-equality against
 //! a direct single-tier ingest.
+//!
+//! **Live release.** A virtual executor logs completions in exact stop
+//! order, so [`MultiTap::ingest`] may release on the engine's stop-order
+//! watermark (`max stop − max duration`). A serving node over real
+//! sockets cannot: a transfer's completion moves with its connect time,
+//! so a transfer that lasts the maximum duration and reaches the tap a
+//! few trace seconds late is already below that watermark. A server does
+//! know which admitted transfers it still has open, though, and none of
+//! them can log a start below its own. [`InFlight`] holds that set, and
+//! a live node reports to the tap through [`MultiTap::admit`] and
+//! [`MultiTap::log`], which release strictly below
+//! [`InFlight::bound`]: exact in any completion order.
 
 use crate::ingest::{StreamAnalyzer, StreamConfig};
 use crate::report::StreamReport;
 use lsw_trace::LogEntry;
+use std::collections::BTreeMap;
+
+/// The starts of the transfers a live node has admitted and not yet
+/// logged: the release bound of a live tap.
+#[derive(Debug, Default)]
+pub struct InFlight {
+    /// Start second → transfers admitted at it and still open.
+    open: BTreeMap<u32, u32>,
+    /// Largest start admitted so far.
+    max_admitted: u32,
+}
+
+impl InFlight {
+    /// Records an admitted transfer that started at `start`.
+    pub fn admit(&mut self, start: u32) {
+        *self.open.entry(start).or_insert(0) += 1;
+        self.max_admitted = self.max_admitted.max(start);
+    }
+
+    /// Records the close of an admitted transfer that started at `start`.
+    pub fn close(&mut self, start: u32) {
+        if let Some(n) = self.open.get_mut(&start) {
+            *n -= 1;
+            if *n == 0 {
+                self.open.remove(&start);
+            }
+        }
+    }
+
+    /// The smallest start still in flight, or, with nothing in flight,
+    /// the largest start admitted so far. An open transfer logs its own
+    /// start, and requests reach the node in start order, so no entry
+    /// still to come starts below it.
+    pub fn bound(&self) -> u32 {
+        self.open
+            .keys()
+            .next()
+            .copied()
+            .unwrap_or(self.max_admitted)
+    }
+}
 
 /// Per-tier characterization taps plus the merged edge-aggregate tap.
 #[derive(Debug)]
 pub struct MultiTap {
     tiers: Vec<StreamAnalyzer>,
     merged: StreamAnalyzer,
+    /// What the live nodes logging here still have open.
+    in_flight: InFlight,
 }
 
 impl MultiTap {
     /// One analyzer per tier plus the merged aggregate, all under the
-    /// same configuration.
+    /// same configuration. A node with one view of its traffic takes
+    /// zero tiers: the merged tap alone.
     pub fn new(cfg: StreamConfig, tiers: usize) -> Self {
         Self {
             tiers: (0..tiers)
                 .map(|_| StreamAnalyzer::new(cfg.clone()))
                 .collect(),
             merged: StreamAnalyzer::new(cfg),
+            in_flight: InFlight::default(),
         }
     }
 
@@ -55,15 +113,37 @@ impl MultiTap {
         self.merged.preset_lookahead(max_duration);
     }
 
-    /// Ingests one completion into tier `tier`'s tap and the merged
-    /// aggregate. Out-of-range tiers feed only the aggregate, so a
-    /// misrouted entry can skew a per-tier view but never the
-    /// closed-loop diff.
+    /// Ingests one completion logged in exact stop order (a virtual
+    /// executor) into tier `tier`'s tap and the merged aggregate.
+    /// Out-of-range tiers feed only the aggregate, so a misrouted entry
+    /// can skew a per-tier view but never the closed-loop diff.
     pub fn ingest(&mut self, tier: usize, e: &LogEntry) {
         if let Some(t) = self.tiers.get_mut(tier) {
             t.ingest_entry(e);
         }
         self.merged.ingest_entry(e);
+    }
+
+    /// A live node admitted a transfer that started at `start`: nothing
+    /// at or above it is released until that transfer is logged.
+    pub fn admit(&mut self, start: u32) {
+        self.in_flight.admit(start);
+    }
+
+    /// Logs one transfer a live node finished, into tier `tier`'s tap and
+    /// the merged aggregate (out-of-range tiers as in
+    /// [`ingest`](Self::ingest)), and releases below the in-flight bound.
+    /// `admitted` says whether the transfer went through
+    /// [`admit`](Self::admit); a refused one was never in flight.
+    pub fn log(&mut self, tier: usize, e: &LogEntry, admitted: bool) {
+        if admitted {
+            self.in_flight.close(e.start);
+        }
+        let bound = self.in_flight.bound();
+        if let Some(t) = self.tiers.get_mut(tier) {
+            t.ingest_below(e, bound);
+        }
+        self.merged.ingest_below(e, bound);
     }
 
     /// Finalizes every tap: per-tier reports in tier order, then the
@@ -133,6 +213,84 @@ mod tests {
         let kept: u64 = tiers.iter().map(|t| t.accounting.kept).sum();
         assert_eq!(kept, merged.accounting.kept);
         assert_eq!(merged.accounting.kept, es.len() as u64);
+    }
+
+    #[test]
+    fn in_flight_bound_is_the_oldest_open_start_else_the_newest_admitted() {
+        let mut f = InFlight::default();
+        assert_eq!(f.bound(), 0, "nothing admitted: release nothing");
+        f.admit(10);
+        f.admit(10);
+        f.admit(25);
+        assert_eq!(f.bound(), 10);
+        f.close(10);
+        assert_eq!(f.bound(), 10, "one transfer at 10 is still open");
+        f.close(10);
+        assert_eq!(f.bound(), 25);
+        f.close(25);
+        assert_eq!(f.bound(), 25, "nothing open: the newest admitted start");
+        f.close(25);
+        assert_eq!(f.bound(), 25, "a stray close changes nothing");
+    }
+
+    /// Transfers that all last the longest duration, admitted in start
+    /// order and logged in a jittered stop order, as completions reach a
+    /// server over real sockets; every seventh is refused at admission.
+    /// Each has zero slack against the stop-order watermark, so a late
+    /// completion would be clamped under it; the in-flight bound releases
+    /// them exactly as the start-ordered stream.
+    #[test]
+    fn live_release_is_exact_in_jittered_completion_order() {
+        const MAX_DURATION: u32 = 300;
+        let es: Vec<LogEntry> = (0..3000u32)
+            .map(|i| {
+                LogEntryBuilder::new()
+                    .span(i / 3, MAX_DURATION)
+                    .client(ClientId(i % 211))
+                    .origin(
+                        Ipv4Addr(0x0a00_0000 + (i % 97)),
+                        AsId((i % 5) as u16),
+                        CountryCode(*b"BR"),
+                    )
+                    .object(ObjectId((i % 3) as u16), 0)
+                    .transfer_stats(u64::from(i) * 311 + 64, 64_000, 0.0)
+                    .build()
+            })
+            .collect();
+        // (second, admits before logs, index): a refused request is
+        // logged the moment it arrives; an admitted one up to 15 s after
+        // its stop.
+        let mut events: Vec<(u32, bool, usize)> = Vec::new();
+        for (i, e) in es.iter().enumerate() {
+            if i % 7 == 0 {
+                events.push((e.start, false, i));
+            } else {
+                let jitter = (i as u32).wrapping_mul(2_654_435_761) >> 28;
+                events.push((e.start, false, i));
+                events.push((e.stop() + jitter, true, i));
+            }
+        }
+        events.sort_unstable();
+        let mut live = MultiTap::new(StreamConfig::default(), 0);
+        for (_, logs, i) in events {
+            let refused = i % 7 == 0;
+            if refused {
+                live.log(0, &es[i], false);
+            } else if logs {
+                live.log(0, &es[i], true);
+            } else {
+                live.admit(es[i].start);
+            }
+        }
+        let mut reference = StreamAnalyzer::new(StreamConfig::default());
+        reference.ingest_entries(&es);
+        let neutral = |mut r: StreamReport| {
+            r.memory.peak_heap_entries = 0;
+            r.to_json()
+        };
+        let (_, served) = live.finalize();
+        assert_eq!(served.accounting.late_entries, 0);
+        assert_eq!(neutral(served), neutral(reference.finalize()));
     }
 
     /// An out-of-range tier index still reaches the aggregate.

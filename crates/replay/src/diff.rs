@@ -42,6 +42,11 @@ pub struct DiffRow {
 pub struct LoopDiff {
     /// All compared rows.
     pub rows: Vec<DiffRow>,
+    /// Entries the observed tap clamped as late
+    /// (`accounting.late_entries`). Information only, with no bound: an
+    /// order-sensitive row that fails beside a nonzero count points at
+    /// the tap's release, not at what was served.
+    pub late_entries: u64,
 }
 
 impl LoopDiff {
@@ -55,7 +60,7 @@ impl LoopDiff {
         self.rows.iter().filter(|r| r.rel_err > r.bound).collect()
     }
 
-    /// Aligned text table.
+    /// Aligned text table, with the observed tap's late entries under it.
     pub fn render(&self) -> String {
         let mut out = String::from(
             "metric                     reference      observed       rel-err   bound\n",
@@ -67,6 +72,10 @@ impl LoopDiff {
                 r.name, r.reference, r.observed, r.rel_err, r.bound, flag
             ));
         }
+        out.push_str(&format!(
+            "observed tap late entries: {}\n",
+            self.late_entries
+        ));
         out
     }
 
@@ -198,7 +207,10 @@ pub fn closed_loop(reference: &StreamReport, observed: &StreamReport) -> LoopDif
         ));
         rows.push(row("top AS count", r_n as f64, o_n as f64, ORDER_BOUND));
     }
-    LoopDiff { rows }
+    LoopDiff {
+        rows,
+        late_entries: observed.accounting.late_entries,
+    }
 }
 
 #[cfg(test)]
@@ -249,6 +261,17 @@ mod tests {
             diff.to_json().field("within_bounds").ok(),
             Some(&serde_json::Value::Bool(true))
         );
+        assert!(diff.render().ends_with("observed tap late entries: 0\n"));
+    }
+
+    #[test]
+    fn render_names_the_taps_late_entries_without_gating_them() {
+        let diff = LoopDiff {
+            rows: Vec::new(),
+            late_entries: 7,
+        };
+        assert!(diff.within_bounds());
+        assert!(diff.render().contains("observed tap late entries: 7"));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! A differential across entry points then holds every file and tap
 //! entry point (text, `ltc`, `ingest_entry`, `ingest_entries`) at several
 //! shard counts, chunk sizes, block sizes and batch sizes, in both
-//! orders, to the start-ordered text report.
+//! orders, to the start-ordered text report, and so does the live tap's
+//! `ingest_below` fed in a jittered completion order under the in-flight
+//! bound a server computes.
 //!
 //! The engines declare the trace's longest duration upfront
 //! (`preset_lookahead`). Without it, an entry whose duration beats every
@@ -27,7 +29,10 @@
 
 use lsw_core::config::WorkloadConfig;
 use lsw_core::generator::Generator;
+use lsw_stream::tap::InFlight;
 use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
+use lsw_trace::event::LogEntryBuilder;
+use lsw_trace::ids::{AsId, ClientId, CountryCode, Ipv4Addr, ObjectId};
 use lsw_trace::{ltc, wms, LogEntry};
 
 const DAY: u32 = 86_400;
@@ -205,5 +210,100 @@ fn every_entry_point_matches_the_start_ordered_text_report() {
                 "{order} order, ingest_entries in batches of {batch}"
             );
         }
+    }
+    // No look-ahead preset: the in-flight bound needs none.
+    let mut e = StreamAnalyzer::new(StreamConfig::default());
+    for (entry, bound) in live_completions(&start_ordered) {
+        e.ingest_below(&entry, bound);
+    }
+    assert_eq!(
+        entry_point_neutral(e.finalize()),
+        reference,
+        "jittered completion order, ingest_below"
+    );
+}
+
+/// The entries as a live server logs them, each with the release bound
+/// it holds at that moment: every transfer is admitted at its start (in
+/// start order) and logged up to 15 s after its stop, jittered the way a
+/// connect time moves a completion over real sockets.
+fn live_completions(start_ordered: &[LogEntry]) -> Vec<(LogEntry, u32)> {
+    // (second, admit before log, index)
+    let mut events: Vec<(u32, bool, usize)> = Vec::new();
+    for (i, e) in start_ordered.iter().enumerate() {
+        let jitter = (i as u32).wrapping_mul(2_654_435_761) >> 28;
+        events.push((e.start, false, i));
+        events.push((e.stop() + jitter, true, i));
+    }
+    events.sort_unstable();
+    let mut in_flight = InFlight::default();
+    let mut out = Vec::with_capacity(start_ordered.len());
+    for (_, logs, i) in events {
+        let e = start_ordered[i];
+        if logs {
+            in_flight.close(e.start);
+            out.push((e, in_flight.bound()));
+        } else {
+            in_flight.admit(e.start);
+        }
+    }
+    assert!(
+        out.windows(2).any(|w| w[1].0.timestamp < w[0].0.timestamp),
+        "the jitter must take completions out of stop order"
+    );
+    out
+}
+
+fn entry(start: u32, duration: u32, client: u32) -> LogEntry {
+    LogEntryBuilder::new()
+        .span(start, duration)
+        .client(ClientId(client))
+        .origin(Ipv4Addr(0x0a00_0001), AsId(1), CountryCode(*b"BR"))
+        .object(ObjectId(0), 0)
+        .transfer_stats(4_096, 64_000, 0.0)
+        .build()
+}
+
+fn log_text(entries: &[LogEntry]) -> String {
+    String::from_utf8(wms::format_log(entries).to_vec()).expect("the WMS writer emits ASCII")
+}
+
+/// A stop-ordered log whose first chunk (or `ltc` block) happens to be
+/// start-ordered. That chunk's watermark is its largest start, 20, and
+/// an entry *at* the watermark must stay buffered: the next chunk brings
+/// a start of 15, which would be late behind a released 20.
+#[test]
+fn an_entry_at_the_watermark_waits_for_the_next_chunk() {
+    let (a, b, c) = (entry(10, 1, 1), entry(20, 1, 2), entry(15, 10, 3));
+    let lookahead = 10;
+    let reference = {
+        let mut e = StreamAnalyzer::new(StreamConfig::default());
+        e.preset_lookahead(lookahead);
+        e.ingest_str(&log_text(&[a, c, b]));
+        entry_point_neutral(e.finalize())
+    };
+    let mut text = StreamAnalyzer::new(StreamConfig::default());
+    text.preset_lookahead(lookahead);
+    text.ingest_str(&log_text(&[a, b]));
+    text.ingest_str(&log_text(&[c]));
+    assert_eq!(entry_point_neutral(text.finalize()), reference, "text");
+    for shards in [1usize, 2] {
+        let mut image = Vec::new();
+        let mut writer = ltc::LtcWriter::with_block_records(&mut image, 2).expect("ltc writer");
+        for e in [a, b, c] {
+            writer.push(&e).expect("ltc push");
+        }
+        writer.finish().expect("ltc finish");
+        let mut e = StreamAnalyzer::new(StreamConfig {
+            shards,
+            ..StreamConfig::default()
+        });
+        e.preset_lookahead(lookahead);
+        e.ingest_ltc_bytes(&image).expect("in-memory ltc");
+        assert_eq!(
+            entry_point_neutral(e.finalize()),
+            reference,
+            "ltc, {shards} shards"
+        );
     }
 }

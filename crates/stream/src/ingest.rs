@@ -27,8 +27,9 @@
 //! start order, straight to the coordinator. The tap entry points
 //! (`ingest_entry`, `ingest_entries`, `ingest_below`) run the same keep
 //! step on each entry and push it into the buffer; the first two release
-//! on the stop-order watermark, `ingest_below` below a bound its caller
-//! supplies (a live server's in-flight starts, `tap::InFlight`).
+//! on the stop-order watermark, `ingest_below` also no further than a
+//! bound its caller supplies (a live server's in-flight starts,
+//! `tap::InFlight`).
 //!
 //! Per-entry sketches are commutative monoids over the entry multiset
 //! (max registers, integer counts, fixed-point sums), shard states merge
@@ -332,16 +333,17 @@ impl StreamAnalyzer {
     }
 
     /// Ingests one already-decoded entry, like
-    /// [`ingest_entry`](Self::ingest_entry), but releases every buffered
-    /// entry whose start is strictly below the caller's `bound` instead
-    /// of below the stop-order watermark. The caller vouches that no
-    /// entry still to come starts below `bound`: a live server knows it
-    /// from the transfers it still has open
+    /// [`ingest_entry`](Self::ingest_entry), but never releases an entry
+    /// whose start is at or above the caller's `bound`. The caller
+    /// vouches that no entry still to come starts below `bound`: a live
+    /// server knows it from the transfers it still has open
     /// ([`InFlight`](crate::tap::InFlight)), whatever order their
-    /// completions reach the tap in.
+    /// completions reach the tap in. The release stops at the lower of
+    /// `bound` and the stop-order watermark, so an entry is late only if
+    /// both would have passed it.
     pub fn ingest_below(&mut self, e: &LogEntry, bound: u32) {
         self.tap_entry(e);
-        self.settle(bound);
+        self.settle(bound.min(self.watermark(false)));
     }
 
     /// Ingests a batch of already-decoded entries (see

@@ -28,8 +28,12 @@
 //! know which admitted transfers it still has open, though, and none of
 //! them can log a start below its own. [`InFlight`] holds that set, and
 //! a live node reports to the tap through [`MultiTap::admit`] and
-//! [`MultiTap::log`], which release strictly below
-//! [`InFlight::bound`]: exact in any completion order.
+//! [`MultiTap::log`], which never release at or above
+//! [`InFlight::bound`]: exact in any completion order. They stop at the
+//! stop-order watermark too when it is lower, which keeps that rule's
+//! slack for the one case the bound cannot see: a request overtaken on
+//! its way in by a later-starting one that was admitted and closed while
+//! nothing was open.
 
 use crate::ingest::{StreamAnalyzer, StreamConfig};
 use crate::report::StreamReport;
@@ -65,8 +69,9 @@ impl InFlight {
 
     /// The smallest start still in flight, or, with nothing in flight,
     /// the largest start admitted so far. An open transfer logs its own
-    /// start, and requests reach the node in start order, so no entry
-    /// still to come starts below it.
+    /// start, and the driver connects in start order, so no entry still
+    /// to come starts below it unless its request was overtaken on the
+    /// way in.
     pub fn bound(&self) -> u32 {
         self.open
             .keys()
@@ -132,7 +137,8 @@ impl MultiTap {
 
     /// Logs one transfer a live node finished, into tier `tier`'s tap and
     /// the merged aggregate (out-of-range tiers as in
-    /// [`ingest`](Self::ingest)), and releases below the in-flight bound.
+    /// [`ingest`](Self::ingest)), releasing no further than the in-flight
+    /// bound ([`StreamAnalyzer::ingest_below`]).
     /// `admitted` says whether the transfer went through
     /// [`admit`](Self::admit); a refused one was never in flight.
     pub fn log(&mut self, tier: usize, e: &LogEntry, admitted: bool) {
@@ -291,6 +297,38 @@ mod tests {
         let (_, served) = live.finalize();
         assert_eq!(served.accounting.late_entries, 0);
         assert_eq!(neutral(served), neutral(reference.finalize()));
+    }
+
+    #[test]
+    fn a_refused_transfer_never_holds_the_release() {
+        let mut multi = MultiTap::new(StreamConfig::default(), 0);
+        multi.admit(10);
+        let refused = LogEntryBuilder::new().span(10, 5).build();
+        multi.log(0, &refused, false);
+        assert_eq!(multi.in_flight.bound(), 10, "the admitted 10 is still open");
+        multi.log(0, &LogEntryBuilder::new().span(10, 30).build(), true);
+        assert!(multi.in_flight.open.is_empty());
+    }
+
+    /// The live entry points keep the tier partition: tier reports split
+    /// the kept transfers, and the aggregate equals a direct ingest.
+    #[test]
+    fn live_tiers_partition_the_stream() {
+        let es = entries();
+        let mut multi = MultiTap::new(StreamConfig::default(), 2);
+        let mut direct = StreamAnalyzer::new(StreamConfig::default());
+        direct.ingest_entries(&es);
+        for e in &es {
+            multi.admit(e.start);
+        }
+        for (i, e) in es.iter().enumerate().rev() {
+            multi.log(i % 2, e, true);
+        }
+        let (tiers, merged) = multi.finalize();
+        let kept: u64 = tiers.iter().map(|t| t.accounting.kept).sum();
+        assert_eq!(kept, merged.accounting.kept);
+        assert_eq!(merged.accounting.late_entries, 0);
+        assert_eq!(merged.to_json(), direct.finalize().to_json());
     }
 
     /// An out-of-range tier index still reaches the aggregate.

@@ -159,7 +159,7 @@ pub struct RelayConfig {
     /// Broadcast-ring retention per object, bytes: the lag bound at
     /// which `Drop` truncates a subscriber.
     pub ring_capacity: u64,
-    /// Timing-wheel resolution, nanoseconds.
+    /// Deadline resolution, nanoseconds.
     pub wheel_resolution: Nanos,
     /// This relay's index: tier id in the shared tap, identity suffix
     /// in subscription requests.
@@ -376,8 +376,8 @@ impl Relay {
 
 /// The relay reactor: accepts clients, subscribes upstream on first
 /// demand per object, fans ring bytes out on readiness, and paces
-/// nothing itself — upstream arrival *is* the pacing signal, so the
-/// wheel holds only display-duration hold deadlines.
+/// nothing itself — upstream arrival *is* the pacing signal, so its
+/// only deadlines are display-duration holds.
 fn relay_loop(shared: &RelayShared, listener: &TcpListener, mut r: Reactor) {
     let mut conns: Slab<Conn<ConnState>> = Slab::new();
     let mut feeds: BTreeMap<u16, Feed> = BTreeMap::new();
@@ -428,7 +428,11 @@ fn relay_loop(shared: &RelayShared, listener: &TcpListener, mut r: Reactor) {
             }
         }
 
-        if r.wait(&shared.clock, &mut ready, &mut due).is_err() {
+        if r.wait(&shared.clock, &mut ready, &mut due, |key| {
+            armed(&conns, key)
+        })
+        .is_err()
+        {
             shared.force.store(true, Ordering::Relaxed);
             continue;
         }
@@ -444,6 +448,15 @@ fn relay_loop(shared: &RelayShared, listener: &TcpListener, mut r: Reactor) {
                 &mut scratch,
             );
         }
+    }
+}
+
+/// The seq of the deadline the connection at `key` has armed, if any:
+/// only a client's hold arms one.
+fn armed(conns: &Slab<Conn<ConnState>>, key: Key) -> Option<u64> {
+    match &conns.get(key)?.state {
+        ConnState::Client(s) => s.x.timer,
+        ConnState::Request { .. } | ConnState::Upstream { .. } => None,
     }
 }
 
@@ -678,7 +691,7 @@ fn serve_client(
     let ConnState::Client(s) = &mut conn.state else {
         return false;
     };
-    s.x.disarm(&mut r.wheel);
+    s.x.disarm();
     let now = shared.clock.now();
     let feed = feeds.get(&s.object);
     conn.blocked = false;
@@ -745,7 +758,7 @@ fn serve_client(
     if let Some(feed) = feed {
         shared.metrics.ring_lag.record(feed.ring.lag(&s.cursor));
     }
-    if s.x.sent == s.x.budget && s.x.hold(now, &mut r.wheel, key) {
+    if s.x.sent == s.x.budget && s.x.hold(now, r, key) {
         return shared.close(s, s.x.t.status, &shared.gate.completed);
     }
     false

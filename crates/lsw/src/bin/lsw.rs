@@ -39,7 +39,7 @@
 //! paced serving harness standalone on `--listen` for `--for` seconds so
 //! an external driver can connect. `--admission N` caps concurrent
 //! transfers (`RejectAbove`); 0 or absent accepts everything. The
-//! server is an epoll reactor per worker shard, paced by a timing wheel.
+//! server is an epoll reactor per worker shard, paced by a deadline heap.
 //!
 //! `--topology origin:R[:key]` interposes `R` relay nodes between the
 //! origin and the trace clients (`lsw_edge`): each relay subscribes to

@@ -44,7 +44,6 @@ pub mod reactor;
 pub mod server;
 pub mod slab;
 pub mod virt;
-pub mod wheel;
 
 pub use clock::WallClock;
 pub use diff::{closed_loop, reference_report, LoopDiff};
@@ -53,7 +52,6 @@ pub use metrics::{Registry, Snapshot};
 pub use server::{ReplayServer, ServeOutcome, ServerConfig, SlowClientPolicy};
 pub use slab::{Key, Slab};
 pub use virt::{run_virtual, VirtualOutcome};
-pub use wheel::{TimerId, TimingWheel};
 
 /// Wire status logged for transfers the admission policy turned away.
 pub const STATUS_REJECTED: u16 = 503;

@@ -13,7 +13,7 @@
 //! subscriber is entitled to the bytes the broadcast produced since it
 //! joined, capped by its transfer's wire byte budget. Time compression
 //! divides both the budget and the wall duration, so the *wire rate* is
-//! the trace rate unchanged. Pacing error is bounded by the wheel
+//! the trace rate unchanged. Pacing error is bounded by the deadline
 //! resolution (default 2^17 ns ≈ 131 µs).
 //!
 //! **Admission.** The shards share one [`Gate`]: the same
@@ -24,7 +24,7 @@
 //! actually written) exceeds the configured send-buffer bound is either
 //! dropped (logged truncated) or allowed to lag, per
 //! [`SlowClientPolicy`]. A write-blocked connection under the
-//! drop policy arms a wheel entry at the instant its client's aggregate
+//! drop policy arms a deadline at the instant its client's aggregate
 //! backlog would trip the bound, so stuck peers are dropped on time
 //! without any periodic scan.
 //!
@@ -59,7 +59,7 @@ use std::sync::{mpsc, Arc};
 const CLIENT_BACKLOG_SLOTS: usize = 1024;
 
 /// Minimum bytes granted per pacing step: deadlines are spaced so each
-/// wheel fire moves at least this much (or `rate × resolution` at high
+/// deadline moves at least this much (or `rate × resolution` at high
 /// rates, whichever is larger), keeping timer traffic off fast feeds.
 const PACING_BURST: u64 = payload::BLOCK as u64;
 
@@ -98,8 +98,8 @@ pub struct ServerConfig {
     pub slow_policy: SlowClientPolicy,
     /// Worker shards.
     pub workers: usize,
-    /// Timing-wheel resolution, nanoseconds (rounded up to a power of
-    /// two; pacing error is bounded by it).
+    /// Deadline resolution, nanoseconds (rounded up to a power of two;
+    /// pacing error is bounded by it).
     pub wheel_resolution: Nanos,
     /// Maximum wait for in-flight transfers during drain, nanoseconds;
     /// survivors are then truncated.
@@ -146,7 +146,7 @@ struct ServerMetrics {
     bytes_sent: Arc<Counter>,
     backlog: Arc<LogHistogram>,
     transfer_wall_ms: Arc<LogHistogram>,
-    /// |fire time − deadline| per wheel expiry, nanoseconds.
+    /// |fire time − deadline| per deadline fired, nanoseconds.
     pacing_error_ns: Arc<LogHistogram>,
 }
 
@@ -427,7 +427,7 @@ fn accept_loop(
 }
 
 /// One reactor shard: adopts connections from `rx`, then serves on
-/// readiness events and timing-wheel deadlines only. Exits once the
+/// readiness events and connection deadlines only. Exits once the
 /// intake channel is gone and every connection is finished (or on
 /// force-drain).
 fn reactor_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>, mut r: Reactor) {
@@ -474,7 +474,9 @@ fn reactor_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>, mut r: Reactor)
             return;
         }
 
-        let Ok(now) = r.wait(&shared.clock, &mut ready, &mut due) else {
+        let Ok(now) = r.wait(&shared.clock, &mut ready, &mut due, |key| {
+            armed(&conns, key)
+        }) else {
             // epoll on our own fds only fails if the process is out of
             // resources; treat it as a drain signal rather than spin.
             shared.force.store(true, Ordering::Relaxed);
@@ -493,7 +495,15 @@ fn reactor_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>, mut r: Reactor)
     }
 }
 
-/// Advances one connection on a readiness event or wheel fire, then
+/// The seq of the deadline the connection at `key` has armed, if any.
+fn armed(conns: &Slab<Conn<ConnState>>, key: Key) -> Option<u64> {
+    match &conns.get(key)?.state {
+        ConnState::Streaming(s) => s.x.timer,
+        ConnState::Request { .. } => None,
+    }
+}
+
+/// Advances one connection on a readiness event or deadline, then
 /// reconciles its slab slot and EPOLLOUT registration. Stale keys (a
 /// timer outliving its connection) are ignored.
 fn step_conn(
@@ -513,8 +523,8 @@ fn step_conn(
     }
     shared.gate.active.dec();
     // Dropping the stream closes the fd, which also removes it from the
-    // epoll set; the wheel's residue (if any) fires into a stale
-    // generation and is dropped.
+    // epoll set; its heap residue (if any) pops into a stale generation
+    // and fires nothing.
     conns.remove(key);
 }
 
@@ -574,7 +584,7 @@ fn stream_step(
     let ConnState::Streaming(s) = &mut conn.state else {
         return false;
     };
-    s.x.disarm(&mut r.wheel);
+    s.x.disarm();
     if readable && peer_gone(&mut conn.stream) {
         return close(shared, s, now, STATUS_TRUNCATED, &shared.gate.truncated);
     }
@@ -614,7 +624,7 @@ fn stream_step(
         );
     }
     if s.x.sent == s.x.budget {
-        if s.x.hold(now, &mut r.wheel, key) {
+        if s.x.hold(now, r, key) {
             // Transfer complete: log in trace coordinates with the
             // original status, then close.
             return close(shared, s, now, s.x.t.status, &shared.gate.completed);
@@ -628,7 +638,7 @@ fn stream_step(
         if shared.slow_policy == SlowClientPolicy::Drop {
             let headroom = shared.send_buffer.saturating_sub(client_total);
             let trip = now.saturating_add(proto::pacing_deadline(s.rate, headroom + 1));
-            s.x.timer = Some(r.wheel.schedule(trip, key));
+            s.x.arm(r, trip, key);
         }
         return false;
     }
@@ -637,7 +647,7 @@ fn stream_step(
     let deadline = s
         .join
         .saturating_add(proto::pacing_deadline(s.rate, s.x.sent + chunk));
-    s.x.timer = Some(r.wheel.schedule(deadline, key));
+    s.x.arm(r, deadline, key);
     false
 }
 

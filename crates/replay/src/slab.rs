@@ -1,17 +1,17 @@
 //! A generational slab: O(1) insert/remove/lookup for reactor
 //! connections, with stale-handle detection.
 //!
-//! Epoll events and timing-wheel entries both carry a [`Key`] rather
+//! Epoll events and reactor deadlines both carry a [`Key`] rather
 //! than a reference. A key packs `(index, generation)` into one `u64`
 //! (it rides through `epoll_data` verbatim); the generation is bumped
 //! on every removal, so an event or timer that outlives its connection
 //! resolves to `None` instead of to whatever reused the slot. That is
 //! what lets the reactor skip explicit timer cancellation: a dead
-//! connection's pending wheel entry fires once into a stale key and is
-//! dropped.
+//! connection's pending deadline pops once into a stale key and fires
+//! nothing.
 
 /// A slot handle: index plus the generation it was issued under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key {
     index: u32,
     gen: u32,
@@ -102,6 +102,14 @@ impl<T> Slab<T> {
     }
 
     /// Looks up a live entry; `None` for vacated or stale keys.
+    pub fn get(&self, key: Key) -> Option<&T> {
+        match self.slots.get(key.index as usize) {
+            Some(Slot::Occupied { gen, value }) if *gen == key.gen => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Looks up a live entry mutably; `None` for vacated or stale keys.
     pub fn get_mut(&mut self, key: Key) -> Option<&mut T> {
         match self.slots.get_mut(key.index as usize) {
             Some(Slot::Occupied { gen, value }) if *gen == key.gen => Some(value),
@@ -178,6 +186,19 @@ mod tests {
         assert_eq!(s.get_mut(a), None, "stale key misses");
         assert_eq!(s.get_mut(b), Some(&mut 2));
         assert_eq!(s.slots.len(), 1, "slot was recycled, not grown");
+    }
+
+    #[test]
+    fn get_resolves_live_keys_only() {
+        let mut s = Slab::new();
+        let a = s.insert(7u32);
+        assert_eq!(s.get(a), Some(&7));
+        *s.get_mut(a).expect("live") = 8;
+        assert_eq!(s.get(a), Some(&8));
+        s.remove(a);
+        let b = s.insert(9);
+        assert_eq!(s.get(a), None, "a stale key misses the reused slot");
+        assert_eq!(s.get(b), Some(&9));
     }
 
     #[test]

@@ -200,7 +200,7 @@ mod tests {
     fn zero_duration_transfers_release_before_same_second_arrivals() {
         // Two zero-duration transfers at the same second under a
         // one-slot cap: the first must free its slot for the second,
-        // the DES convention the wheel alone cannot express.
+        // the DES convention a strictly-future timer cannot express.
         let entries: Vec<LogEntry> = (0..2)
             .map(|i| {
                 LogEntryBuilder::new()

@@ -37,7 +37,6 @@ const BOUNDED_MEM_FILES: &[&str] = &[
     "crates/replay/src/payload.rs",
     "crates/replay/src/reactor.rs",
     "crates/replay/src/slab.rs",
-    "crates/replay/src/wheel.rs",
     "crates/stream/src/ingest.rs",
     "crates/stream/src/reorder.rs",
     "crates/stream/src/coord.rs",
@@ -219,7 +218,7 @@ mod tests {
         assert!(classify("crates/replay/src/server.rs").bounded_mem);
         assert!(classify("crates/replay/src/payload.rs").bounded_mem);
         assert!(classify("crates/replay/src/slab.rs").bounded_mem);
-        assert!(classify("crates/replay/src/wheel.rs").bounded_mem);
+        assert!(classify("crates/replay/src/reactor.rs").bounded_mem);
         assert!(classify("crates/stream/src/ingest.rs").bounded_mem);
         assert!(classify("crates/edge/src/ring.rs").bounded_mem);
         assert!(!classify("crates/stream/src/hll.rs").bounded_mem);

@@ -275,6 +275,20 @@ mod tests {
     }
 
     #[test]
+    fn the_diff_carries_the_observed_taps_late_entries() {
+        let s = schedule();
+        let reference = reference_report(&s, StreamConfig::default());
+        // A start of 10 that arrives after 100 was released is clamped.
+        let mut tap = StreamAnalyzer::new(StreamConfig::default());
+        for start in [100, 200, 10] {
+            tap.ingest_entry(&LogEntryBuilder::new().span(start, 1).build());
+        }
+        let diff = closed_loop(&reference, &tap.finalize());
+        assert_eq!(diff.late_entries, 1);
+        assert!(diff.render().contains("observed tap late entries: 1"));
+    }
+
+    #[test]
     fn lost_transfers_break_the_loop() {
         let s = schedule();
         let reference = reference_report(&s, StreamConfig::default());

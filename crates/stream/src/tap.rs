@@ -310,6 +310,26 @@ mod tests {
         assert!(multi.in_flight.open.is_empty());
     }
 
+    /// A request at 30 reaches the node only after 40 was admitted and
+    /// everything before it closed, so the in-flight bound alone would
+    /// release 35 and clamp 30. The stop-order watermark (the longest
+    /// duration seen, 30, behind the latest stop, 50) holds 35 back.
+    #[test]
+    fn a_request_overtaken_on_its_way_in_is_not_clamped() {
+        let e = |start, duration| LogEntryBuilder::new().span(start, duration).build();
+        let (m, n, late, last) = (e(20, 30), e(35, 1), e(30, 5), e(40, 1));
+        let mut multi = MultiTap::new(StreamConfig::default(), 0);
+        for x in [m, n, last] {
+            multi.admit(x.start);
+        }
+        for x in [n, last, m] {
+            multi.log(0, &x, true);
+        }
+        multi.admit(late.start);
+        multi.log(0, &late, true);
+        assert_eq!(multi.finalize().1.accounting.late_entries, 0);
+    }
+
     /// The live entry points keep the tier partition: tier reports split
     /// the kept transfers, and the aggregate equals a direct ingest.
     #[test]

@@ -32,9 +32,10 @@
 //! trace coordinates taken from the request line — into an embedded
 //! [`MultiTap`] with no tiers, which is finalized into the run's
 //! closed-loop [`StreamReport`] on drain. Each admission registers its
-//! start there, and the tap releases strictly below the smallest start
-//! still open ([`lsw_stream::tap::InFlight`]), so the order in which
-//! completions reach it over real sockets cannot make an entry late.
+//! start there, and the tap releases nothing at or above the smallest
+//! start still open ([`lsw_stream::tap::InFlight`]), so the order in
+//! which completions reach it over real sockets cannot make an entry
+//! late.
 
 use crate::clock::{Nanos, WallClock};
 use crate::metrics::{Counter, LogHistogram, Registry, Snapshot};
@@ -106,8 +107,8 @@ pub struct ServerConfig {
     pub drain: Nanos,
     /// Tap (characterization) configuration.
     pub stream: StreamConfig,
-    /// Unused: the tap releases below the starts still in flight, which
-    /// needs no look-ahead window. Kept only because `lsw-benchmark`
+    /// Unused: the tap releases below the starts still in flight and
+    /// needs no preset look-ahead. Kept only because `lsw-benchmark`
     /// sets it; it goes with the benchmark's next change.
     pub lookahead: u32,
 }

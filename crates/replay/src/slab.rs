@@ -6,9 +6,8 @@
 //! (it rides through `epoll_data` verbatim); the generation is bumped
 //! on every removal, so an event or timer that outlives its connection
 //! resolves to `None` instead of to whatever reused the slot. That is
-//! what lets the reactor skip explicit timer cancellation: a dead
-//! connection's pending deadline pops once into a stale key and fires
-//! nothing.
+//! why a closing connection need not touch the reactor's deadline heap:
+//! its pending deadline pops once into a stale key and fires nothing.
 
 /// A slot handle: index plus the generation it was issued under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

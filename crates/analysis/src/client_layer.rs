@@ -161,7 +161,7 @@ pub fn analyze_geo(trace: &Trace) -> GeoAnalysis {
 }
 
 /// Figs 3, 4, 8: concurrency and its temporal structure.
-pub fn analyze_concurrency(sessions: &Sessions, horizon: u32) -> ClientConcurrency {
+pub(crate) fn analyze_concurrency(sessions: &Sessions, horizon: u32) -> ClientConcurrency {
     let profile = ConcurrencyProfile::clients(sessions.all(), horizon);
     let samples = profile.samples();
     let marginal = Marginal::linear_binned(&samples, 100).unwrap_or_else(empty_marginal);
@@ -211,7 +211,7 @@ fn merge_peaks(series: &[f64], peaks: Vec<usize>, min_gap: usize) -> Vec<usize> 
 }
 
 /// Figs 5/6 and the §3.4 Poisson-window test.
-pub fn analyze_arrivals(sessions: &Sessions, horizon: u32, seed: u64) -> ArrivalAnalysis {
+pub(crate) fn analyze_arrivals(sessions: &Sessions, horizon: u32, seed: u64) -> ArrivalAnalysis {
     let arrivals = sessions.arrival_times();
     let actual_iats = sessions.client_interarrivals();
     let interarrivals =
@@ -284,7 +284,7 @@ pub fn analyze_arrivals(sessions: &Sessions, horizon: u32, seed: u64) -> Arrival
 }
 
 /// Fig 7: the client interest profile.
-pub fn analyze_interest(trace: &Trace, sessions: &Sessions) -> InterestAnalysis {
+pub(crate) fn analyze_interest(trace: &Trace, sessions: &Sessions) -> InterestAnalysis {
     let transfers_rf = RankFrequency::from_counts(transfer_counts_per_client(trace));
     let sessions_rf = RankFrequency::from_counts(sessions.session_counts_per_client());
     // Fit the body: ranks whose counts are large enough that Poisson noise

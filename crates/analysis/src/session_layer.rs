@@ -185,7 +185,7 @@ fn sweep_in_order(trace: &Trace, order: &[u32], timeouts: &[f64]) -> TimeoutSwee
 }
 
 /// Fig 10: mean ON time by session starting hour.
-pub fn on_time_by_hour(sessions: &Sessions) -> OnTimeByHour {
+pub(crate) fn on_time_by_hour(sessions: &Sessions) -> OnTimeByHour {
     let mut sums = [0.0f64; 24];
     let mut counts = [0u64; 24];
     for s in sessions.all() {

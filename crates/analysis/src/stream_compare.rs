@@ -25,7 +25,7 @@ pub struct ComparedValue {
 impl ComparedValue {
     /// `|streamed - exact| / |exact|`, when both sides exist and the
     /// exact value is non-zero.
-    pub fn relative_error(&self) -> Option<f64> {
+    pub(crate) fn relative_error(&self) -> Option<f64> {
         match (self.exact, self.streamed) {
             (Some(e), Some(s)) if e != 0.0 => Some((s - e).abs() / e.abs()),
             _ => None,
@@ -34,7 +34,7 @@ impl ComparedValue {
 }
 
 /// Collects every estimator both pipelines produce.
-pub fn compare(batch: &CharacterizationReport, stream: &StreamReport) -> Vec<ComparedValue> {
+pub(crate) fn compare(batch: &CharacterizationReport, stream: &StreamReport) -> Vec<ComparedValue> {
     let mut rows = Vec::new();
     let mut push = |name: &'static str, exact: Option<f64>, streamed: Option<f64>| {
         rows.push(ComparedValue {

@@ -118,7 +118,7 @@ pub fn analyze_concurrency(trace: &Trace) -> TransferConcurrency {
 }
 
 /// Figs 17/18.
-pub fn analyze_arrivals(trace: &Trace) -> TransferArrivals {
+pub(crate) fn analyze_arrivals(trace: &Trace) -> TransferArrivals {
     let starts: Vec<f64> = trace.start_times().collect();
     let iats: Vec<f64> = starts.windows(2).map(|w| w[1] - w[0]).collect();
     let disp = display_transform(&iats);
@@ -199,7 +199,7 @@ pub fn analyze_lengths(trace: &Trace) -> TransferLengths {
 }
 
 /// Fig 20.
-pub fn analyze_bandwidth(trace: &Trace) -> TransferBandwidth {
+pub(crate) fn analyze_bandwidth(trace: &Trace) -> TransferBandwidth {
     let bws: Vec<f64> = trace
         .entries()
         .iter()

@@ -33,7 +33,7 @@ pub struct BandwidthModel {
 
 impl BandwidthModel {
     /// Builds the model from its configuration.
-    pub fn new(cfg: BandwidthConfig) -> Result<Self, String> {
+    pub(crate) fn new(cfg: BandwidthConfig) -> Result<Self, String> {
         if !(0.0..=1.0).contains(&cfg.congestion_fraction) {
             return Err("congestion_fraction must be in [0,1]".into());
         }
@@ -42,13 +42,12 @@ impl BandwidthModel {
         Ok(Self { cfg, congestion })
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &BandwidthConfig {
-        &self.cfg
-    }
-
     /// Samples a transfer's bandwidth given the client's access link.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, access: AccessClass) -> BandwidthDraw {
+    pub(crate) fn sample<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        access: AccessClass,
+    ) -> BandwidthDraw {
         let cap = f64::from(access.capacity_bps());
         if u01(rng) < self.cfg.congestion_fraction {
             // Congestion-bound: low lognormal, never above what the link

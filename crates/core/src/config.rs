@@ -130,7 +130,7 @@ pub struct WorkloadConfig {
     /// Per-day audience envelope (Fig 4 left: the show ramps up over its
     /// first days). Empty = flat. Scaled-down runs usually leave this
     /// empty; the full paper configuration uses
-    /// [`crate::diurnal::DiurnalProfile::paper_day_envelope`].
+    /// `DiurnalProfile::paper_day_envelope`.
     pub day_envelope: Vec<f64>,
 }
 

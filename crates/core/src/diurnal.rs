@@ -4,7 +4,7 @@
 //! 24-hour period (trough from 4am to 11am, evening peak) modulated by a
 //! weaker weekly pattern (weekends slightly higher). GISMO's extension for
 //! live media makes this profile *programmable* — any 15-minute shape can
-//! be supplied — and [`DiurnalProfile::paper`] ships the shape read off
+//! be supplied — and `DiurnalProfile::paper` ships the shape read off
 //! Fig 4 (right).
 
 use lsw_stats::process::{PiecewisePoisson, PiecewiseRate};
@@ -15,7 +15,7 @@ pub const BINS_PER_DAY: usize = 96;
 
 /// Relative audience level at the instant the service launched (used when
 /// a day envelope is present): effectively a handful of early viewers.
-pub const LAUNCH_LEVEL: f64 = 0.003;
+pub(crate) const LAUNCH_LEVEL: f64 = 0.003;
 
 /// A daily shape (96 × 15-minute relative weights) with per-weekday
 /// multipliers, convertible into an absolute arrival-rate profile.
@@ -69,7 +69,7 @@ impl DiurnalProfile {
     }
 
     /// Attaches a per-day audience envelope (see [`DiurnalProfile::day_envelope`]).
-    pub fn with_day_envelope(mut self, envelope: Vec<f64>) -> Result<Self, String> {
+    pub(crate) fn with_day_envelope(mut self, envelope: Vec<f64>) -> Result<Self, String> {
         if envelope.iter().any(|&v| !(v > 0.0) || !v.is_finite()) {
             return Err("day envelope values must be positive and finite".into());
         }
@@ -79,7 +79,7 @@ impl DiurnalProfile {
 
     /// The paper's Fig 4 (left) inter-day envelope: a ramp over the first
     /// week-and-a-half of the show, a mid-run plateau, and a gentle decay.
-    pub fn paper_day_envelope() -> Vec<f64> {
+    pub(crate) fn paper_day_envelope() -> Vec<f64> {
         // Day 0 starts near-dead: Fig 18 (left) shows mean interarrivals
         // spiking toward ~1,000 s in the opening hours, before word of the
         // webcast spread.
@@ -95,7 +95,7 @@ impl DiurnalProfile {
     /// Values are relative concurrent-client levels read off the figure at
     /// 15-minute resolution (piecewise-linear between the listed anchor
     /// hours).
-    pub fn paper_shape() -> Vec<f64> {
+    pub(crate) fn paper_shape() -> Vec<f64> {
         // (hour, relative level) anchors from Fig 4 (right).
         const ANCHORS: [(f64, f64); 13] = [
             (0.0, 700.0),
@@ -131,7 +131,7 @@ impl DiurnalProfile {
     }
 
     /// The paper profile with the given weekday modulation.
-    pub fn paper(weekday_weights: [f64; 7], start_weekday: u8) -> Self {
+    pub(crate) fn paper(weekday_weights: [f64; 7], start_weekday: u8) -> Self {
         Self::new(Self::paper_shape(), weekday_weights, start_weekday)
             .expect("static shape is valid") // lsw::allow(L005): fixed valid table
     }
@@ -144,7 +144,7 @@ impl DiurnalProfile {
     }
 
     /// Relative intensity at time `t` seconds (period: one week).
-    pub fn relative_rate(&self, t: f64) -> f64 {
+    pub(crate) fn relative_rate(&self, t: f64) -> f64 {
         if t < 0.0 {
             return 0.0;
         }
@@ -181,7 +181,7 @@ impl DiurnalProfile {
     }
 
     /// Integral of the relative rate over `[0, horizon)` seconds.
-    pub fn relative_mass(&self, horizon: f64) -> f64 {
+    pub(crate) fn relative_mass(&self, horizon: f64) -> f64 {
         // Sum whole 15-minute bins; the tail partial bin is pro-rated.
         let mut mass = 0.0;
         let mut t = 0.0;
@@ -198,7 +198,7 @@ impl DiurnalProfile {
     ///
     /// The profile is laid out as explicit 15-minute windows over the whole
     /// horizon (non-periodic), so weekly modulation is baked in.
-    pub fn to_process(&self, horizon_secs: u32, target_arrivals: usize) -> PiecewisePoisson {
+    pub(crate) fn to_process(&self, horizon_secs: u32, target_arrivals: usize) -> PiecewisePoisson {
         let horizon = f64::from(horizon_secs);
         let mass = self.relative_mass(horizon);
         assert!(mass > 0.0, "profile has zero mass over the horizon");
@@ -211,28 +211,6 @@ impl DiurnalProfile {
         let profile = PiecewiseRate::new(rates, 900.0, false).expect("validated rates");
         PiecewisePoisson::new(profile)
     }
-
-    /// Hour-of-day (0..24) with the lowest shape value — the diurnal trough.
-    pub fn trough_hour(&self) -> f64 {
-        let (bin, _) = self
-            .shape
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map_or((0, &0.0), |x| x);
-        bin as f64 * 24.0 / BINS_PER_DAY as f64
-    }
-
-    /// Hour-of-day with the highest shape value — the diurnal peak.
-    pub fn peak_hour(&self) -> f64 {
-        let (bin, _) = self
-            .shape
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map_or((0, &0.0), |x| x);
-        bin as f64 * 24.0 / BINS_PER_DAY as f64
-    }
 }
 
 #[cfg(test)]
@@ -244,9 +222,11 @@ mod tests {
     fn paper_shape_has_expected_structure() {
         let p = DiurnalProfile::paper([1.0; 7], 0);
         // Trough in the paper's dead zone (4am–11am), peak in the evening.
-        let trough = p.trough_hour();
+        let hour = |bin: usize| bin as f64 * 24.0 / BINS_PER_DAY as f64;
+        let by_shape = |a: &(usize, &f64), b: &(usize, &f64)| a.1.total_cmp(b.1);
+        let trough = hour(p.shape.iter().enumerate().min_by(by_shape).unwrap().0);
         assert!((4.0..11.0).contains(&trough), "trough at {trough}");
-        let peak = p.peak_hour();
+        let peak = hour(p.shape.iter().enumerate().max_by(by_shape).unwrap().0);
         assert!((19.0..24.0).contains(&peak), "peak at {peak}");
         // Peak-to-trough dynamic range is large (Fig 4 right: ~80 → ~1500).
         let max = p.shape.iter().cloned().fold(0.0, f64::max);

@@ -143,11 +143,6 @@ impl Generator {
         Ok(g)
     }
 
-    /// The diurnal profile in force.
-    pub fn profile(&self) -> &DiurnalProfile {
-        &self.profile
-    }
-
     /// Sets the worker count for [`generate`](Self::generate). The output
     /// is bit-identical for every setting; this only changes wall-clock
     /// time.

@@ -20,33 +20,17 @@ pub struct InterestProfile {
 impl InterestProfile {
     /// Creates a profile over `n_clients` with interest exponent `alpha`
     /// (paper: 0.4704). `alpha = 0` degenerates to uniform interest.
-    pub fn new(n_clients: usize, alpha: f64) -> Result<Self, ParamError> {
+    pub(crate) fn new(n_clients: usize, alpha: f64) -> Result<Self, ParamError> {
         Ok(Self {
             zipf: ZipfTable::new(n_clients as u64, alpha)?,
         })
     }
 
-    /// Number of clients.
-    pub fn n_clients(&self) -> usize {
-        self.zipf.n() as usize
-    }
-
-    /// Interest exponent.
-    pub fn alpha(&self) -> f64 {
-        self.zipf.s()
-    }
-
     /// Samples the client for a new session. Client ids are assigned in
     /// interest-rank order (client 0 is the most interested), which costs
     /// no generality: ids are opaque labels.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ClientId {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ClientId {
         ClientId((self.zipf.sample_k(rng) - 1) as u32)
-    }
-
-    /// The expected fraction of sessions owned by the rank-`k` client
-    /// (`k` is 1-based) — Fig 7's fitted curve.
-    pub fn expected_share(&self, k: u64) -> f64 {
-        self.zipf.pmf(k)
     }
 }
 
@@ -88,7 +72,7 @@ mod tests {
             counts[99]
         );
         let emp = counts[0] as f64 / 200_000.0;
-        assert!((emp - p.expected_share(1)).abs() < 0.005);
+        assert!((emp - p.zipf.pmf(1)).abs() < 0.005);
     }
 
     #[test]
@@ -132,7 +116,7 @@ mod tests {
     #[test]
     fn uniform_interest_special_case() {
         let p = InterestProfile::new(100, 0.0).unwrap();
-        assert!((p.expected_share(1) - 0.01).abs() < 1e-12);
-        assert!((p.expected_share(100) - 0.01).abs() < 1e-12);
+        assert!((p.zipf.pmf(1) - 0.01).abs() < 1e-12);
+        assert!((p.zipf.pmf(100) - 0.01).abs() < 1e-12);
     }
 }

@@ -10,7 +10,7 @@
 //!   mean rate follows a programmable diurnal/weekly profile ([`diurnal`]),
 //!   as established in §3.4 (Figs 4–6).
 //! * **Client identity** — which client owns an arriving session is drawn
-//!   from the Zipf *client interest profile* ([`interest`]), α = 0.4704
+//!   from the Zipf *client interest profile* (`interest`), α = 0.4704
 //!   (Fig 7 right). This is the paper's role-reversal: clients, not
 //!   objects, are the popularity-skewed entity.
 //! * **Session composition** — the number of transfers in a session is
@@ -19,8 +19,8 @@
 //! * **Transfers** — lengths are lognormal(μ = 4.384, σ = 1.427),
 //!   reflecting client *stickiness* rather than object size (Fig 19, §5.3);
 //!   the object (feed) and camera come from the live-object model
-//!   ([`objects`]); bandwidth is bimodal, client-bound with a ~10%
-//!   congestion-bound mode ([`bandwidth`], Fig 20).
+//!   (`objects`); bandwidth is bimodal, client-bound with a ~10%
+//!   congestion-bound mode (`bandwidth`, Fig 20).
 //!
 //! [`vbr`] adds GISMO's self-similar variable-bit-rate content encoding
 //! (superposed heavy-tailed ON/OFF sources, Hurst `H = (3−α)/2`), and
@@ -48,14 +48,13 @@
 // also rejects NaN, which is exactly the point of those guards.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod bandwidth;
+pub(crate) mod bandwidth;
 pub mod config;
 pub mod diurnal;
 pub mod generator;
-pub mod interest;
-pub mod objects;
+pub(crate) mod interest;
+pub(crate) mod objects;
 pub mod stored;
-pub mod validate;
 pub mod vbr;
 pub mod workload;
 

@@ -27,7 +27,7 @@ pub struct LiveObjects {
 impl LiveObjects {
     /// Creates the model; `feed_weights` must be non-empty and positive,
     /// `n_cameras` in 1..=256.
-    pub fn new(
+    pub(crate) fn new(
         feed_weights: &[f64],
         n_cameras: usize,
         camera_hold_secs: f64,
@@ -63,18 +63,8 @@ impl LiveObjects {
         })
     }
 
-    /// Number of feeds.
-    pub fn n_objects(&self) -> usize {
-        self.cum_weights.len()
-    }
-
-    /// Number of cameras.
-    pub fn n_cameras(&self) -> usize {
-        self.n_cameras as usize
-    }
-
     /// Samples which feed a joining client taps into.
-    pub fn sample_feed<R: Rng + ?Sized>(&self, rng: &mut R) -> ObjectId {
+    pub(crate) fn sample_feed<R: Rng + ?Sized>(&self, rng: &mut R) -> ObjectId {
         let u = u01(rng);
         let idx = self
             .cum_weights
@@ -89,7 +79,7 @@ impl LiveObjects {
     /// The schedule is a hash-driven piecewise-constant process: the feed
     /// holds a camera for `camera_hold_secs`-long slots; each slot's camera
     /// is a stable hash of (seed, feed, slot).
-    pub fn camera_at(&self, object: ObjectId, t: f64) -> u8 {
+    pub(crate) fn camera_at(&self, object: ObjectId, t: f64) -> u8 {
         let slot = if t <= 0.0 {
             0
         } else {

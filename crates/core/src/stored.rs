@@ -61,7 +61,7 @@ impl Default for StoredConfig {
 
 impl StoredConfig {
     /// Validates structural constraints.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n_clients == 0 || self.n_objects == 0 || self.target_requests == 0 {
             return Err("population, library and request target must be >= 1".into());
         }

@@ -51,7 +51,7 @@ impl VbrConfig {
     }
 
     /// Validates structural constraints.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.mean_bps > 0.0) {
             return Err("mean_bps must be positive".into());
         }
@@ -86,11 +86,6 @@ impl VbrEncoder {
             config,
             seeds: SeedStream::new(seed).child("vbr"),
         })
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &VbrConfig {
-        &self.config
     }
 
     /// The per-second bitrate series of a feed over `[start, start + len)`
@@ -136,16 +131,6 @@ impl VbrEncoder {
             }
         }
         series
-    }
-
-    /// Bytes delivered by a transfer of `duration` seconds starting at
-    /// `start` on `feed`, if the client keeps up with the encoded rate.
-    pub fn bytes_over(&self, feed: ObjectId, start: u64, duration: u32) -> u64 {
-        if duration == 0 {
-            return 0;
-        }
-        let series = self.bitrate_series(feed, start, duration as usize);
-        (series.iter().sum::<f64>() / 8.0) as u64
     }
 }
 
@@ -229,14 +214,5 @@ mod tests {
         for (i, &v) in small.iter().enumerate() {
             assert!((v - big[100 + i]).abs() < 1e-9, "window mismatch at {i}");
         }
-    }
-
-    #[test]
-    fn bytes_over_matches_series_sum() {
-        let e = encoder();
-        let series = e.bitrate_series(ObjectId(0), 42, 100);
-        let expected = (series.iter().sum::<f64>() / 8.0) as u64;
-        assert_eq!(e.bytes_over(ObjectId(0), 42, 100), expected);
-        assert_eq!(e.bytes_over(ObjectId(0), 42, 0), 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Self-validation: does a generated workload match its own targets?
+//! Generator recovery: does a generated workload match its own targets?
 //!
 //! The generator's contract is distributional; [`validate_workload`]
 //! checks it by fitting the generated marginals and comparing against the
@@ -6,56 +6,29 @@
 //! (the full loop — through log rendering, sanitization and the
 //! characterizer — lives in `lsw-figures`).
 
-use crate::config::{TransfersPerSession, WorkloadConfig};
-use crate::workload::Workload;
-use lsw_stats::dist::{Continuous, LogNormal};
+use lsw_core::config::{TransfersPerSession, WorkloadConfig};
+use lsw_core::generator::Generator;
+use lsw_core::workload::Workload;
 use lsw_stats::empirical::RankFrequency;
 use lsw_stats::fit::{fit_lognormal, fit_zipf_rank_frequency};
-use lsw_stats::hypothesis::ks_test;
-use serde::{Deserialize, Serialize};
 
 /// One checked quantity: target, recovered value, and pass/fail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Check {
+#[derive(Debug)]
+struct Check {
     /// What was checked.
-    pub name: String,
+    name: String,
     /// Configured target value.
-    pub target: f64,
+    target: f64,
     /// Value recovered from the generated workload.
-    pub recovered: f64,
+    recovered: f64,
     /// Tolerance used (absolute).
-    pub tolerance: f64,
+    tolerance: f64,
 }
 
 impl Check {
     /// Whether the recovered value is within tolerance.
-    pub fn passed(&self) -> bool {
+    fn passed(&self) -> bool {
         (self.recovered - self.target).abs() <= self.tolerance
-    }
-}
-
-/// A validation report over all checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ValidationReport {
-    /// Individual checks.
-    pub checks: Vec<Check>,
-    /// KS p-value of transfer lengths against the configured lognormal.
-    pub transfer_length_ks_p: f64,
-}
-
-impl ValidationReport {
-    /// True when every check passed.
-    pub fn all_passed(&self) -> bool {
-        self.checks.iter().all(Check::passed)
-    }
-
-    /// Names of failed checks.
-    pub fn failures(&self) -> Vec<&str> {
-        self.checks
-            .iter()
-            .filter(|c| !c.passed())
-            .map(|c| c.name.as_str())
-            .collect()
     }
 }
 
@@ -63,7 +36,7 @@ impl ValidationReport {
 ///
 /// Horizon-clipped transfers are excluded from length fits (clipping is a
 /// deliberate departure from the ideal distribution at the trace edge).
-pub fn validate_workload(w: &Workload) -> ValidationReport {
+fn validate_workload(w: &Workload) -> Vec<Check> {
     let cfg: &WorkloadConfig = w.config();
     let horizon = f64::from(cfg.horizon_secs);
     let mut checks = Vec::new();
@@ -77,14 +50,13 @@ pub fn validate_workload(w: &Workload) -> ValidationReport {
         tolerance: 5.0 * (cfg.target_sessions as f64).sqrt().max(1.0),
     });
 
-    // Transfer lengths: lognormal parameter recovery + KS.
+    // Transfer lengths: lognormal parameter recovery.
     let lengths: Vec<f64> = w
         .transfers()
         .iter()
         .filter(|t| t.start + t.duration < horizon - 1.0 && t.duration > 0.0)
         .map(|t| t.duration)
         .collect();
-    let mut ks_p = f64::NAN;
     if lengths.len() > 100 {
         if let Ok(f) = fit_lognormal(&lengths) {
             checks.push(Check {
@@ -100,17 +72,6 @@ pub fn validate_workload(w: &Workload) -> ValidationReport {
                 tolerance: 0.1,
             });
         }
-        let d = LogNormal::new(cfg.transfer_length.mu, cfg.transfer_length.sigma)
-            // lsw::allow(L005): Generator::new validated mu/sigma
-            .expect("validated config");
-        // KS on a subsample: at full scale the test is hypersensitive to
-        // the horizon clipping, which is expected, not an error.
-        let sample: Vec<f64> = lengths
-            .iter()
-            .step_by((lengths.len() / 2_000).max(1))
-            .copied()
-            .collect();
-        ks_p = ks_test(&sample, |x| d.cdf(x)).map_or(f64::NAN, |r| r.p_value);
     }
 
     // Intra-session interarrivals, grouped by ground-truth session index.
@@ -196,45 +157,54 @@ pub fn validate_workload(w: &Workload) -> ValidationReport {
         }
     }
 
-    ValidationReport {
-        checks,
-        transfer_length_ks_p: ks_p,
-    }
+    checks
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::generator::Generator;
+/// Generates `config` at `seed` and asserts every check passes.
+fn assert_recovers(config: WorkloadConfig, seed: u64) {
+    let w = Generator::new(config, seed)
+        .expect("a valid configuration")
+        .generate();
+    let checks = validate_workload(&w);
+    let failures: Vec<&str> = checks
+        .iter()
+        .filter(|c| !c.passed())
+        .map(|c| c.name.as_str())
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "failed checks: {failures:?}\n{checks:#?}"
+    );
+}
 
-    #[test]
-    fn paper_scaled_workload_validates() {
-        let config = WorkloadConfig::paper().scaled(3_000, 2 * 86_400, 20_000);
-        let w = Generator::new(config, 21).unwrap().generate();
-        let report = validate_workload(&w);
-        assert!(
-            report.all_passed(),
-            "failed checks: {:?}\n{:#?}",
-            report.failures(),
-            report.checks
-        );
-    }
+#[test]
+fn paper_scaled_workload_validates() {
+    assert_recovers(
+        WorkloadConfig::paper().scaled(3_000, 2 * 86_400, 20_000),
+        21,
+    );
+    // The benchmark's configuration: hybrid transfers per session, so
+    // only the shared checks apply.
+    assert_recovers(
+        WorkloadConfig::paper_scale_matched().scaled(3_000, 2 * 86_400, 20_000),
+        22,
+    );
+}
 
-    #[test]
-    fn check_passed_logic() {
-        let c = Check {
-            name: "x".into(),
-            target: 1.0,
-            recovered: 1.05,
-            tolerance: 0.1,
-        };
-        assert!(c.passed());
-        let c = Check {
-            name: "x".into(),
-            target: 1.0,
-            recovered: 1.2,
-            tolerance: 0.1,
-        };
-        assert!(!c.passed());
-    }
+#[test]
+fn check_passed_logic() {
+    let c = Check {
+        name: "x".into(),
+        target: 1.0,
+        recovered: 1.05,
+        tolerance: 0.1,
+    };
+    assert!(c.passed());
+    let c = Check {
+        name: "x".into(),
+        target: 1.0,
+        recovered: 1.2,
+        tolerance: 0.1,
+    };
+    assert!(!c.passed());
 }

@@ -63,12 +63,12 @@ use std::sync::Arc;
 /// Extra trace seconds a subscription outlives its last client's stop:
 /// covers the `⌊t⌋+1` display rounding at both span edges so the feed
 /// provably produces every subscriber's wire budget before it closes.
-pub const SPAN_SLACK: u32 = 2;
+pub(crate) const SPAN_SLACK: u32 = 2;
 
 /// Client-id base for relay subscription identities: far above any
 /// trace player id, so the origin's backlog slots and its own tap keep
 /// the relay tier distinguishable from real clients.
-pub const RELAY_CLIENT_BASE: u32 = u32::MAX - 4096;
+pub(crate) const RELAY_CLIENT_BASE: u32 = u32::MAX - 4096;
 
 /// One relay's planned origin subscription for one live object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +80,7 @@ pub struct FeedPlan {
     /// Earliest routed client start, trace seconds.
     pub span_start: u32,
     /// Subscription duration: latest routed client stop plus
-    /// [`SPAN_SLACK`], minus `span_start`, trace seconds.
+    /// `SPAN_SLACK`, minus `span_start`, trace seconds.
     pub span_duration: u32,
     /// The object's global encoded rate, trace bytes per second.
     pub rate: u64,
@@ -91,7 +91,7 @@ pub struct FeedPlan {
 
 impl FeedPlan {
     /// The synthetic transfer a relay offers the origin for this feed.
-    pub fn subscription(&self, relay: u32) -> ScheduledTransfer {
+    pub(crate) fn subscription(&self, relay: u32) -> ScheduledTransfer {
         ScheduledTransfer {
             start: self.span_start,
             duration: self.span_duration,
@@ -356,13 +356,13 @@ impl Relay {
     }
 
     /// Client connections currently in flight on this relay.
-    pub fn active(&self) -> u64 {
+    pub(crate) fn active(&self) -> u64 {
         self.shared.active.load(Ordering::Relaxed)
     }
 
     /// Force-truncates survivors, joins the reactor thread, and returns
     /// this relay's admission accounting. Call [`Relay::shutdown`] first
-    /// and wait for [`Relay::active`] to reach zero for a clean drain.
+    /// and wait for `Relay::active` to reach zero for a clean drain.
     pub fn finish(self) -> ServerStats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.force.store(true, Ordering::SeqCst);

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 /// Hard cap on retained chunk descriptors, independent of the byte
 /// capacity: a stream of tiny chunks must not grow the descriptor deque
 /// past a fixed footprint (24 B each → ≤ 96 KiB per ring).
-pub const MAX_CHUNKS: usize = 4096;
+pub(crate) const MAX_CHUNKS: usize = 4096;
 
 /// One appended chunk: `len` bytes at logical stream offset `offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,18 +58,11 @@ pub struct Cursor {
     offset: u64,
 }
 
-impl Cursor {
-    /// Logical stream offset of the next unread byte.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-}
-
 /// What a cursor sees when it polls the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Poll {
     /// `len` bytes are readable at logical offset `offset`. The caller
-    /// consumes any prefix of them with [`Broadcast::commit`].
+    /// consumes any prefix of them with `Broadcast::commit`.
     Ready {
         /// Logical stream offset of the readable range.
         offset: u64,
@@ -116,7 +109,7 @@ pub struct Broadcast {
 impl Broadcast {
     /// An empty open ring retaining up to `capacity` bytes of chunk
     /// descriptors (at least one chunk is always retained regardless).
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         Self {
             chunks: VecDeque::new(),
             capacity,
@@ -133,7 +126,7 @@ impl Broadcast {
     /// window counting the new chunk is over either retention bound; the
     /// new chunk itself always stays. Zero-length pushes are ignored
     /// (`None`).
-    pub fn push(&mut self, len: u64) -> Option<Chunk> {
+    pub(crate) fn push(&mut self, len: u64) -> Option<Chunk> {
         if len == 0 || self.closed {
             return None;
         }
@@ -158,32 +151,22 @@ impl Broadcast {
 
     /// Marks the feed ended: no more chunks will arrive, and cursors at
     /// the live edge poll [`Poll::End`] instead of [`Poll::Pending`].
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.closed = true;
     }
 
     /// A new cursor at the live edge: the mid-stream join point.
-    pub fn join(&self) -> Cursor {
+    pub(crate) fn join(&self) -> Cursor {
         Cursor { offset: self.head }
     }
 
-    /// Logical stream offset of the live edge (total bytes appended).
-    pub fn head(&self) -> u64 {
-        self.head
-    }
-
-    /// Oldest offset still inside the retention window.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// How far `cur` lags the live edge, in bytes.
-    pub fn lag(&self, cur: &Cursor) -> u64 {
+    pub(crate) fn lag(&self, cur: &Cursor) -> u64 {
         self.head - cur.offset
     }
 
     /// Polls the ring at `cur`, offering at most `max` bytes.
-    pub fn poll(&self, cur: &mut Cursor, max: u64) -> Poll {
+    pub(crate) fn poll(&self, cur: &mut Cursor, max: u64) -> Poll {
         if cur.offset < self.base {
             let resume = self.base;
             let skipped = resume - cur.offset;
@@ -207,7 +190,7 @@ impl Broadcast {
     /// Consumes `n` bytes at `cur` (any prefix of the last
     /// [`Poll::Ready`] range). Saturates at the live edge and never
     /// rewinds, so a stale `n` cannot corrupt the cursor.
-    pub fn commit(&self, cur: &mut Cursor, n: u64) {
+    pub(crate) fn commit(&self, cur: &mut Cursor, n: u64) {
         debug_assert!(cur.offset + n <= self.head, "commit past the live edge");
         cur.offset = (cur.offset + n).min(self.head);
     }
@@ -264,7 +247,7 @@ mod tests {
         let mut cur = ring.join();
         ring.push(60);
         ring.push(60); // retained 120 > 100: first chunk evicted
-        assert_eq!(ring.base(), 60);
+        assert_eq!(ring.base, 60);
         match ring.poll(&mut cur, u64::MAX) {
             Poll::Lapped { resume, skipped } => {
                 assert_eq!(resume, 60);
@@ -286,10 +269,10 @@ mod tests {
     fn newest_chunk_survives_even_when_oversized() {
         let mut ring = Broadcast::new(16);
         ring.push(1000);
-        assert_eq!(ring.base(), 0);
+        assert_eq!(ring.base, 0);
         ring.push(8);
-        assert_eq!(ring.base(), 1000); // oversized chunk evicted whole
-        assert_eq!(ring.head(), 1008);
+        assert_eq!(ring.base, 1000); // oversized chunk evicted whole
+        assert_eq!(ring.head, 1008);
     }
 
     #[test]
@@ -308,7 +291,7 @@ mod tests {
         ring.push(10);
         ring.close();
         assert_eq!(ring.push(10), None);
-        assert_eq!(ring.head(), 10);
+        assert_eq!(ring.head, 10);
     }
 
     #[test]
@@ -319,7 +302,7 @@ mod tests {
         for (c, &(seq, offset, len)) in chunks.iter().zip(&expect) {
             assert_eq!(*c, Chunk { seq, offset, len });
         }
-        assert_eq!(ring.head(), 35);
+        assert_eq!(ring.head, 35);
     }
 
     #[test]
@@ -329,7 +312,7 @@ mod tests {
         ring.push(100);
         assert_eq!(ring.poll(&mut cur, 30), Poll::Ready { offset: 0, len: 30 });
         ring.commit(&mut cur, 12);
-        assert_eq!(cur.offset(), 12);
+        assert_eq!(cur.offset, 12);
         assert_eq!(ring.lag(&cur), 88);
         assert_eq!(
             ring.poll(&mut cur, 500),
@@ -345,10 +328,10 @@ mod tests {
         let mut ring = Broadcast::new(50);
         for len in [7, 30, 1, 44, 90, 3, 3, 12] {
             ring.push(len);
-            assert_eq!(ring.retained, ring.head() - ring.base());
+            assert_eq!(ring.retained, ring.head - ring.base);
             assert_eq!(
-                ring.chunks.front().map_or(ring.head(), |c| c.offset),
-                ring.base()
+                ring.chunks.front().map_or(ring.head, |c| c.offset),
+                ring.base
             );
         }
     }
@@ -360,8 +343,8 @@ mod tests {
             ring.push(1);
         }
         assert_eq!(ring.chunks.len(), MAX_CHUNKS);
-        assert_eq!(ring.base(), 1);
-        assert_eq!(ring.head(), MAX_CHUNKS as u64 + 1);
+        assert_eq!(ring.base, 1);
+        assert_eq!(ring.head, MAX_CHUNKS as u64 + 1);
     }
 
     #[test]
@@ -408,7 +391,7 @@ mod tests {
                     if j <= i {
                         live.push(Sub {
                             cur: ring.join(),
-                            join: ring.head(),
+                            join: ring.head,
                             cadence,
                             step,
                             seen: Vec::new(),
@@ -434,7 +417,7 @@ mod tests {
             for &(_, cadence, step) in &pending {
                 live.push(Sub {
                     cur: ring.join(),
-                    join: ring.head(),
+                    join: ring.head,
                     cadence,
                     step,
                     seen: Vec::new(),
@@ -487,7 +470,7 @@ mod tests {
                     pos = resume;
                 }
                 // Every subscriber ends exactly at the live edge.
-                prop_assert_eq!(pos, ring.head());
+                prop_assert_eq!(pos, ring.head);
                 // And never observed a byte from before its join.
                 prop_assert!(s.seen.iter().all(|&(off, _)| off >= s.join));
             }

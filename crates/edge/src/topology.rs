@@ -77,7 +77,7 @@ impl Topology {
     }
 
     /// Deterministically routes one transfer to a relay index.
-    pub fn route(&self, t: &ScheduledTransfer) -> u32 {
+    pub(crate) fn route(&self, t: &ScheduledTransfer) -> u32 {
         if self.relays == 0 {
             return 0;
         }
@@ -210,5 +210,12 @@ mod tests {
             .map(|c| by_client.route(&transfer(c, 7, *b"BR")))
             .collect();
         assert!(hits.len() > 1);
+    }
+
+    #[test]
+    fn only_shapes_with_relays_are_edges() {
+        for (s, edge) in [("origin", false), ("origin:0", false), ("origin:1", true)] {
+            assert_eq!(s.parse::<Topology>().unwrap().is_edge(), edge, "{s}");
+        }
     }
 }

@@ -35,7 +35,7 @@ pub enum Scale {
 
 impl Scale {
     /// The workload configuration for this scale.
-    pub fn config(&self) -> WorkloadConfig {
+    pub(crate) fn config(&self) -> WorkloadConfig {
         match self {
             Scale::Small => WorkloadConfig::paper().scaled(20_000, 86_400, 30_000),
             Scale::Medium => WorkloadConfig::paper().scaled(120_000, 7 * 86_400, 350_000),
@@ -90,7 +90,7 @@ impl ReproContext {
     }
 
     /// Builds with an explicit workload configuration (ablations).
-    pub fn build_with_config(scale: Scale, config: WorkloadConfig, seed: u64) -> Self {
+    pub(crate) fn build_with_config(scale: Scale, config: WorkloadConfig, seed: u64) -> Self {
         let horizon = config.horizon_secs;
         let workload = Generator::new(config, seed)
             .expect("scale presets are valid") // lsw::allow(L005): static presets

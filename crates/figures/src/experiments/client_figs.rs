@@ -6,7 +6,7 @@ use crate::result::{Comparison, FigureResult, Series};
 use lsw_stats::paper;
 
 /// Fig 2 — client diversity: transfers/AS, IPs/AS, transfers/country.
-pub fn fig02(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig02(ctx: &ReproContext) -> FigureResult {
     let geo = &ctx.report.client.geo;
     let series = vec![
         Series::new("% of transfers vs AS rank", geo.as_by_transfers.clone()),
@@ -72,7 +72,7 @@ pub fn fig02(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 3 — marginal distribution of the number of active clients.
-pub fn fig03(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig03(ctx: &ReproContext) -> FigureResult {
     let c = &ctx.report.client.concurrency;
     let m = &c.marginal;
     let series = vec![
@@ -105,7 +105,7 @@ pub fn fig03(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 4 — temporal behavior of the number of active clients.
-pub fn fig04(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig04(ctx: &ReproContext) -> FigureResult {
     let c = &ctx.report.client.concurrency;
     let series = vec![
         binned_series("over trace (900 s bins)", &c.over_trace),
@@ -164,7 +164,7 @@ pub fn fig04(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 5 — marginal distribution of client interarrival times.
-pub fn fig05(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig05(ctx: &ReproContext) -> FigureResult {
     let a = &ctx.report.client.arrivals;
     let m = &a.interarrivals;
     let series = vec![
@@ -199,7 +199,7 @@ pub fn fig05(ctx: &ReproContext) -> FigureResult {
 
 /// Fig 6 — interarrivals from the fitted piecewise-stationary Poisson
 /// process, compared against Fig 5.
-pub fn fig06(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig06(ctx: &ReproContext) -> FigureResult {
     let a = &ctx.report.client.arrivals;
     let m = &a.synthetic_interarrivals;
     let series = vec![
@@ -231,7 +231,7 @@ pub fn fig06(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 7 — the client interest profile.
-pub fn fig07(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig07(ctx: &ReproContext) -> FigureResult {
     let i = &ctx.report.client.interest;
     let series = vec![
         Series::new("transfers per client vs rank", i.transfers_rank.clone()),
@@ -296,7 +296,7 @@ pub fn fig07(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 8 — autocorrelation of the number of clients over time.
-pub fn fig08(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig08(ctx: &ReproContext) -> FigureResult {
     let c = &ctx.report.client.concurrency;
     let acf: Vec<(f64, f64)> = c
         .acf_minutes

@@ -20,7 +20,7 @@ use lsw_stats::selfsim::{hurst_rs, hurst_variance_time};
 use lsw_stats::timeseries::bin_counts;
 
 /// Long-range dependence of transfer arrivals.
-pub fn ext_selfsim(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn ext_selfsim(ctx: &ReproContext) -> FigureResult {
     let starts: Vec<f64> = ctx.trace.start_times().collect();
     let horizon = f64::from(ctx.trace.horizon());
     let counts: Vec<f64> = bin_counts(&starts, 60.0, horizon)
@@ -108,7 +108,7 @@ pub fn ext_selfsim(ctx: &ReproContext) -> FigureResult {
 }
 
 /// GISMO's self-similar VBR content encoding.
-pub fn ext_vbr(_ctx: &ReproContext) -> FigureResult {
+pub(crate) fn ext_vbr(_ctx: &ReproContext) -> FigureResult {
     use lsw_core::vbr::{VbrConfig, VbrEncoder};
     let config = VbrConfig::default();
     let theory = config.theoretical_hurst();
@@ -150,7 +150,7 @@ pub fn ext_vbr(_ctx: &ReproContext) -> FigureResult {
 }
 
 /// Admission control denies viewer time even with retries (§1).
-pub fn ext_admission(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn ext_admission(ctx: &ReproContext) -> FigureResult {
     let base = Simulator::new(SimConfig::default()).run(&ctx.workload, 0xad31);
     let peak = base.server_stats.peak_concurrent;
     let capped = |retry| {

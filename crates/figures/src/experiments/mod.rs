@@ -1,10 +1,10 @@
 //! One module per layer of experiments, plus the registry.
 
-pub mod client_figs;
-pub mod extensions;
-pub mod session_figs;
-pub mod tables;
-pub mod transfer_figs;
+pub(crate) mod client_figs;
+pub(crate) mod extensions;
+pub(crate) mod session_figs;
+pub(crate) mod tables;
+pub(crate) mod transfer_figs;
 
 use crate::context::ReproContext;
 use crate::result::FigureResult;

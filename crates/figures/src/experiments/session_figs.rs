@@ -5,7 +5,7 @@ use crate::result::{Comparison, FigureResult, Series};
 use lsw_stats::paper;
 
 /// Fig 9 — number of sessions identified vs the timeout `T_o`.
-pub fn fig09(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig09(ctx: &ReproContext) -> FigureResult {
     let sweep = &ctx.report.session.timeout_sweep;
     let series = vec![Series::new(
         "sessions vs T_o",
@@ -37,7 +37,7 @@ pub fn fig09(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 10 — session ON time vs session starting hour.
-pub fn fig10(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig10(ctx: &ReproContext) -> FigureResult {
     let b = &ctx.report.session.on_by_hour;
     let series = vec![Series::new(
         "mean ON time by start hour",
@@ -63,7 +63,7 @@ pub fn fig10(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 11 — marginal distribution of session ON times, lognormal fit.
-pub fn fig11(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig11(ctx: &ReproContext) -> FigureResult {
     let s = &ctx.report.session;
     let m = &s.on_times;
     let series = vec![
@@ -125,7 +125,7 @@ pub fn fig11(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 12 — marginal distribution of session OFF times, exponential fit.
-pub fn fig12(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig12(ctx: &ReproContext) -> FigureResult {
     let s = &ctx.report.session;
     let m = &s.off_times;
     let series = vec![
@@ -204,7 +204,7 @@ pub fn fig12(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 13 — transfers per session, Zipf fit.
-pub fn fig13(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig13(ctx: &ReproContext) -> FigureResult {
     let s = &ctx.report.session;
     let series = vec![Series::new(
         "P[K = k] vs k",
@@ -235,7 +235,7 @@ pub fn fig13(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 14 — intra-session transfer interarrivals, lognormal fit.
-pub fn fig14(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig14(ctx: &ReproContext) -> FigureResult {
     let s = &ctx.report.session;
     let m = &s.intra_iat;
     let series = vec![

@@ -10,7 +10,7 @@ use lsw_stats::paper;
 /// Table 1 (clients, IPs, ASes, countries, sessions, transfers, bytes); at
 /// smaller scales the comparison is against the scaled configuration
 /// (the shape claim is "the pipeline hits its targets").
-pub fn table1(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn table1(ctx: &ReproContext) -> FigureResult {
     let s = &ctx.report.summary;
     let cfg = ctx.workload.config();
     let mut comparisons = vec![
@@ -90,7 +90,7 @@ pub fn table1(ctx: &ReproContext) -> FigureResult {
 }
 
 /// §2.4 — sanitization and the server-overload audit.
-pub fn sanity(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn sanity(ctx: &ReproContext) -> FigureResult {
     let r = &ctx.sanitize_report;
     let spanning = r
         .rejects
@@ -141,7 +141,7 @@ pub fn sanity(ctx: &ReproContext) -> FigureResult {
 ///
 /// The trace was *generated* from Table 2; characterizing it must hand the
 /// parameters back. This is the headline experiment.
-pub fn table2(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn table2(ctx: &ReproContext) -> FigureResult {
     let rep = &ctx.report;
     let mut comparisons = Vec::new();
     if ctx.scale != Scale::Small {

@@ -6,7 +6,7 @@ use crate::result::{Comparison, FigureResult, Series};
 use lsw_stats::paper;
 
 /// Fig 15 — marginal distribution of concurrent transfers.
-pub fn fig15(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig15(ctx: &ReproContext) -> FigureResult {
     let c = &ctx.report.transfer.concurrency;
     let m = &c.marginal;
     let series = vec![
@@ -43,7 +43,7 @@ pub fn fig15(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 16 — temporal behavior of concurrent transfers.
-pub fn fig16(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig16(ctx: &ReproContext) -> FigureResult {
     let c = &ctx.report.transfer.concurrency;
     let series = vec![
         binned_series("over trace (900 s bins)", &c.over_trace),
@@ -81,7 +81,7 @@ pub fn fig16(ctx: &ReproContext) -> FigureResult {
 
 /// Fig 17 — marginal distribution of transfer interarrivals with the
 /// two-regime tail.
-pub fn fig17(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig17(ctx: &ReproContext) -> FigureResult {
     let a = &ctx.report.transfer.arrivals;
     let m = &a.interarrivals;
     let series = vec![
@@ -152,7 +152,7 @@ pub fn fig17(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 18 — temporal behavior of transfer interarrival times.
-pub fn fig18(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig18(ctx: &ReproContext) -> FigureResult {
     let a = &ctx.report.transfer.arrivals;
     let series = vec![
         binned_series("over trace (900 s bins)", &a.over_trace),
@@ -191,7 +191,7 @@ pub fn fig18(ctx: &ReproContext) -> FigureResult {
 
 /// Fig 19 — marginal distribution of transfer lengths, lognormal fit,
 /// and the stickiness argument.
-pub fn fig19(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig19(ctx: &ReproContext) -> FigureResult {
     let l = &ctx.report.transfer.lengths;
     let m = &l.marginal;
     let series = vec![
@@ -232,7 +232,7 @@ pub fn fig19(ctx: &ReproContext) -> FigureResult {
 }
 
 /// Fig 20 — transfer bandwidth: bimodal marginal.
-pub fn fig20(ctx: &ReproContext) -> FigureResult {
+pub(crate) fn fig20(ctx: &ReproContext) -> FigureResult {
     let b = &ctx.report.transfer.bandwidth;
     let m = &b.marginal;
     let series = vec![

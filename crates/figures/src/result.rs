@@ -13,7 +13,7 @@ pub struct Series {
 
 impl Series {
     /// Creates a series.
-    pub fn new(name: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
         Self {
             name: name.into(),
             points,
@@ -40,7 +40,12 @@ pub struct Comparison {
 
 impl Comparison {
     /// Quantitative comparison with a relative tolerance on the paper value.
-    pub fn quantitative(name: impl Into<String>, paper: f64, measured: f64, rel_tol: f64) -> Self {
+    pub(crate) fn quantitative(
+        name: impl Into<String>,
+        paper: f64,
+        measured: f64,
+        rel_tol: f64,
+    ) -> Self {
         let holds = if paper != 0.0 {
             ((measured - paper) / paper).abs() <= rel_tol
         } else {
@@ -56,7 +61,7 @@ impl Comparison {
     }
 
     /// Qualitative claim: `holds` judged by the experiment.
-    pub fn qualitative(
+    pub(crate) fn qualitative(
         name: impl Into<String>,
         measured: f64,
         holds: bool,

@@ -41,14 +41,6 @@ impl WallClock {
         let elapsed = Instant::now() - self.origin;
         saturating_nanos(elapsed)
     }
-
-    /// Sleeps until the given replay time (returns immediately if past).
-    pub fn sleep_until(&self, t: Nanos) {
-        let now = self.now();
-        if t > now {
-            std::thread::sleep(Duration::from_nanos(t - now));
-        }
-    }
 }
 
 fn saturating_nanos(d: Duration) -> Nanos {
@@ -57,7 +49,7 @@ fn saturating_nanos(d: Duration) -> Nanos {
 
 /// Converts trace seconds to replay nanoseconds under a compression
 /// factor: `t` trace seconds pass in `t / compression` wall seconds.
-pub fn trace_to_nanos(trace_secs: u32, compression: f64) -> Nanos {
+pub(crate) fn trace_to_nanos(trace_secs: u32, compression: f64) -> Nanos {
     let wall = f64::from(trace_secs) / compression.max(1e-9);
     if wall >= u64::MAX as f64 / 1e9 {
         u64::MAX
@@ -79,16 +71,19 @@ mod tests {
     }
 
     #[test]
-    fn sleep_until_reaches_target() {
-        let c = WallClock::start();
-        c.sleep_until(2_000_000); // 2 ms
-        assert!(c.now() >= 2_000_000);
-    }
-
-    #[test]
     fn compression_scales_trace_time() {
         assert_eq!(trace_to_nanos(100, 100.0), 1_000_000_000);
         assert_eq!(trace_to_nanos(1, 1.0), 1_000_000_000);
         assert_eq!(trace_to_nanos(0, 50.0), 0);
+    }
+
+    #[test]
+    fn trace_to_nanos_clamps_compression_and_saturates() {
+        assert_eq!(trace_to_nanos(3, 2.0), 1_500_000_000);
+        // Zero compression is clamped to 1e-9, not divided by.
+        assert_eq!(trace_to_nanos(10, 0.0), 10_000_000_000_000_000_000);
+        // Past u64::MAX nanoseconds the result saturates.
+        assert_eq!(trace_to_nanos(20, 0.0), u64::MAX);
+        assert_eq!(trace_to_nanos(u32::MAX, 1e-6), u64::MAX);
     }
 }

@@ -31,7 +31,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -41,11 +41,6 @@ impl Counter {
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// Sets the level.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Adds one to the level.
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
@@ -58,7 +53,7 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -88,13 +83,8 @@ impl LogHistogram {
         self.buckets[b].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
     /// Freezes the buckets for quantile math.
-    pub fn freeze(&self) -> HistogramSnapshot {
+    pub(crate) fn freeze(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
         }
@@ -109,13 +99,13 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Total samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
     /// Quantile estimate: the geometric midpoint of the bucket holding
     /// rank `q * (n - 1)`. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         let n = self.count();
         if n == 0 {
             return None;
@@ -187,7 +177,7 @@ impl Registry {
     }
 
     /// Registers (or re-fetches) a gauge by name.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut entries = self.entries.lock();
         for (n, m) in entries.iter() {
             if n == name {
@@ -220,8 +210,7 @@ impl Registry {
     }
 
     /// Renders the aligned text exposition directly from the live
-    /// metrics into a caller-owned buffer — the exposition-cadence
-    /// twin of [`Snapshot::render`] that allocates nothing once the
+    /// metrics into a caller-owned buffer, allocating nothing once the
     /// buffer has warmed up to the exposition's steady-state length
     /// (no name clones, no per-line `String`s, no `Snapshot`). The
     /// registration lock is held across the formatting, which is fine
@@ -284,34 +273,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Aligned text exposition, one metric per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// [`render`](Self::render) into a caller-reused buffer (cleared
-    /// first): no per-line allocations, and none at all once the buffer
-    /// has seen its steady-state length.
-    pub fn render_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        out.clear();
-        let width = self.values.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, v) in &self.values {
-            let _ = match v {
-                SnapValue::Counter(c) => writeln!(out, "{name:width$}  {c}"),
-                SnapValue::Gauge(g) => writeln!(out, "{name:width$}  {g} (gauge)"),
-                SnapValue::Histogram(n, p50, p95, p99) => {
-                    writeln!(
-                        out,
-                        "{name:width$}  n={n} p50≈{p50:.0} p95≈{p95:.0} p99≈{p99:.0}"
-                    )
-                }
-            };
-        }
-    }
-
     /// JSON object keyed by metric name.
     pub fn to_json(&self) -> serde_json::Value {
         use serde_json::Value;
@@ -362,6 +323,27 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// The aligned text exposition rendered from a [`Snapshot`]: the
+    /// reference that [`Registry::render_text`] must match.
+    fn render(snap: &Snapshot) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let width = snap.values.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (name, v) in &snap.values {
+            let _ = match v {
+                SnapValue::Counter(c) => writeln!(out, "{name:width$}  {c}"),
+                SnapValue::Gauge(g) => writeln!(out, "{name:width$}  {g} (gauge)"),
+                SnapValue::Histogram(n, p50, p95, p99) => {
+                    writeln!(
+                        out,
+                        "{name:width$}  n={n} p50≈{p50:.0} p95≈{p95:.0} p99≈{p99:.0}"
+                    )
+                }
+            };
+        }
+        out
+    }
+
     #[test]
     fn counters_and_gauges_round_trip() {
         let r = Registry::new();
@@ -369,13 +351,13 @@ mod tests {
         let g = r.gauge("replay.active");
         c.add(41);
         c.inc();
-        g.set(7);
+        g.0.store(7, Ordering::Relaxed);
         g.inc();
         g.dec();
         let snap = r.snapshot();
         assert_eq!(snap.value("replay.connects"), Some(42));
         assert_eq!(snap.value("replay.active"), Some(7));
-        assert!(snap.render().contains("replay.connects"));
+        assert!(render(&snap).contains("replay.connects"));
     }
 
     #[test]
@@ -410,7 +392,7 @@ mod tests {
         let g = r.gauge("b.gauge");
         let h = r.histogram("c.hist");
         c.add(u64::MAX / 2); // widest the counter line will ever get
-        g.set(123_456_789);
+        g.0.store(123_456_789, Ordering::Relaxed);
         for v in [1u64, 1000, 1 << 40] {
             h.record(v);
         }
@@ -420,12 +402,12 @@ mod tests {
         let cap = buf.capacity();
         for i in 0..100u64 {
             c.inc();
-            g.set(i);
+            g.0.store(i, Ordering::Relaxed);
             h.record(i);
             r.render_text(&mut buf);
         }
         assert_eq!(buf.capacity(), cap, "exposition must not grow after warmup");
-        assert_eq!(buf, r.snapshot().render(), "both exposition paths agree");
+        assert_eq!(buf, render(&r.snapshot()), "both exposition paths agree");
 
         // The histogram quantiles are *on the wire*, not just in the
         // snapshot: the `--expose` loop prints exactly this buffer.
@@ -500,7 +482,7 @@ mod tests {
     #[test]
     fn json_keys_follow_registration_order() {
         let r = Registry::new();
-        r.gauge("z.level").set(4);
+        r.gauge("z.level").0.store(4, Ordering::Relaxed);
         r.counter("a.total").add(9);
         r.histogram("m.lat").record(100);
         let serde_json::Value::Object(fields) = r.snapshot().to_json() else {

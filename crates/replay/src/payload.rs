@@ -4,7 +4,7 @@
 //! on the wire matter — so every connection streams slices of one
 //! `'static` preformatted pattern block via vectored writes. The arena
 //! is borrowed, never copied: a `write_vectored` call covers up to
-//! [`MAX_SLICES`] × [`BLOCK`]-byte iovecs (2 MiB) in one syscall.
+//! `MAX_SLICES` × `BLOCK`-byte iovecs (2 MiB) in one syscall.
 //!
 //! **Lifetime argument.** The block is a `static` item: it lives for
 //! the program, is never written after initialization (it is a `const`
@@ -15,21 +15,21 @@
 use std::io::IoSlice;
 
 /// Bytes per arena block — one iovec's worth.
-pub const BLOCK: usize = 64 * 1024;
+pub(crate) const BLOCK: usize = 64 * 1024;
 
 /// Max iovecs per vectored write (Linux caps at `UIO_MAXIOV` = 1024;
 /// 32 keeps a single call under 2 MiB, plenty to fill a socket buffer).
-pub const MAX_SLICES: usize = 32;
+pub(crate) const MAX_SLICES: usize = 32;
 
 /// The pattern block all connections stream from.
 static PATTERN: [u8; BLOCK] = [0x5A; BLOCK];
 
 /// Rejection line sent when admission turns a request away.
-pub const BUSY_LINE: &[u8] = b"BUSY\n";
+pub(crate) const BUSY_LINE: &[u8] = b"BUSY\n";
 
 /// Fills `out` with arena slices covering `want` bytes (capped at
 /// `MAX_SLICES * BLOCK`); returns how many slices and bytes it staged.
-pub fn stage(want: u64, out: &mut [IoSlice<'static>; MAX_SLICES]) -> (usize, u64) {
+pub(crate) fn stage(want: u64, out: &mut [IoSlice<'static>; MAX_SLICES]) -> (usize, u64) {
     let mut staged = 0u64;
     let mut n = 0;
     while n < MAX_SLICES && staged < want {
@@ -43,7 +43,7 @@ pub fn stage(want: u64, out: &mut [IoSlice<'static>; MAX_SLICES]) -> (usize, u64
 
 /// Renders `OK {budget}\n` into a fixed stack buffer without
 /// allocating; returns the filled prefix.
-pub fn ok_line(budget: u64, buf: &mut [u8; 32]) -> &[u8] {
+pub(crate) fn ok_line(budget: u64, buf: &mut [u8; 32]) -> &[u8] {
     buf[0] = b'O';
     buf[1] = b'K';
     buf[2] = b' ';

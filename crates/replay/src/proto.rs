@@ -20,7 +20,7 @@ use lsw_trace::schedule::ScheduledTransfer;
 
 /// Maximum request or status line length a peer will buffer before
 /// giving up.
-pub const MAX_REQUEST_LINE: usize = 256;
+pub(crate) const MAX_REQUEST_LINE: usize = 256;
 
 /// Formats the request line for one scheduled transfer (no newline).
 pub fn encode_request(t: &ScheduledTransfer) -> String {
@@ -84,7 +84,7 @@ pub enum Request {
     Partial,
     /// A complete, well-formed request line.
     Parsed(ScheduledTransfer),
-    /// More than [`MAX_REQUEST_LINE`] bytes, or a line that is not an
+    /// More than `MAX_REQUEST_LINE` bytes, or a line that is not an
     /// LSW1 request.
     Bad,
 }
@@ -92,7 +92,7 @@ pub enum Request {
 /// Feeds one read into a connection's request buffer. The capacity check
 /// comes before growth, so the buffer never exceeds [`MAX_REQUEST_LINE`],
 /// even transiently.
-pub fn request_line(buf: &mut Vec<u8>, read: &[u8]) -> Request {
+pub(crate) fn request_line(buf: &mut Vec<u8>, read: &[u8]) -> Request {
     if buf.len() + read.len() > MAX_REQUEST_LINE {
         return Request::Bad;
     }
@@ -121,7 +121,7 @@ pub enum StatusLine {
     },
     /// `BUSY` (or unparseable): admission turned the transfer away.
     Busy,
-    /// No newline within [`MAX_REQUEST_LINE`]: protocol garbage.
+    /// No newline within `MAX_REQUEST_LINE`: protocol garbage.
     Garbage,
 }
 
@@ -172,7 +172,7 @@ pub fn wire_budget(bytes: u64, compression: f64) -> u64 {
 /// at `rate` trace-bytes/second is entitled to after `elapsed` replay
 /// nanoseconds. The trace rate carries over to the wire unchanged (both
 /// bytes and seconds divide by the compression factor).
-pub fn paced_position(rate: u64, elapsed: Nanos) -> u64 {
+pub(crate) fn paced_position(rate: u64, elapsed: Nanos) -> u64 {
     ((u128::from(rate) * u128::from(elapsed)) / 1_000_000_000).min(u128::from(u64::MAX)) as u64
 }
 
@@ -180,7 +180,7 @@ pub fn paced_position(rate: u64, elapsed: Nanos) -> u64 {
 /// encoded at `rate` trace-bytes/second at which the broadcast has
 /// produced `bytes` — the reactor's next pacing deadline. Rounds up,
 /// so the position at the returned time is at least `bytes`.
-pub fn pacing_deadline(rate: u64, bytes: u64) -> Nanos {
+pub(crate) fn pacing_deadline(rate: u64, bytes: u64) -> Nanos {
     let r = u128::from(rate.max(1));
     let num = u128::from(bytes) * 1_000_000_000;
     u64::try_from(num.div_ceil(r)).unwrap_or(u64::MAX)

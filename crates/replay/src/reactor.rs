@@ -358,7 +358,7 @@ impl Transfer {
     }
 
     /// Arms `deadline` for the connection at `key`, replacing any armed one.
-    pub fn arm(&mut self, r: &mut Reactor, deadline: Nanos, key: Key) {
+    pub(crate) fn arm(&mut self, r: &mut Reactor, deadline: Nanos, key: Key) {
         self.timer = Some(r.deadlines.schedule(deadline, key));
     }
 

@@ -348,11 +348,6 @@ impl ReplayServer {
         self.addr
     }
 
-    /// The metrics registry this server reports into.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     fn wake_workers(&self) {
         for w in &self.wakers {
             let _ = w.wake();

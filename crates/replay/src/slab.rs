@@ -18,12 +18,12 @@ pub struct Key {
 
 impl Key {
     /// Packs the key for transport through `epoll_data`/usize tokens.
-    pub fn to_usize(self) -> usize {
+    pub(crate) fn to_usize(self) -> usize {
         ((self.gen as usize) << 32) | self.index as usize
     }
 
     /// Recovers a key packed by [`Key::to_usize`].
-    pub fn from_usize(v: usize) -> Self {
+    pub(crate) fn from_usize(v: usize) -> Self {
         Self {
             index: (v & 0xFFFF_FFFF) as u32,
             gen: (v >> 32) as u32,
@@ -68,18 +68,13 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// True when no entries are live.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Inserts a value, reusing a vacated slot when one exists.
-    pub fn insert(&mut self, value: T) -> Key {
+    pub(crate) fn insert(&mut self, value: T) -> Key {
         let gen = self.next_gen;
         self.len += 1;
         if self.free_head != NO_FREE {
@@ -166,13 +161,13 @@ mod tests {
         let mut s = Slab::new();
         let a = s.insert("a");
         let b = s.insert("b");
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len, 2);
         assert_eq!(s.get_mut(a), Some(&mut "a"));
         assert_eq!(s.remove(a), Some("a"));
         assert_eq!(s.get_mut(a), None, "removed key is dead");
         assert_eq!(s.remove(a), None, "double remove is safe");
         assert_eq!(s.get_mut(b), Some(&mut "b"));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.len, 1);
     }
 
     #[test]
@@ -223,6 +218,20 @@ mod tests {
             s.insert(100 + i);
         }
         assert_eq!(s.slots.len(), 10, "all ten slots recycled");
-        assert_eq!(s.len(), 10);
+        assert_eq!(s.len, 10);
+    }
+
+    #[test]
+    fn is_empty_follows_the_live_entries() {
+        let mut s = Slab::new();
+        assert!(s.is_empty());
+        let a = s.insert(());
+        assert!(!s.is_empty());
+        s.remove(a);
+        assert!(s.is_empty());
+        s.remove(a); // a stale remove must not count twice
+        assert!(s.is_empty());
+        s.insert(());
+        assert!(!s.is_empty(), "a recycled slot is live again");
     }
 }

@@ -69,7 +69,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(0)
     }
 
@@ -98,18 +98,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest pending event, in O(1).
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|Reverse((t, _, _))| t.0)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -158,10 +148,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(7.0, ());
         assert_eq!(q.peek_time(), Some(7.0));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.heap.len(), 1);
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

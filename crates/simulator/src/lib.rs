@@ -6,11 +6,11 @@
 //! writes the kind of log the paper's authors received:
 //!
 //! * [`des`] — a minimal discrete-event core (time-ordered event queue).
-//! * [`network`] — the server uplink shared max-min fairly among active
-//!   transfers, with per-transfer caps from client access links. Because
-//!   there are only seven access classes, fair-share recomputation and
-//!   per-class byte integration are O(7) per event, so paper-scale traces
-//!   (11M events) simulate in seconds.
+//! * [`FairShareNetwork`] — the server uplink shared max-min fairly among
+//!   active transfers, with per-transfer caps from client access links.
+//!   Because there are only seven access classes, fair-share
+//!   recomputation and per-class byte integration are O(7) per event, so
+//!   paper-scale traces (11M events) simulate in seconds.
 //! * [`server`] — the media server: admission policy, CPU-load model,
 //!   accept/reject accounting (the paper's §1 argument that admission
 //!   control is not viable for live content is made measurable here).
@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod des;
-pub mod network;
+pub(crate) mod network;
 pub mod server;
 pub mod sim;
 

@@ -59,11 +59,6 @@ impl FairShareNetwork {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
-    }
-
     /// Index of an access class in the per-class arrays.
     fn class_index(class: AccessClass) -> usize {
         AccessClass::ALL
@@ -143,16 +138,6 @@ impl FairShareNetwork {
         bits.max(0.0)
     }
 
-    /// Total active transfers.
-    pub fn active_total(&self) -> u64 {
-        self.active.iter().sum()
-    }
-
-    /// Current instantaneous rate of a class (bits/s).
-    pub fn rate_of(&self, class: AccessClass) -> f64 {
-        self.rate[Self::class_index(class)]
-    }
-
     /// True when the uplink is currently saturated (waterfill engaged).
     pub fn congested(&self) -> bool {
         let demand: f64 = AccessClass::ALL
@@ -172,13 +157,18 @@ mod tests {
         FairShareNetwork::new(NetworkConfig { uplink_bps: uplink })
     }
 
+    /// Current instantaneous rate of a class (bits/s).
+    fn rate_of(n: &FairShareNetwork, class: AccessClass) -> f64 {
+        n.rate[FairShareNetwork::class_index(class)]
+    }
+
     #[test]
     fn uncongested_everyone_gets_cap() {
         let mut n = net(10e6);
         n.start(0.0, AccessClass::Modem56);
         n.start(0.0, AccessClass::Dsl);
-        assert_eq!(n.rate_of(AccessClass::Modem56), 56_000.0);
-        assert_eq!(n.rate_of(AccessClass::Dsl), 256_000.0);
+        assert_eq!(rate_of(&n, AccessClass::Modem56), 56_000.0);
+        assert_eq!(rate_of(&n, AccessClass::Dsl), 256_000.0);
         assert!(!n.congested());
     }
 
@@ -197,7 +187,7 @@ mod tests {
         let s1 = n.start(0.0, AccessClass::Modem56);
         let _s2 = n.start(0.0, AccessClass::Modem56);
         assert!(n.congested());
-        assert!((n.rate_of(AccessClass::Modem56) - 50_000.0).abs() < 1e-6);
+        assert!((rate_of(&n, AccessClass::Modem56) - 50_000.0).abs() < 1e-6);
         let bits = n.stop(10.0, AccessClass::Modem56, s1);
         assert!((bits - 500_000.0).abs() < 1.0, "bits {bits}");
     }
@@ -209,8 +199,8 @@ mod tests {
         let mut n = net(300_000.0);
         n.start(0.0, AccessClass::Modem56);
         n.start(0.0, AccessClass::Lan);
-        assert!((n.rate_of(AccessClass::Modem56) - 56_000.0).abs() < 1e-6);
-        assert!((n.rate_of(AccessClass::Lan) - 244_000.0).abs() < 1e-6);
+        assert!((rate_of(&n, AccessClass::Modem56) - 56_000.0).abs() < 1e-6);
+        assert!((rate_of(&n, AccessClass::Lan) - 244_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -219,8 +209,8 @@ mod tests {
         let mut n = net(40_000.0);
         n.start(0.0, AccessClass::Modem56);
         n.start(0.0, AccessClass::Lan);
-        assert!((n.rate_of(AccessClass::Modem56) - 20_000.0).abs() < 1e-6);
-        assert!((n.rate_of(AccessClass::Lan) - 20_000.0).abs() < 1e-6);
+        assert!((rate_of(&n, AccessClass::Modem56) - 20_000.0).abs() < 1e-6);
+        assert!((rate_of(&n, AccessClass::Lan) - 20_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -253,11 +243,11 @@ mod tests {
     #[test]
     fn active_total_tracks() {
         let mut n = net(1e9);
-        assert_eq!(n.active_total(), 0);
+        assert_eq!(n.active.iter().sum::<u64>(), 0);
         let s = n.start(0.0, AccessClass::Cable);
         n.start(1.0, AccessClass::Isdn);
-        assert_eq!(n.active_total(), 2);
+        assert_eq!(n.active.iter().sum::<u64>(), 2);
         n.stop(5.0, AccessClass::Cable, s);
-        assert_eq!(n.active_total(), 1);
+        assert_eq!(n.active.iter().sum::<u64>(), 1);
     }
 }

@@ -128,11 +128,6 @@ impl MediaServer {
             .min(1.0)
     }
 
-    /// Currently active transfers.
-    pub fn active(&self) -> u64 {
-        self.active
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> &ServerStats {
         &self.stats

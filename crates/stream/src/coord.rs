@@ -92,7 +92,7 @@ impl Default for CpuAudit {
 
 impl CpuAudit {
     /// Observes one kept entry's CPU reading.
-    pub fn observe(&mut self, timestamp: u32, cpu: f32) {
+    pub(crate) fn observe(&mut self, timestamp: u32, cpu: f32) {
         self.transfers += 1;
         if cpu < lsw_trace::sanitize::CPU_THRESHOLD {
             self.under_transfers += 1;
@@ -140,7 +140,7 @@ impl CpuAudit {
 
     /// Folds every block strictly below `watermark` into the totals (a
     /// block folds once *all* its bins are below the watermark).
-    pub fn flush_below(&mut self, watermark: u32) {
+    pub(crate) fn flush_below(&mut self, watermark: u32) {
         // Called once per released entry: bail on the cached minimum for
         // the (overwhelmingly common) case where no block is final yet.
         let limit = u64::from(watermark) >> CPU_BLOCK_BITS;
@@ -176,7 +176,7 @@ impl CpuAudit {
 
     /// Final underload fractions `(time, transfers)`, batch conventions:
     /// empty audits count as fully underloaded.
-    pub fn finish(&mut self) -> (f64, f64) {
+    pub(crate) fn finish(&mut self) -> (f64, f64) {
         // Fold survivors in ascending key order (the span fits the ring,
         // so one pass of the cursor visits every live block).
         while self.live > 0 {
@@ -208,7 +208,7 @@ impl CpuAudit {
 }
 
 /// Number of 15-minute bins in a day (the paper's piecewise window).
-pub const DAILY_BINS: usize = 96;
+pub(crate) const DAILY_BINS: usize = 96;
 
 /// Slot cap of the concurrency timing wheel (seconds). Removal leads at
 /// or beyond this (transfers longer than ~36 hours) fall back to the
@@ -281,14 +281,14 @@ impl Default for OnlineConcurrency {
 
 impl OnlineConcurrency {
     /// The empty sweep (time starts at second 0, level 0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Observes one kept transfer active over `[start, stop]`, in released
     /// order. Late entries (start below the sweep clock, possible only
     /// after a look-ahead miss) are clamped to the clock.
-    pub fn observe(&mut self, start: u32, stop: u32) {
+    pub(crate) fn observe(&mut self, start: u32, stop: u32) {
         let s = start.max(self.t_cur);
         self.advance(s);
         self.level += 1;
@@ -418,7 +418,7 @@ impl OnlineConcurrency {
     }
 
     /// Ends the sweep at `horizon` seconds, accounting the tail.
-    pub fn finish(&mut self, horizon: u32) {
+    pub(crate) fn finish(&mut self, horizon: u32) {
         self.advance(horizon);
         // Removals beyond the horizon are clamped (batch behaviour: an
         // entry is active through `stop.min(horizon - 1)`).
@@ -429,12 +429,12 @@ impl OnlineConcurrency {
     }
 
     /// Peak concurrency.
-    pub fn peak(&self) -> u32 {
+    pub(crate) fn peak(&self) -> u32 {
         self.peak
     }
 
     /// Time-weighted mean concurrency over `[0, horizon)`.
-    pub fn mean(&self, horizon: u32) -> f64 {
+    pub(crate) fn mean(&self, horizon: u32) -> f64 {
         if horizon == 0 {
             0.0
         } else {
@@ -444,7 +444,7 @@ impl OnlineConcurrency {
 
     /// Marginal distribution: `(level, seconds spent at that level)`,
     /// ascending, non-empty levels only (same shape the tree produced).
-    pub fn marginal(&self) -> Vec<(u32, u64)> {
+    pub(crate) fn marginal(&self) -> Vec<(u32, u64)> {
         self.marginal
             .iter()
             .enumerate()
@@ -454,7 +454,7 @@ impl OnlineConcurrency {
     }
 
     /// Mean concurrency per 15-minute time-of-day bin (Fig 15's shape).
-    pub fn daily_fold(&self) -> Vec<f64> {
+    pub(crate) fn daily_fold(&self) -> Vec<f64> {
         (0..DAILY_BINS)
             .map(|b| {
                 if self.fold_secs[b] == 0 {
@@ -464,11 +464,6 @@ impl OnlineConcurrency {
                 }
             })
             .collect()
-    }
-
-    /// High-water mark of pending removals (the sweep's memory bound).
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
     }
 }
 
@@ -506,7 +501,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator with the given session timeout and client
     /// sample capacity.
-    pub fn new(timeout: f64, sample_k: usize) -> Self {
+    pub(crate) fn new(timeout: f64, sample_k: usize) -> Self {
         Self {
             sessionizer: StreamSessionizer::new(timeout),
             sample: ClientSample::new(sample_k),
@@ -526,7 +521,7 @@ impl Coordinator {
     }
 
     /// Consumes one released (start-ordered) kept entry.
-    pub fn process(&mut self, e: &LogEntry) {
+    pub(crate) fn process(&mut self, e: &LogEntry) {
         // One hash per entry, shared by the client sample and the
         // sessionizer.
         let client_hash = crate::sketch::hash64(u64::from(e.client.0));
@@ -568,7 +563,7 @@ impl Coordinator {
     }
 
     /// Ends the stream: closes open sessions and the sweep.
-    pub fn finish(&mut self, horizon: u32) -> (f64, f64) {
+    pub(crate) fn finish(&mut self, horizon: u32) -> (f64, f64) {
         self.sessionizer.finish(&mut self.closed);
         self.drain_closed();
         self.conc.finish(horizon);
@@ -592,7 +587,7 @@ impl Coordinator {
 
     /// Transfers-per-session frequency points `(k, P[K = k])`, identical
     /// to the batch layer's construction (the histogram is exact).
-    pub fn tps_points(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn tps_points(&self) -> Vec<(f64, f64)> {
         let total: u64 = self.tps.iter().sum();
         if total == 0 {
             return Vec::new();
@@ -606,12 +601,12 @@ impl Coordinator {
     }
 
     /// High-water mark of open sessions.
-    pub fn peak_active_sessions(&self) -> usize {
+    pub(crate) fn peak_active_sessions(&self) -> usize {
         self.sessionizer.peak_active()
     }
 
     /// Approximate resident bytes of coordinator state.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         use crate::sketch::Sketch as _;
         self.sessionizer.bytes()
             + self.sample.bytes()
@@ -750,7 +745,6 @@ mod tests {
         for &(s, e) in &intervals {
             sweep.observe(s, e);
         }
-        assert!(sweep.peak_pending() >= 2);
         sweep.finish(horizon);
         let mut expect: BTreeMap<u32, u64> = BTreeMap::new();
         for &c in batch.per_second() {

@@ -29,24 +29,19 @@ pub struct FixedSum {
 }
 
 impl FixedSum {
-    /// The empty sum.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one observation (quantized to 2^-32).
-    pub fn add(&mut self, v: f64) {
+    pub(crate) fn add(&mut self, v: f64) {
         debug_assert!(v.is_finite(), "FixedSum observations must be finite");
         self.raw += (v * SCALE).round() as i128;
     }
 
     /// Adds another sum; exact integer addition, grouping-independent.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.raw += other.raw;
     }
 
     /// The accumulated sum as `f64`.
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.raw as f64 / SCALE
     }
 }
@@ -66,14 +61,14 @@ pub struct LogMoments {
 
 impl LogMoments {
     /// The empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Observes one strictly positive value; non-positive values are
     /// ignored (the batch fitter rejects them wholesale, the stream skips
     /// them — callers feed display-transformed values that are >= 1).
-    pub fn insert(&mut self, x: f64) {
+    pub(crate) fn insert(&mut self, x: f64) {
         if x <= 0.0 || !x.is_finite() {
             return;
         }
@@ -84,25 +79,15 @@ impl LogMoments {
     }
 
     /// Merges another accumulator (integer addition; order-free).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.n += other.n;
         self.sum.merge(&other.sum);
         self.sum_sq.merge(&other.sum_sq);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of `ln x` (the lognormal `mu`), if any observations exist.
-    pub fn mu(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sum.value() / self.n as f64)
-    }
-
     /// The fitted lognormal, mirroring `lsw_stats::fit::fit_lognormal`:
     /// needs >= 2 observations and strictly positive log-variance.
-    pub fn lognormal(&self) -> Option<LogNormalFit> {
+    pub(crate) fn lognormal(&self) -> Option<LogNormalFit> {
         if self.n < 2 {
             return None;
         }
@@ -122,7 +107,7 @@ impl LogMoments {
     }
 
     /// Resident bytes (for memory accounting).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
 }
@@ -134,14 +119,14 @@ mod tests {
     #[test]
     fn fixed_sum_is_grouping_independent() {
         let vals = [0.1, 0.7, 13.25, 1e-9, 100.5, 3.3333];
-        let mut all = FixedSum::new();
+        let mut all = FixedSum::default();
         for v in vals {
             all.add(v);
         }
         for split in 1..vals.len() {
             let (a, b) = vals.split_at(split);
-            let mut left = FixedSum::new();
-            let mut right = FixedSum::new();
+            let mut left = FixedSum::default();
+            let mut right = FixedSum::default();
             for &v in a {
                 left.add(v);
             }
@@ -180,9 +165,9 @@ mod tests {
     #[test]
     fn fixed_sum_rounds_each_observation_to_the_quantum() {
         let quantum = 1.0 / SCALE;
-        let mut s = FixedSum::new();
+        let mut s = FixedSum::default();
         s.add(0.25 * quantum); // rounds to zero
-        assert_eq!(s, FixedSum::new());
+        assert_eq!(s, FixedSum::default());
         s.add(0.75 * quantum); // rounds to one quantum
         assert_eq!(s.value(), quantum);
         s.add(1.5);
@@ -191,11 +176,11 @@ mod tests {
 
     #[test]
     fn fixed_sum_cancels_exactly() {
-        let mut s = FixedSum::new();
+        let mut s = FixedSum::default();
         for v in [0.1, 2.7, -0.1, 1e-3, -2.7, -1e-3] {
             s.add(v);
         }
-        assert_eq!(s, FixedSum::new());
+        assert_eq!(s, FixedSum::default());
         assert_eq!(s.value(), 0.0);
     }
 
@@ -216,14 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn log_moments_mu_needs_an_observation() {
+    fn log_moments_skip_nan_and_non_positive() {
         let mut lm = LogMoments::new();
-        assert_eq!(lm.mu(), None);
         lm.insert(f64::NAN);
         lm.insert(0.0);
-        assert_eq!(lm.mu(), None);
-        lm.insert(std::f64::consts::E);
-        assert!((lm.mu().unwrap() - 1.0).abs() < 1e-9);
+        lm.insert(-3.0);
+        assert_eq!(lm, LogMoments::new());
     }
 
     #[test]
@@ -233,7 +216,5 @@ mod tests {
         assert!(lm.lognormal().is_none(), "one point is not a fit");
         lm.insert(5.0);
         assert!(lm.lognormal().is_none(), "zero variance is not a fit");
-        lm.insert(-3.0);
-        assert_eq!(lm.count(), 2, "non-positive values are skipped");
     }
 }

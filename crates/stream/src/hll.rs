@@ -31,11 +31,6 @@ impl HyperLogLog {
         }
     }
 
-    /// The precision `p` (register count is `2^p`).
-    pub fn precision(&self) -> u8 {
-        self.precision
-    }
-
     /// Observes a raw key (hashed internally).
     pub fn insert_key(&mut self, key: u64) {
         self.insert_hash(hash64(key));
@@ -43,7 +38,7 @@ impl HyperLogLog {
 
     /// Observes a pre-hashed key (`hash64` of the raw key) — for callers
     /// that already computed the hash for another per-entry structure.
-    pub fn insert_hash(&mut self, h: u64) {
+    pub(crate) fn insert_hash(&mut self, h: u64) {
         let idx = (h >> (64 - self.precision)) as usize;
         // Rank of the first set bit in the remaining 64-p bits, in 1..=64-p+1.
         let rest = h << self.precision;
@@ -54,7 +49,7 @@ impl HyperLogLog {
     }
 
     /// Cardinality estimate with linear-counting small-range correction.
-    pub fn count(&self) -> f64 {
+    pub(crate) fn count(&self) -> f64 {
         let m = self.registers.len() as f64;
         let mut sum = 0.0;
         let mut zeros = 0u64;
@@ -153,5 +148,18 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, union, "merge must equal the single-stream sketch");
+    }
+
+    #[test]
+    fn precision_is_clamped_to_4_through_18() {
+        for (p, registers) in [
+            (0, 16),
+            (4, 16),
+            (14, 1 << 14),
+            (18, 1 << 18),
+            (30, 1 << 18),
+        ] {
+            assert_eq!(HyperLogLog::new(p).registers.len(), registers, "p={p}");
+        }
     }
 }

@@ -150,7 +150,7 @@ pub struct ShardSketches {
 }
 
 /// Stable index of a reject reason inside [`ShardSketches::rejects`].
-pub fn reason_index(r: RejectReason) -> usize {
+pub(crate) fn reason_index(r: RejectReason) -> usize {
     match r {
         RejectReason::SpansTracePeriod => 0,
         RejectReason::StartsBeyondHorizon => 1,
@@ -161,7 +161,7 @@ pub fn reason_index(r: RejectReason) -> usize {
 }
 
 /// The reason at each [`reason_index`] slot.
-pub const REASONS: [RejectReason; 5] = [
+pub(crate) const REASONS: [RejectReason; 5] = [
     RejectReason::SpansTracePeriod,
     RejectReason::StartsBeyondHorizon,
     RejectReason::InconsistentTimestamps,
@@ -228,7 +228,7 @@ impl ShardSketches {
     }
 
     /// Approximate resident bytes of this shard's sketches.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.clients.bytes()
             + self.ips.bytes()
             + self.length_moments.bytes()
@@ -242,9 +242,8 @@ impl ShardSketches {
 /// The one-pass streaming characterization engine.
 ///
 /// Feed it text with [`ingest_read`](Self::ingest_read) (any `Read`) or
-/// [`ingest_str`](Self::ingest_str), `ltc` with
-/// [`ingest_ltc`](Self::ingest_ltc), or decoded entries with
-/// [`ingest_entry`](Self::ingest_entry), then call
+/// [`ingest_str`](Self::ingest_str), `ltc` with `ingest_ltc`, or decoded
+/// entries with [`ingest_entry`](Self::ingest_entry), then call
 /// [`finalize`](Self::finalize) for the [`StreamReport`].
 #[derive(Debug)]
 pub struct StreamAnalyzer {
@@ -406,7 +405,7 @@ impl StreamAnalyzer {
     /// buffer and feed the coordinator directly. Corrupt blocks are
     /// counted and skipped, never fatal; only source I/O failures and a
     /// non-`ltc` header abort the ingest.
-    pub fn ingest_ltc<S: ltc::BlockSource>(&mut self, mut src: S) -> std::io::Result<()> {
+    pub(crate) fn ingest_ltc<S: ltc::BlockSource>(&mut self, mut src: S) -> std::io::Result<()> {
         let index = ltc::read_index(&mut src)?;
         // A sorted container releases in record order with no look-ahead —
         // exactly what the buffer would emit — so bypass it unless entries

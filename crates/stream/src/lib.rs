@@ -14,10 +14,10 @@
 //!   (also the completion queue of both virtual-time executors), keyed
 //!   by start second, re-orders log entries (logged at *stop* time) back
 //!   into start order within a bounded look-ahead, and
-//!   [`session::StreamSessionizer`] applies the paper's 1500-second
+//!   `session::StreamSessionizer` applies the paper's 1500-second
 //!   timeout rule online; ON times, transfers-per-session and
 //!   intra-session interarrivals stream into fixed-point
-//!   [`fixed::LogMoments`] and [`quantile::LogQuantileSketch`].
+//!   `fixed::LogMoments` and [`quantile::LogQuantileSketch`].
 //! - **transfer layer** — transfer lengths and interarrival gaps feed the
 //!   same moment/quantile sketches; the concurrency profile is swept
 //!   online from the re-ordered stream.
@@ -25,7 +25,7 @@
 //! Every sketch implements [`sketch::Sketch`] and merges deterministically
 //! — shards ingest chunks in parallel, the coordinator folds their state
 //! in shard-index order, and all floating accumulation is fixed-point
-//! ([`fixed::FixedSum`]) — so the report is byte-identical at any shard
+//! (`fixed::FixedSum`) — so the report is byte-identical at any shard
 //! count (the same discipline the generator established: thread count
 //! changes wall-clock, never bytes).
 //!
@@ -34,15 +34,15 @@
 
 #![warn(missing_docs)]
 
-pub mod coord;
-pub mod fixed;
+pub(crate) mod coord;
+pub(crate) mod fixed;
 pub mod hll;
-pub mod ingest;
+pub(crate) mod ingest;
 pub mod quantile;
 pub mod reorder;
 pub mod report;
 pub mod sample;
-pub mod session;
+pub(crate) mod session;
 pub mod sketch;
 pub mod tap;
 pub mod topk;

@@ -101,14 +101,9 @@ impl LogQuantileSketch {
         self.n += 1;
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// The `q`-quantile (`q` in `[0, 1]`) as the owning bucket's midpoint,
     /// or `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.n == 0 {
             return None;
         }
@@ -132,7 +127,7 @@ impl LogQuantileSketch {
     /// CCDF points `(value, P[X >= value])`, one per non-empty bucket in
     /// ascending value order — the streaming analogue of
     /// `Ecdf::ccdf_points`, suitable for `two_regime_tail`.
-    pub fn ccdf_points(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn ccdf_points(&self) -> Vec<(f64, f64)> {
         let n = self.n as f64;
         let mut below = 0u64;
         self.counts
@@ -145,17 +140,6 @@ impl LogQuantileSketch {
                 (value_of(b as u32), p)
             })
             .collect()
-    }
-
-    /// Mass at or below `v` (empirical CDF).
-    pub fn cdf(&self, v: f64) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let b = bucket_of(v) as usize;
-        let end = self.counts.len().min(b + 1);
-        let cum: u64 = self.counts[..end].iter().sum();
-        cum as f64 / self.n as f64
     }
 }
 
@@ -269,5 +253,13 @@ mod tests {
             assert!(w[0].0 < w[1].0);
             assert!(w[0].1 > w[1].1);
         }
+    }
+
+    #[test]
+    fn empty_sketch_has_no_quantiles() {
+        let sk = LogQuantileSketch::new();
+        assert_eq!(sk.quantile(0.5), None);
+        assert!(sk.ccdf_points().is_empty());
+        assert!(sk.estimate().is_none());
     }
 }

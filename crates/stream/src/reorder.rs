@@ -160,17 +160,17 @@ impl<T: Ord + Copy> ReorderBuffer<T> {
     }
 
     /// Items buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live + self.spill.len()
     }
 
     /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Makes room for `additional` more items in one allocation.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.slab.reserve(additional);
     }
 
@@ -287,7 +287,7 @@ impl<T: Ord + Copy> ReorderBuffer<T> {
     }
 
     /// The smallest buffered item whose second is below `watermark`.
-    pub fn peek_below(&mut self, watermark: u32) -> Option<&T> {
+    pub(crate) fn peek_below(&mut self, watermark: u32) -> Option<&T> {
         match self.head(u64::from(watermark))? {
             Head::Staged => self.staged.last().map(|&i| &self.slab[i as usize].item),
             Head::Spill => self.spill.peek().map(|Reverse((_, t))| t),
@@ -296,7 +296,7 @@ impl<T: Ord + Copy> ReorderBuffer<T> {
 
     /// Removes and returns the smallest buffered item whose second is
     /// below `watermark`.
-    pub fn pop_below(&mut self, watermark: u32) -> Option<T> {
+    pub(crate) fn pop_below(&mut self, watermark: u32) -> Option<T> {
         self.pop_before(u64::from(watermark))
     }
 

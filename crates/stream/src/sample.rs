@@ -85,19 +85,9 @@ impl ClientSample {
         }
     }
 
-    /// The sample capacity.
-    pub fn capacity(&self) -> usize {
-        self.k
-    }
-
     /// Number of sampled clients.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no client has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Slot index of `hash` if present.
@@ -179,7 +169,7 @@ impl ClientSample {
     /// [`observe_transfer`](Self::observe_transfer) with the client hash
     /// already computed (the coordinator shares one hash per entry across
     /// every client-keyed structure).
-    pub fn observe_transfer_hashed(&mut self, h: u64, client: u32) {
+    pub(crate) fn observe_transfer_hashed(&mut self, h: u64, client: u32) {
         if let Some(i) = self.find(h) {
             // find() only returns occupied slot indices.
             if let Some(slot) = self.slots[i].as_mut() {
@@ -209,7 +199,7 @@ impl ClientSample {
     /// Records a closed session `[start, end]` for `client` (no-op when
     /// the client is not sampled). Sessions must arrive in per-client
     /// chronological order, which the sessionizer guarantees.
-    pub fn observe_session(&mut self, client: u32, start: u32, end: u32) {
+    pub(crate) fn observe_session(&mut self, client: u32, start: u32, end: u32) {
         let h = hash64(u64::from(client));
         if let Some(i) = self.find(h) {
             // lsw::allow(L005): find() returned an occupied slot index
@@ -232,7 +222,7 @@ impl ClientSample {
     }
 
     /// KMV estimate of the number of distinct clients seen.
-    pub fn distinct_estimate(&self) -> f64 {
+    pub(crate) fn distinct_estimate(&self) -> f64 {
         if self.len < self.k {
             return self.len as f64; // exhaustive: exact
         }
@@ -245,7 +235,7 @@ impl ClientSample {
     }
 
     /// Fraction of distinct clients present in the sample.
-    pub fn sample_fraction(&self) -> f64 {
+    pub(crate) fn sample_fraction(&self) -> f64 {
         let d = self.distinct_estimate();
         if d <= 0.0 {
             1.0
@@ -255,7 +245,7 @@ impl ClientSample {
     }
 
     /// Mean OFF time over sampled clients' gaps, with the gap count.
-    pub fn off_mean(&self) -> Option<(f64, u64)> {
+    pub(crate) fn off_mean(&self) -> Option<(f64, u64)> {
         let (sum, n) = self.slots.iter().flatten().fold((0u64, 0u64), |(s, n), e| {
             (s + e.tally.off_sum, n + e.tally.off_n)
         });
@@ -266,12 +256,12 @@ impl ClientSample {
     /// the same fit-body rule as the batch client layer (ranks while the
     /// count stays >= 10, at least 20 ranks). Slope is invariant under the
     /// rank scaling induced by uniform client sampling.
-    pub fn transfers_zipf(&self) -> Option<ZipfFit> {
+    pub(crate) fn transfers_zipf(&self) -> Option<ZipfFit> {
         self.zipf_of(|t| t.transfers)
     }
 
     /// Zipf fit of the sampled sessions-per-client rank-frequency.
-    pub fn sessions_zipf(&self) -> Option<ZipfFit> {
+    pub(crate) fn sessions_zipf(&self) -> Option<ZipfFit> {
         self.zipf_of(|t| t.sessions)
     }
 

@@ -14,10 +14,10 @@
 //! closed eagerly by [`StreamSessionizer::prune_before`].
 //!
 //! The active map is an open-addressing table keyed by the deterministic
-//! SplitMix64 client hash: [`StreamSessionizer::observe`] runs once per
-//! released entry, so membership must be O(1). Close *order* (slot order
-//! for prunes, which depends on insertion history) is deterministic for a
-//! given released stream but not canonical — every consumer of closed
+//! SplitMix64 client hash: [`StreamSessionizer::observe_hashed`] runs once
+//! per released entry, so membership must be O(1). Close *order* (slot
+//! order for prunes, which depends on insertion history) is deterministic
+//! for a given released stream but not canonical — every consumer of closed
 //! sessions is an order-insensitive accumulator (integer sums, count
 //! maps, per-client state), which the chunked-vs-whole ingest test pins:
 //! chunk boundaries already shuffle prune timing, so no downstream result
@@ -38,7 +38,7 @@ pub struct ClosedSession {
 
 impl ClosedSession {
     /// ON time in seconds (`end - start`), as the batch layer defines it.
-    pub fn on_time(&self) -> u32 {
+    pub(crate) fn on_time(&self) -> u32 {
         self.end - self.start
     }
 }
@@ -65,7 +65,7 @@ pub struct StreamSessionizer {
 
 impl StreamSessionizer {
     /// Creates a sessionizer with the given idle timeout (seconds).
-    pub fn new(timeout: f64) -> Self {
+    pub(crate) fn new(timeout: f64) -> Self {
         Self {
             timeout,
             slots: vec![None; 64],
@@ -74,26 +74,14 @@ impl StreamSessionizer {
         }
     }
 
-    /// Observes one transfer `[start, stop]` by `client`, in released
-    /// (start-ordered) sequence. Any session this closes is pushed onto
-    /// `closed`; the return value is the intra-session interarrival gap
-    /// (start minus previous transfer start) when the transfer continues
-    /// an existing session.
-    pub fn observe(
-        &mut self,
-        client: u32,
-        start: u32,
-        stop: u32,
-        closed: &mut Vec<ClosedSession>,
-    ) -> Option<u32> {
-        let hash = crate::sketch::hash64(u64::from(client));
-        self.observe_hashed(hash, client, start, stop, closed)
-    }
-
-    /// [`observe`](Self::observe) with the client hash already computed
-    /// (the coordinator shares one hash per entry across every
-    /// client-keyed structure).
-    pub fn observe_hashed(
+    /// Observes one transfer `[start, stop]` by `client`, whose 64-bit
+    /// hash is `hash` (the coordinator shares one hash per entry across
+    /// every client-keyed structure), in released (start-ordered)
+    /// sequence. Any session this closes is pushed onto `closed`; the
+    /// return value is the intra-session interarrival gap (start minus
+    /// previous transfer start) when the transfer continues an existing
+    /// session.
+    pub(crate) fn observe_hashed(
         &mut self,
         hash: u64,
         client: u32,
@@ -169,7 +157,7 @@ impl StreamSessionizer {
     /// Runs as a full table rebuild (it is called once every few thousand
     /// entries, not per entry): survivors re-place into a fresh table, so
     /// probe chains never need tombstones.
-    pub fn prune_before(&mut self, watermark: u32, closed: &mut Vec<ClosedSession>) {
+    pub(crate) fn prune_before(&mut self, watermark: u32, closed: &mut Vec<ClosedSession>) {
         let old = std::mem::take(&mut self.slots);
         let mut survivors = Vec::with_capacity(self.len);
         for a in old.into_iter().flatten() {
@@ -198,7 +186,7 @@ impl StreamSessionizer {
     }
 
     /// Closes every remaining session (end of stream).
-    pub fn finish(&mut self, closed: &mut Vec<ClosedSession>) {
+    pub(crate) fn finish(&mut self, closed: &mut Vec<ClosedSession>) {
         for a in self.slots.iter().flatten() {
             closed.push(ClosedSession {
                 client: a.client,
@@ -211,18 +199,13 @@ impl StreamSessionizer {
         self.len = 0;
     }
 
-    /// Currently open sessions.
-    pub fn active_len(&self) -> usize {
-        self.len
-    }
-
     /// High-water mark of simultaneously open sessions.
-    pub fn peak_active(&self) -> usize {
+    pub(crate) fn peak_active(&self) -> usize {
         self.peak_active
     }
 
     /// Approximate resident bytes of the active-session table.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.slots.len() * std::mem::size_of::<Option<Active>>()
     }
 }
@@ -231,11 +214,22 @@ impl StreamSessionizer {
 mod tests {
     use super::*;
 
+    fn observe(
+        s: &mut StreamSessionizer,
+        client: u32,
+        start: u32,
+        stop: u32,
+        closed: &mut Vec<ClosedSession>,
+    ) -> Option<u32> {
+        let hash = crate::sketch::hash64(u64::from(client));
+        s.observe_hashed(hash, client, start, stop, closed)
+    }
+
     fn run(entries: &[(u32, u32, u32)], timeout: f64) -> Vec<ClosedSession> {
         let mut s = StreamSessionizer::new(timeout);
         let mut closed = Vec::new();
         for &(client, start, stop) in entries {
-            s.observe(client, start, stop, &mut closed);
+            observe(&mut s, client, start, stop, &mut closed);
         }
         s.finish(&mut closed);
         closed.sort_by_key(|c| (c.start, c.end, c.client));
@@ -272,14 +266,15 @@ mod tests {
         let mut s = StreamSessionizer::new(10.0);
         let mut closed = Vec::new();
         for c in 0..10_000u32 {
-            s.observe(c, 100, 110, &mut closed);
+            observe(&mut s, c, 100, 110, &mut closed);
         }
-        assert_eq!(s.active_len(), 10_000);
+        assert_eq!(s.peak_active(), 10_000);
         let bytes_full = s.bytes();
         s.prune_before(100_000, &mut closed);
-        assert_eq!(s.active_len(), 0);
         assert_eq!(closed.len(), 10_000);
         assert!(s.bytes() < bytes_full / 16, "table must shrink after prune");
+        s.finish(&mut closed);
+        assert_eq!(closed.len(), 10_000, "prune left no session open");
     }
 
     #[test]
@@ -317,7 +312,7 @@ mod tests {
         let mut s = StreamSessionizer::new(1500.0);
         let mut closed = Vec::new();
         for (i, e) in trace.entries().iter().enumerate() {
-            s.observe(e.client.0, e.start, e.stop(), &mut closed);
+            observe(&mut s, e.client.0, e.start, e.stop(), &mut closed);
             if i % 97 == 0 {
                 s.prune_before(e.start, &mut closed);
             }
@@ -335,5 +330,27 @@ mod tests {
             .map(|c| (c.start, c.end, c.client, c.transfers))
             .collect();
         assert_eq!(stream_keys, batch_keys);
+    }
+
+    #[test]
+    fn observe_returns_the_intra_session_gap() {
+        let mut s = StreamSessionizer::new(100.0);
+        let mut closed = Vec::new();
+        assert_eq!(observe(&mut s, 1, 0, 10, &mut closed), None, "opens");
+        assert_eq!(observe(&mut s, 1, 40, 50, &mut closed), Some(40));
+        // The gap runs from the previous *start*, and an overlapping
+        // transfer still continues the session.
+        assert_eq!(observe(&mut s, 1, 45, 200, &mut closed), Some(5));
+        // 301 - 200 > 100: a new session, and the old one closes.
+        assert_eq!(observe(&mut s, 1, 301, 310, &mut closed), None);
+        assert_eq!(
+            closed,
+            [ClosedSession {
+                client: 1,
+                start: 0,
+                end: 200,
+                transfers: 3,
+            }]
+        );
     }
 }

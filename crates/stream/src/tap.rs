@@ -104,11 +104,6 @@ impl MultiTap {
         }
     }
 
-    /// Number of per-tier taps (excluding the merged aggregate).
-    pub fn tiers(&self) -> usize {
-        self.tiers.len()
-    }
-
     /// Presets every tap's reorder look-ahead (see
     /// [`StreamAnalyzer::preset_lookahead`]).
     pub fn preset_lookahead(&mut self, max_duration: u32) {

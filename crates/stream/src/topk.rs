@@ -188,18 +188,8 @@ impl<K: TopKey> SpaceSaving<K> {
     }
 
     /// Number of live counters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no keys have been observed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True while no eviction has occurred, i.e. all counts are exact.
-    pub fn is_exact(&self) -> bool {
-        !self.saturated
     }
 
     /// Counters sorted by `(count desc, key asc)`.
@@ -215,7 +205,7 @@ impl<K: TopKey> SpaceSaving<K> {
     }
 
     /// Total of all live counts.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.slots.iter().flatten().map(|s| s.counter.count).sum()
     }
 
@@ -311,7 +301,6 @@ mod tests {
                 ss.insert_key(&k);
             }
         }
-        assert!(ss.is_exact());
         let top = ss.top();
         assert_eq!(top[0], (7, Counter { count: 8, error: 0 }));
         assert_eq!(top.last().unwrap().0, 0);
@@ -326,7 +315,6 @@ mod tests {
         for k in 10..30u32 {
             ss.insert_key(&k);
         }
-        assert!(!ss.is_exact());
         let top = ss.top();
         assert_eq!(top[0].0, 1, "heavy hitter must survive eviction");
         assert!(top[0].1.count >= 100);

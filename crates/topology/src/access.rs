@@ -82,7 +82,7 @@ impl AccessMix {
     ///
     /// # Panics
     /// Panics when the mix is empty or a weight is non-positive.
-    pub fn new(mix: &[(AccessClass, f64)]) -> Self {
+    pub(crate) fn new(mix: &[(AccessClass, f64)]) -> Self {
         assert!(!mix.is_empty(), "access mix must not be empty");
         assert!(
             mix.iter().all(|&(_, w)| w > 0.0),

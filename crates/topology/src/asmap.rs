@@ -184,7 +184,7 @@ impl AsRegistry {
     }
 
     /// Samples an AS according to popularity weight.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &AsInfo {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &AsInfo {
         let u = u01(rng);
         let idx = self
             .cum
@@ -281,5 +281,28 @@ mod tests {
         let info = r.get(AsId(5)).unwrap();
         assert_eq!(info.id, AsId(5));
         assert!(r.get(AsId(5_000)).is_none());
+    }
+
+    #[test]
+    fn a_single_as_registry_is_not_empty() {
+        let mut rng = SeedStream::new(7).rng("asreg");
+        let config = AsRegistryConfig {
+            n_ases: 1,
+            ..AsRegistryConfig::default()
+        };
+        let r = AsRegistry::build(&config, &mut rng);
+        assert_eq!(r.len(), 1);
+        assert!(!r.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one AS")]
+    fn an_empty_registry_is_refused() {
+        let mut rng = SeedStream::new(7).rng("asreg");
+        let config = AsRegistryConfig {
+            n_ases: 0,
+            ..AsRegistryConfig::default()
+        };
+        AsRegistry::build(&config, &mut rng);
     }
 }

@@ -224,4 +224,18 @@ mod tests {
         let b = small_population(2_000);
         assert_eq!(a.all(), b.all());
     }
+
+    #[test]
+    fn a_single_client_population_is_not_empty() {
+        let p = small_population(1);
+        assert_eq!(p.len(), 1);
+        assert!(!p.is_empty());
+        assert_eq!(p.n_ips(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one client")]
+    fn an_empty_population_is_refused() {
+        small_population(0);
+    }
 }

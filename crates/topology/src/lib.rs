@@ -9,16 +9,16 @@
 //! one with the same *structure*:
 //!
 //! * [`access`] — access-link classes and their bandwidth caps.
-//! * [`asmap`] — an AS registry with Zipf-weighted popularity and country
+//! * [`AsRegistry`] — an AS registry with Zipf-weighted popularity and country
 //!   assignment.
-//! * [`client`] — the client population: per-client home AS, shared IP
+//! * [`ClientPopulation`] — the client population: per-client home AS, shared IP
 //!   allocation (≈1.9 users/IP as in Table 1), and access class.
 
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod asmap;
-pub mod client;
+pub(crate) mod asmap;
+pub(crate) mod client;
 
 pub use access::AccessClass;
 pub use asmap::{AsInfo, AsRegistry, AsRegistryConfig};

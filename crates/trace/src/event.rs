@@ -59,7 +59,7 @@ impl LogEntry {
     }
 
     /// True when the transfer succeeded (2xx status).
-    pub fn is_success(&self) -> bool {
+    pub(crate) fn is_success(&self) -> bool {
         (200..300).contains(&self.status)
     }
 

@@ -12,31 +12,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ClientId(pub u32);
 
-impl ClientId {
-    /// The player-ID string as it would appear in a WMS log
-    /// (a GUID-shaped identifier derived deterministically from the id).
-    pub fn player_guid(&self) -> String {
-        // Derive 128 pseudo-random-looking bits from the id with two rounds
-        // of a 64-bit mixer; purely cosmetic but stable.
-        let a = mix(self.0 as u64 ^ 0x5851_f42d_4c95_7f2d);
-        let b = mix(a ^ 0x1405_7b7e_f767_814f);
-        format!(
-            "{{{:08x}-{:04x}-{:04x}-{:04x}-{:012x}}}",
-            (a >> 32) as u32,
-            (a >> 16) as u16,
-            a as u16,
-            (b >> 48) as u16,
-            b & 0xffff_ffff_ffff
-        )
-    }
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    z ^ (z >> 33)
-}
-
 /// A live streaming object (feed). The paper's trace has exactly two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ObjectId(pub u16);
@@ -63,7 +38,7 @@ impl Ipv4Addr {
     }
 
     /// The four octets, most significant first.
-    pub fn octets(&self) -> [u8; 4] {
+    pub(crate) fn octets(&self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
             (self.0 >> 16) as u8,
@@ -122,7 +97,7 @@ impl CountryCode {
     }
 
     /// The code as a `&str`.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         // lsw::allow(L005): new() only accepts two ASCII uppercase bytes
         std::str::from_utf8(&self.0).expect("constructed from ASCII")
     }
@@ -144,17 +119,6 @@ impl std::fmt::Display for CountryCode {
 mod tests {
     use super::*;
     use std::str::FromStr;
-
-    #[test]
-    fn player_guid_is_stable_and_distinct() {
-        let a = ClientId(1).player_guid();
-        let b = ClientId(1).player_guid();
-        let c = ClientId(2).player_guid();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 38); // {8-4-4-4-12}
-        assert!(a.starts_with('{') && a.ends_with('}'));
-    }
 
     #[test]
     fn object_uri() {

@@ -7,11 +7,8 @@
 //! allocation-free, which also makes them the Miri entry point for the
 //! format (`ltc::codec::tests`).
 
-/// Longest legal LEB128 encoding of a `u64` (10 × 7 bits ≥ 64 bits).
-pub const MAX_UVARINT_BYTES: usize = 10;
-
 /// Appends the LEB128 encoding of `v` to `out`.
-pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         // lsw::allow(L011): LEB128 keeps the low 7 bits per byte on purpose
         out.push((v as u8 & 0x7f) | 0x80);
@@ -23,9 +20,10 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Decodes one LEB128 varint from `buf` starting at `*pos`, advancing
 /// `*pos` past it. Returns `None` on truncation, on an encoding longer
-/// than [`MAX_UVARINT_BYTES`], or on bits overflowing 64.
+/// than the 10 bytes a `u64` needs (10 × 7 bits ≥ 64 bits), or on bits
+/// overflowing 64.
 #[inline]
-pub fn read_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn read_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     // Single-byte fast path: most column values (deltas, dictionary
     // indices, small ids) fit in 7 bits, and this sits on the block
     // decode hot path once per value.
@@ -54,19 +52,19 @@ fn read_uvarint_multi(buf: &[u8], pos: &mut usize) -> Option<u64> {
         }
         shift += 7;
         if shift > 63 {
-            return None; // more than MAX_UVARINT_BYTES continuation bits
+            return None; // more than 10 bytes
         }
     }
 }
 
 /// Maps a signed delta onto the unsigned varint domain so small negative
 /// and positive deltas both encode in one byte.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -149,7 +147,7 @@ mod tests {
         for v in cases {
             let mut buf = Vec::new();
             write_uvarint(&mut buf, v);
-            assert!(buf.len() <= MAX_UVARINT_BYTES);
+            assert!(buf.len() <= 10, "a u64 needs at most 10 bytes");
             let mut pos = 0;
             assert_eq!(read_uvarint(&buf, &mut pos), Some(v), "value {v}");
             assert_eq!(pos, buf.len());

@@ -13,7 +13,7 @@
 //! footer := fpayload | crc32(fpayload) u32 LE | fpayload_len u32 LE | "LTCF"
 //! ```
 //!
-//! Each block holds up to [`DEFAULT_BLOCK_RECORDS`] records as
+//! Each block holds up to `DEFAULT_BLOCK_RECORDS` records as
 //! struct-of-arrays column segments (`uvarint(len) ++ bytes` each, in
 //! [`LogEntry`] field order): `start` and `timestamp` are
 //! delta-plus-zigzag varints (resetting at block boundaries so blocks
@@ -50,20 +50,20 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// File magic ("LTC1").
-pub const MAGIC: [u8; 4] = *b"LTC1";
+pub(crate) const MAGIC: [u8; 4] = *b"LTC1";
 /// Footer magic ("LTCF"), the last four bytes of a complete file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"LTCF";
+pub(crate) const FOOTER_MAGIC: [u8; 4] = *b"LTCF";
 /// Container version this module reads and writes.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// File header length in bytes.
-pub const HEADER_LEN: u64 = 8;
+pub(crate) const HEADER_LEN: u64 = 8;
 /// Per-block header length in bytes (payload_len, n_records, crc).
 pub const BLOCK_HEADER_LEN: usize = 12;
 /// Footer tail length in bytes (crc, payload_len, magic).
 const FOOTER_TAIL_LEN: usize = 12;
 /// Default records per block (~64k: 3 MB decoded, well under a cache of
 /// typical per-worker working sets).
-pub const DEFAULT_BLOCK_RECORDS: usize = 64 * 1024;
+pub(crate) const DEFAULT_BLOCK_RECORDS: usize = 64 * 1024;
 
 /// Sniffs whether a byte prefix looks like an `ltc` file.
 pub fn is_ltc(prefix: &[u8]) -> bool {
@@ -821,11 +821,6 @@ impl<S: BlockSource> BlockReader<S> {
         })
     }
 
-    /// The block index in use.
-    pub fn index(&self) -> &LtcIndex {
-        &self.index
-    }
-
     /// Corruption accounting so far.
     pub fn stats(&self) -> &ReadStats {
         &self.stats
@@ -987,9 +982,9 @@ mod tests {
         assert!(summary.sorted);
         assert_eq!(summary.bytes, image.len() as u64);
         let reader = BlockReader::open(SliceSource::new(&image)).expect("open");
-        assert!(reader.index().from_footer);
-        assert!(reader.index().sorted);
-        assert_eq!(reader.index().records, 700);
+        assert!(reader.index.from_footer);
+        assert!(reader.index.sorted);
+        assert_eq!(reader.index.records, 700);
         let (back, _) = reader.read_all().expect("read");
         assert_eq!(back, entries);
     }
@@ -1024,7 +1019,7 @@ mod tests {
         entries.swap(10, 40);
         let image = encode(&entries).expect("encode");
         let reader = BlockReader::open(SliceSource::new(&image)).expect("open");
-        assert!(!reader.index().sorted);
+        assert!(!reader.index.sorted);
         let (back, _) = reader.read_all().expect("read");
         assert_eq!(back, entries); // order is preserved either way
     }
@@ -1072,9 +1067,9 @@ mod tests {
         let cut = usize::try_from(index.blocks[2].offset).expect("offset") + BLOCK_HEADER_LEN + 5;
         let truncated = &image[..cut];
         let reader = BlockReader::open(SliceSource::new(truncated)).expect("open");
-        assert!(!reader.index().from_footer);
-        assert!(!reader.index().sorted); // recovery is conservative
-        assert_eq!(reader.index().blocks.len(), 2);
+        assert!(!reader.index.from_footer);
+        assert!(!reader.index.sorted); // recovery is conservative
+        assert_eq!(reader.index.blocks.len(), 2);
         let (back, stats) = reader.read_all().expect("read");
         assert_eq!(back, entries[..600]);
         assert_eq!(stats.corrupt_blocks, 0);
@@ -1087,7 +1082,7 @@ mod tests {
         let at = image.len() - 5; // inside the footer tail
         image[at] ^= 0xFF;
         let reader = BlockReader::open(SliceSource::new(&image)).expect("open");
-        assert!(!reader.index().from_footer);
+        assert!(!reader.index.from_footer);
         let (back, _) = reader.read_all().expect("read");
         assert_eq!(back, entries);
     }
@@ -1103,8 +1098,8 @@ mod tests {
     fn empty_trace_round_trips() {
         let image = encode(&[]).expect("encode");
         let reader = BlockReader::open(SliceSource::new(&image)).expect("open");
-        assert!(reader.index().from_footer);
-        assert_eq!(reader.index().records, 0);
+        assert!(reader.index.from_footer);
+        assert_eq!(reader.index.records, 0);
         let (back, stats) = reader.read_all().expect("read");
         assert!(back.is_empty());
         assert_eq!(stats.corrupt_blocks, 0);

@@ -56,7 +56,6 @@ impl Session {
 /// transfer ordering that ties each session back to trace entries.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sessions {
-    config: SessionConfig,
     /// Sessions sorted by start time.
     sessions: Vec<Session>,
     /// Indices into `Trace::entries()`, grouped contiguously by session and
@@ -219,15 +218,9 @@ impl Sessions {
         // sessions are time-disjoint — so this sort is deterministic too.
         sessions.sort_by_key(|s| (s.start, s.end, s.client));
         Self {
-            config,
             sessions,
             entry_order,
         }
-    }
-
-    /// The configuration used.
-    pub fn config(&self) -> SessionConfig {
-        self.config
     }
 
     /// Sessions in start-time order.

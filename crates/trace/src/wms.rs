@@ -679,7 +679,7 @@ pub fn parse_lines(text: &str) -> ParsedLines<'_> {
 
 /// Like [`parse_lines`] but numbering lines from `first_line` — for
 /// callers feeding chunks of a larger stream (see [`LineChunks`]).
-pub fn parse_lines_from(text: &str, first_line: usize) -> ParsedLines<'_> {
+pub(crate) fn parse_lines_from(text: &str, first_line: usize) -> ParsedLines<'_> {
     ParsedLines {
         inner: text.lines(),
         next_line: first_line.max(1),
@@ -811,7 +811,7 @@ pub struct LineChunk {
 
 impl LineChunk {
     /// Number of lines in the chunk (a final unterminated line counts).
-    pub fn line_count(&self) -> usize {
+    pub(crate) fn line_count(&self) -> usize {
         let mut lines = self.bytes.iter().filter(|&&b| b == b'\n').count();
         if self.bytes.last().is_some_and(|&b| b != b'\n') {
             lines += 1;

@@ -265,7 +265,7 @@ fn l009_fires_when_the_ring_appends_before_its_eviction_check() {
         .matches('\n')
         .count();
     let push_fn = unguarded
-        .find("pub fn push(")
+        .find("fn push(")
         .map(|at| 1 + unguarded[..at].matches('\n').count())
         .expect("Broadcast::push");
     assert!(push_fn < push_line && push_line < push_fn + 20);

@@ -58,11 +58,6 @@ impl Continuous for Exponential {
         }
     }
 
-    fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        -(-p).ln_1p() / self.lambda
-    }
-
     fn mean(&self) -> f64 {
         1.0 / self.lambda
     }
@@ -112,12 +107,16 @@ mod tests {
     }
 
     #[test]
-    fn cdf_quantile_round_trip() {
+    fn cdf_known_values() {
+        // 1 - e^{-2x}, evaluated to 30 digits outside this crate.
         let d = Exponential::new(2.0).unwrap();
-        for &p in &[0.0, 0.1, 0.5, 0.9, 0.999] {
-            assert!((d.cdf(d.quantile(p)) - p).abs() < 1e-12);
+        for (x, p) in [
+            (0.1, 0.181_269_246_922_018_14),
+            (1.0, 0.864_664_716_763_387_31),
+            (3.0, 0.997_521_247_823_333_64),
+        ] {
+            assert!((d.cdf(x) - p).abs() < 1e-12, "x={x}");
         }
-        // Median = ln 2 / lambda.
-        assert!((d.quantile(0.5) - (2f64).ln() / 2.0).abs() < 1e-12);
+        assert_eq!(d.cdf(0.0), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Probability distributions: sampling, densities, CDFs, quantiles, moments.
+//! Probability distributions: sampling, densities, CDFs and moments.
 //!
 //! All distributions are implemented from scratch on top of a raw uniform
 //! source. Continuous distributions implement [`Continuous`] (and therefore
@@ -16,7 +16,6 @@
 //! | [`ZipfTable`] | client interest profile (bounded, α < 1 allowed) |
 //! | [`Zeta`] | transfers per session (unbounded Zipf, α > 1) |
 //! | [`Pareto`] | heavy-tail comparisons / two-regime tail modeling |
-//! | [`Normal`] | the standard-normal draw under [`LogNormal`] |
 //! | [`Weibull`], `Gamma` | Fig 12 model-selection alternatives |
 //! | [`Geometric`] | body of the hybrid transfers-per-session model |
 //! | [`Poisson`] | per-window counts of the piecewise-stationary process |
@@ -25,7 +24,6 @@ mod exponential;
 mod gamma;
 mod geometric;
 mod lognormal;
-mod normal;
 mod pareto;
 mod poisson;
 mod weibull;
@@ -36,7 +34,6 @@ pub use exponential::Exponential;
 pub(crate) use gamma::Gamma;
 pub use geometric::Geometric;
 pub use lognormal::LogNormal;
-pub use normal::Normal;
 pub use pareto::Pareto;
 pub use poisson::Poisson;
 pub use weibull::Weibull;
@@ -90,9 +87,6 @@ pub trait Continuous: Sample {
 
     /// Cumulative distribution function `P[X <= x]`.
     fn cdf(&self, x: f64) -> f64;
-
-    /// Quantile (inverse CDF). `p` must lie in `[0, 1]`.
-    fn quantile(&self, p: f64) -> f64;
 
     /// Complementary CDF `P[X > x]`.
     fn ccdf(&self, x: f64) -> f64 {

@@ -5,8 +5,8 @@
 //! Media Workload"* (Veloso et al., IMC 2002), implemented from scratch:
 //!
 //! * **Distributions** ([`dist`]) — lognormal, exponential, bounded Zipf,
-//!   zeta, Pareto, normal, Poisson, geometric, Weibull and gamma, all with
-//!   sampling, densities, CDFs, quantiles and moments.
+//!   zeta, Pareto, Poisson, geometric, Weibull and gamma, all with
+//!   sampling, densities, CDFs and moments.
 //! * **Arrival processes** ([`process`]) — homogeneous Poisson and the
 //!   paper's *piecewise-stationary* Poisson process.
 //! * **Estimators** ([`fit`]) — maximum-likelihood fits (lognormal,

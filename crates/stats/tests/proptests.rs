@@ -1,12 +1,12 @@
 //! Property-based tests for the statistical substrate.
 //!
 //! These check structural invariants over randomized parameters and data:
-//! CDF monotonicity and range, quantile/CDF inversion, sampler support,
+//! CDF monotonicity and range, sampler support,
 //! histogram conservation, ECDF consistency, and fit round-trips.
 
 use lsw_stats::dist::{
-    Continuous, Discrete, Exponential, Geometric, LogNormal, Normal, Pareto, Poisson, Sample,
-    Weibull, Zeta, ZipfTable,
+    Continuous, Discrete, Exponential, Geometric, LogNormal, Pareto, Poisson, Sample, Weibull,
+    Zeta, ZipfTable,
 };
 use lsw_stats::empirical::{Binning, Ecdf, Histogram, RankFrequency, Summary};
 use lsw_stats::fit::{fit_exponential, fit_lognormal, linear_regression};
@@ -16,7 +16,7 @@ use lsw_stats::timeseries::{autocorrelation, bin_counts, fold_periodic};
 use proptest::prelude::*;
 
 /// Checks the Continuous contract on a grid: CDF in [0,1], monotone,
-/// quantile inverts CDF, pdf non-negative.
+/// pdf non-negative.
 fn check_continuous<D: Continuous>(d: &D, xs: &[f64]) {
     let mut prev = 0.0;
     let mut sorted = xs.to_vec();
@@ -28,11 +28,6 @@ fn check_continuous<D: Continuous>(d: &D, xs: &[f64]) {
         assert!(d.pdf(x) >= 0.0, "pdf({x}) negative");
         prev = c;
     }
-    for &p in &[0.05, 0.25, 0.5, 0.75, 0.95] {
-        let q = d.quantile(p);
-        let c = d.cdf(q);
-        assert!((c - p).abs() < 1e-5, "cdf(quantile({p})) = {c}");
-    }
 }
 
 proptest! {
@@ -41,7 +36,7 @@ proptest! {
     #[test]
     fn lognormal_contract(mu in -3.0..8.0f64, sigma in 0.1..3.0f64) {
         let d = LogNormal::new(mu, sigma).unwrap();
-        let xs: Vec<f64> = (1..40).map(|i| d.quantile(i as f64 / 40.0)).collect();
+        let xs: Vec<f64> = (-20..=20).map(|i| (mu + sigma * i as f64 / 5.0).exp()).collect();
         check_continuous(&d, &xs);
     }
 
@@ -49,13 +44,6 @@ proptest! {
     fn exponential_contract(mean in 0.01..1e7f64) {
         let d = Exponential::with_mean(mean).unwrap();
         let xs: Vec<f64> = (0..40).map(|i| mean * i as f64 / 10.0).collect();
-        check_continuous(&d, &xs);
-    }
-
-    #[test]
-    fn normal_contract(mu in -100.0..100.0f64, sigma in 0.1..50.0f64) {
-        let d = Normal::new(mu, sigma).unwrap();
-        let xs: Vec<f64> = (-20..=20).map(|i| mu + sigma * i as f64 / 5.0).collect();
         check_continuous(&d, &xs);
     }
 

@@ -4,10 +4,10 @@
 //! Entry point is `cargo xtask lint` (aliased in `.cargo/config.toml`).
 //! The pass walks every first-party crate's `src/` tree, tokenizes each
 //! file with the scanner in [`lexer`], extracts brace-matched items with
-//! [`items`], applies the per-file rules in [`rules`] (L001–L006, L009,
-//! L011), and runs the interprocedural rules in [`graph`] (L007 lock
-//! order, L008 blocking-call reachability) over the whole file set at
-//! once. Allow-comment bookkeeping lives here: [`analyze_sources`]
+//! [`items`], applies the per-file rules in [`rules`] (L001–L003, L005,
+//! L006, L009, L011), and runs the interprocedural rules in [`graph`]
+//! (L007 lock order, L008 blocking-call reachability) over the whole file
+//! set at once. Allow-comment bookkeeping lives here: [`analyze_sources`]
 //! counts which `lsw::allow` annotations actually suppress something,
 //! reports the stale ones as L010, surfaces the used ones as auditable
 //! exemptions in `--json`/SARIF, and plans the `--fix` edits that strip

@@ -6,8 +6,8 @@ const USAGE: &str = "\
 Usage: cargo xtask <command> [options]
 
 Commands:
-  lint          Run the lsw static-analysis rules (L001-L011) over the
-                workspace's first-party crates.
+  lint          Run the lsw static-analysis rules (L001–L003, L005–L011)
+                over the workspace's first-party crates.
   rules         List the rules with one-line summaries.
 
 Lint options:

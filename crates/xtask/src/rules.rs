@@ -19,8 +19,6 @@
 //!   participate in shard merge. Float addition is non-associative, so
 //!   merge order would leak into results; shard-merged sums use the
 //!   `lsw_stream::fixed` i128 fixed-point accumulators.
-//! * **L004** — no unordered `rayon` reductions (`reduce`, `sum`) outside
-//!   the blessed k-way-merge modules.
 //! * **L005** — no `unwrap()`/`expect()`/`panic!` in library crates'
 //!   non-test code (CLI binaries and tests are exempt).
 //! * **L006** — no allocating text conversions (`from_utf8_lossy`,
@@ -79,7 +77,6 @@ pub enum RuleId {
     L001,
     L002,
     L003,
-    L004,
     L005,
     L006,
     L007,
@@ -96,7 +93,6 @@ impl RuleId {
             RuleId::L001 => "L001",
             RuleId::L002 => "L002",
             RuleId::L003 => "L003",
-            RuleId::L004 => "L004",
             RuleId::L005 => "L005",
             RuleId::L006 => "L006",
             RuleId::L007 => "L007",
@@ -115,7 +111,6 @@ impl RuleId {
                 "no ambient nondeterminism (thread_rng/random/SystemTime/Instant/raw sockets)"
             }
             RuleId::L003 => "no f64/f32 `+=` on fields of shard-merge participants",
-            RuleId::L004 => "no unordered rayon reductions outside blessed merge modules",
             RuleId::L005 => "no unwrap/expect/panic! in library non-test code",
             RuleId::L006 => "no allocating text conversions in ingest hot-path files",
             RuleId::L007 => "no cycles in the replay/stream lock acquisition graph (deadlock risk)",
@@ -127,12 +122,11 @@ impl RuleId {
     }
 
     /// All rules, in id order.
-    pub fn all() -> [RuleId; 11] {
+    pub fn all() -> [RuleId; 10] {
         [
             RuleId::L001,
             RuleId::L002,
             RuleId::L003,
-            RuleId::L004,
             RuleId::L005,
             RuleId::L006,
             RuleId::L007,
@@ -162,9 +156,6 @@ pub struct FileClass {
     pub crate_name: String,
     /// True for `src/bin/*` files and `src/main.rs` (CLI entrypoints).
     pub is_bin: bool,
-    /// True for modules blessed to use unordered reductions (the k-way
-    /// merge implementations themselves).
-    pub blessed_reduction: bool,
     /// True for the per-record ingest hot-path files (the wms scanner,
     /// the ltc codec, the streaming ingest loop), where L006 applies.
     pub ingest_hot: bool,
@@ -220,23 +211,9 @@ const HASH_ITER_METHODS: &[&str] = &[
     "par_iter_mut",
 ];
 
-/// Rayon parallel-iterator constructors (L004 chain start).
-const PAR_SOURCES: &[&str] = &[
-    "par_iter",
-    "par_iter_mut",
-    "into_par_iter",
-    "par_bridge",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_windows",
-];
-
-/// Unordered rayon combinators (L004 chain sink).
-const PAR_SINKS: &[&str] = &["reduce", "reduce_with", "sum", "unordered_fold"];
-
 /// Lints one file's source text under the given classification,
 /// applying allow comments. This covers the per-file rules
-/// (L001–L006, L009, L011); the interprocedural rules (L007, L008) and
+/// (L001–L003, L005, L006, L009, L011); the interprocedural rules (L007, L008) and
 /// stale-allow hygiene (L010) need the whole-workspace pass in
 /// [`crate::analyze_sources`].
 pub fn lint_source(class: &FileClass, src: &str) -> Vec<Diagnostic> {
@@ -258,7 +235,6 @@ pub fn file_rules(class: &FileClass, lexed: &Lexed, items: &Items) -> Vec<Diagno
     rule_l001(&ctx, &mut diags);
     rule_l002(&ctx, &mut diags);
     rule_l003(&ctx, &mut diags);
-    rule_l004(&ctx, &mut diags);
     rule_l005(&ctx, &mut diags);
     rule_l006(&ctx, &mut diags);
     rule_l009(&ctx, items, &mut diags);
@@ -748,52 +724,6 @@ fn rule_l003(ctx: &Ctx<'_>, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L004: unordered rayon reductions outside blessed merge modules.
-fn rule_l004(ctx: &Ctx<'_>, diags: &mut Vec<Diagnostic>) {
-    if ctx.class.blessed_reduction {
-        return;
-    }
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        let Some(src) = toks[i].ident() else { continue };
-        if !PAR_SOURCES.contains(&src) || !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        // Scan the rest of the expression chain for an unordered sink.
-        let mut depth = 0i32;
-        for j in i + 1..toks.len() {
-            match &toks[j].kind {
-                TokenKind::Punct('(') | TokenKind::Punct('{') | TokenKind::Punct('[') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct('}') | TokenKind::Punct(']') => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                TokenKind::Punct(';') if depth == 0 => break,
-                TokenKind::Ident(m)
-                    if depth == 0
-                        && PAR_SINKS.contains(&m.as_str())
-                        && toks.get(j.wrapping_sub(1)).is_some_and(|t| t.is_punct('.')) =>
-                {
-                    ctx.flag(
-                        diags,
-                        RuleId::L004,
-                        &toks[j],
-                        format!(
-                            "unordered rayon reduction `.{m}()` after `.{src}()`: reduction order \
-                             is scheduler-dependent; collect per-shard results and combine through \
-                             the deterministic k-way merge (blessed modules only)"
-                        ),
-                    );
-                    break;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 /// L005: panicking calls in library non-test code.
 fn rule_l005(ctx: &Ctx<'_>, diags: &mut Vec<Diagnostic>) {
     if ctx.class.is_bin || L005_EXEMPT_CRATES.contains(&ctx.class.crate_name.as_str()) {
@@ -1193,23 +1123,6 @@ mod tests {
     fn l003_requires_merge_context() {
         let src = "struct P { x: f64 }\nimpl P { fn step(&mut self) { self.x += 1.0; } }";
         assert!(rules_fired(&lib_class("stream"), src).is_empty());
-    }
-
-    #[test]
-    fn l004_unordered_reduction() {
-        let src = "fn f(v: &[u64]) -> u64 {\n    v.par_iter().map(|x| x + 1).sum()\n}";
-        assert_eq!(rules_fired(&lib_class("core"), src), [(RuleId::L004, 2)]);
-        let blessed = FileClass {
-            blessed_reduction: true,
-            ..lib_class("core")
-        };
-        assert!(rules_fired(&blessed, src).is_empty());
-        // Sequential sum is fine.
-        assert!(rules_fired(
-            &lib_class("core"),
-            "fn f(v: &[u64]) -> u64 { v.iter().sum() }"
-        )
-        .is_empty());
     }
 
     #[test]

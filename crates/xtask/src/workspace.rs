@@ -5,11 +5,6 @@ use crate::rules::FileClass;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Modules blessed to use unordered reductions: the deterministic k-way
-/// merge implementations themselves (they establish the order everyone
-/// else must preserve).
-const BLESSED_REDUCTION_FILES: &[&str] = &["crates/stream/src/coord.rs"];
-
 /// Per-record ingest hot paths, where L006 forbids allocating text
 /// conversions: the wms byte scanner, the ltc block codec, and the
 /// streaming ingest loop with its reorder buffer.
@@ -82,11 +77,6 @@ pub fn classify(rel_path: &str) -> FileClass {
         .unwrap_or_default()
         .to_owned();
     let is_bin = rel_path.contains("/src/bin/") || rel_path.ends_with("/src/main.rs");
-    let blessed_reduction = BLESSED_REDUCTION_FILES.contains(&rel_path)
-        || rel_path
-            .rsplit('/')
-            .next()
-            .is_some_and(|f| f.contains("merge"));
     let ingest_hot = INGEST_HOT_FILES.contains(&rel_path)
         || INGEST_HOT_DIRS.iter().any(|d| rel_path.starts_with(d));
     let lock_scope = !is_bin && LOCK_SCOPE_CRATES.contains(&crate_name.as_str());
@@ -97,7 +87,6 @@ pub fn classify(rel_path: &str) -> FileClass {
     FileClass {
         crate_name,
         is_bin,
-        blessed_reduction,
         ingest_hot,
         lock_scope,
         bounded_mem,
@@ -196,12 +185,9 @@ mod tests {
         let c = classify("crates/stream/src/hll.rs");
         assert_eq!(c.crate_name, "stream");
         assert!(!c.is_bin);
-        assert!(!c.blessed_reduction);
 
         assert!(classify("crates/lsw/src/bin/lsw.rs").is_bin);
         assert!(classify("crates/xtask/src/main.rs").is_bin);
-        assert!(classify("crates/stream/src/coord.rs").blessed_reduction);
-        assert!(classify("crates/core/src/kway_merge.rs").blessed_reduction);
 
         assert!(classify("crates/trace/src/wms.rs").ingest_hot);
         assert!(classify("crates/trace/src/ltc/codec.rs").ingest_hot);

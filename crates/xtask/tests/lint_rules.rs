@@ -49,11 +49,6 @@ fn l003_fires_on_float_accumulation_in_merge_participant() {
 }
 
 #[test]
-fn l004_fires_on_unordered_rayon_reductions() {
-    assert_eq!(fired("l004.rs"), [(RuleId::L004, 4), (RuleId::L004, 8)]);
-}
-
-#[test]
 fn l005_fires_on_panicking_calls() {
     assert_eq!(
         fired("l005.rs"),
@@ -102,15 +97,6 @@ fn rules_respect_cli_exemptions() {
     // …but hash iteration (L001) applies even to binaries: report output
     // produced by a bin must be deterministic too.
     assert!(!lint_source(&bin, &fixture("l001.rs")).is_empty());
-}
-
-#[test]
-fn blessed_merge_module_may_reduce() {
-    let blessed = FileClass {
-        blessed_reduction: true,
-        ..fixture_class()
-    };
-    assert!(lint_source(&blessed, &fixture("l004.rs")).is_empty());
 }
 
 /// Runs the whole-workspace analyzer over a single fixture file with the

@@ -745,6 +745,7 @@ mod tests {
         for &(s, e) in &intervals {
             sweep.observe(s, e);
         }
+        assert!(sweep.peak_pending >= 2);
         sweep.finish(horizon);
         let mut expect: BTreeMap<u32, u64> = BTreeMap::new();
         for &c in batch.per_second() {

@@ -301,6 +301,7 @@ mod tests {
                 ss.insert_key(&k);
             }
         }
+        assert!(!ss.saturated);
         let top = ss.top();
         assert_eq!(top[0], (7, Counter { count: 8, error: 0 }));
         assert_eq!(top.last().unwrap().0, 0);
@@ -315,6 +316,7 @@ mod tests {
         for k in 10..30u32 {
             ss.insert_key(&k);
         }
+        assert!(ss.saturated);
         let top = ss.top();
         assert_eq!(top[0].0, 1, "heavy hitter must survive eviction");
         assert!(top[0].1.count >= 100);

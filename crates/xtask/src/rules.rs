@@ -207,8 +207,6 @@ const HASH_ITER_METHODS: &[&str] = &[
     "into_values",
     "drain",
     "retain",
-    "par_iter",
-    "par_iter_mut",
 ];
 
 /// Lints one file's source text under the given classification,

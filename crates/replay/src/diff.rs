@@ -15,10 +15,16 @@ use lsw_stream::{StreamAnalyzer, StreamConfig, StreamReport};
 use lsw_trace::schedule::Schedule;
 
 /// Characterizes a schedule directly — the reference end of the loop.
+///
+/// Transfers go in one at a time, in schedule order, under a look-ahead
+/// preset to the longest transfer: the release is exact, and the
+/// analyzer buffers one look-ahead window of them, not the schedule.
 pub fn reference_report(schedule: &Schedule, cfg: StreamConfig) -> StreamReport {
     let mut analyzer = StreamAnalyzer::new(cfg);
     analyzer.preset_lookahead(schedule.max_duration());
-    analyzer.ingest_entries(schedule.transfers.iter().map(|t| t.to_entry()));
+    for t in &schedule.transfers {
+        analyzer.ingest_entry(&t.to_entry());
+    }
     analyzer.finalize()
 }
 

@@ -156,6 +156,21 @@ mod tests {
     }
 
     #[test]
+    fn the_reference_buffers_one_look_ahead_window() {
+        // Transfers last at most 15 s over a 1,000 s span, so a window
+        // holds a few dozen of them; a buffer that held the schedule
+        // would peak at all 300.
+        let r = crate::diff::reference_report(&schedule(), StreamConfig::default());
+        assert_eq!(r.accounting.kept, 300);
+        assert_eq!(r.accounting.late_entries, 0);
+        assert!(
+            r.memory.peak_heap_entries < 150,
+            "peak {}",
+            r.memory.peak_heap_entries
+        );
+    }
+
+    #[test]
     fn virtual_runs_are_bit_reproducible() {
         let s = schedule();
         let a = run_virtual(

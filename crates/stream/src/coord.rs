@@ -10,9 +10,9 @@
 
 use crate::fixed::LogMoments;
 use crate::quantile::LogQuantileSketch;
+use crate::reorder::Pending;
 use crate::sample::ClientSample;
 use crate::session::{ClosedSession, StreamSessionizer};
-use lsw_trace::event::LogEntry;
 use std::collections::BinaryHeap;
 
 /// Fixed-point scale for CPU-audit sums (2^-32 per unit).
@@ -521,10 +521,10 @@ impl Coordinator {
     }
 
     /// Consumes one released (start-ordered) kept entry.
-    pub(crate) fn process(&mut self, e: &LogEntry) {
+    pub(crate) fn process(&mut self, e: &Pending) {
         // One hash per entry, shared by the client sample and the
         // sessionizer.
-        let client_hash = crate::sketch::hash64(u64::from(e.client.0));
+        let client_hash = crate::sketch::hash64(u64::from(e.client));
         self.released += 1;
         if e.start < self.prev_start.unwrap_or(0) {
             self.late_entries += 1;
@@ -541,11 +541,11 @@ impl Coordinator {
         self.conc.observe(e.start, e.stop());
         self.cpu.observe(e.timestamp, e.cpu_util);
         self.cpu.flush_below(e.start);
-        self.sample.observe_transfer_hashed(client_hash, e.client.0);
+        self.sample.observe_transfer_hashed(client_hash, e.client);
 
         let intra = self.sessionizer.observe_hashed(
             client_hash,
-            e.client.0,
+            e.client,
             e.start,
             e.stop(),
             &mut self.closed,
@@ -759,10 +759,11 @@ mod tests {
     fn late_entries_are_counted_not_fatal() {
         let mut c = Coordinator::new(1500.0, 1024);
         let mk = |start: u32, dur: u32| {
-            lsw_trace::event::LogEntryBuilder::new()
+            let e = lsw_trace::event::LogEntryBuilder::new()
                 .span(start, dur)
                 .client(lsw_trace::ids::ClientId(1))
-                .build()
+                .build();
+            Pending::new(u64::from(start), &e)
         };
         c.process(&mk(1000, 10));
         c.process(&mk(500, 10)); // out of order

@@ -264,7 +264,7 @@ pub struct StreamAnalyzer {
     line_offsets: Vec<(usize, usize)>,
     /// Reusable per-shard kept-entry buffers: shard `i` parses into
     /// `kept_scratch[i]`, keeping its capacity from chunk to chunk.
-    kept_scratch: Vec<Vec<Kept>>,
+    kept_scratch: Vec<Vec<Pending>>,
 }
 
 impl StreamAnalyzer {
@@ -323,9 +323,9 @@ impl StreamAnalyzer {
     /// transfer here as its connection drains). The entry flows through
     /// the same keep step and reorder buffer as the file sources, so a tap
     /// stream and the equivalent log text produce the same report. The
-    /// watermark release runs after every entry; when feeding many at
-    /// once, prefer [`ingest_entries`](Self::ingest_entries), which
-    /// batches it.
+    /// watermark release runs after every entry, so the buffer holds one
+    /// look-ahead window of entries, 40 B each, however many are fed
+    /// (`lsw_replay::reference_report` feeds a whole schedule this way).
     pub fn ingest_entry(&mut self, e: &LogEntry) {
         self.tap_entry(e);
         self.settle(self.watermark(false));
@@ -347,9 +347,9 @@ impl StreamAnalyzer {
 
     /// Ingests a batch of already-decoded entries (see
     /// [`ingest_entry`](Self::ingest_entry)), deferring the look-ahead
-    /// watermark release to the end of the batch. Takes entries by
-    /// reference or by value, so a caller can stream entries it builds on
-    /// the fly.
+    /// watermark release to the end of the batch: the whole batch is
+    /// buffered until then, so its peak grows with the batch, not the
+    /// window. Takes entries by reference or by value.
     pub fn ingest_entries<I>(&mut self, entries: I)
     where
         I: IntoIterator,
@@ -380,7 +380,7 @@ impl StreamAnalyzer {
         self.lines_total += 1;
         let horizon = self.cfg.horizon.unwrap_or(u32::MAX);
         if self.seen.keep(&mut self.shards[0], e, horizon) {
-            self.pending.push(e.start, Pending::new(line, *e));
+            self.pending.push(e.start, Pending::new(line, e));
         }
     }
 
@@ -449,8 +449,8 @@ impl StreamAnalyzer {
                     Ok(st) => {
                         self.seen.fold(&st);
                         if direct {
-                            for (_, e) in &self.kept_scratch[i] {
-                                self.coord.process(e);
+                            for p in &self.kept_scratch[i] {
+                                self.coord.process(p);
                             }
                         } else {
                             self.release_batch(i);
@@ -485,7 +485,7 @@ impl StreamAnalyzer {
     /// coordinator, in `(start, timestamp, line)` order.
     fn release_below(&mut self, watermark: u32) {
         while let Some(p) = self.pending.pop_below(watermark) {
-            self.coord.process(&p.entry);
+            self.coord.process(&p);
         }
     }
 
@@ -546,26 +546,25 @@ impl StreamAnalyzer {
     /// window) enters the buffer.
     fn release_batch(&mut self, shard: usize) {
         let mut batch = std::mem::take(&mut self.kept_scratch[shard]);
-        batch.sort_unstable_by_key(|&(line, e)| (e.start, e.timestamp, line));
+        batch.sort_unstable();
         let watermark = self.watermark(!self.seen.starts_regressed);
-        let cut = batch.partition_point(|(_, e)| e.start < watermark);
-        for &(line, e) in &batch[..cut] {
-            let p = Pending::new(line, e);
+        let cut = batch.partition_point(|p| p.start < watermark);
+        for p in &batch[..cut] {
             // Buffered entries that sort before this one release first,
             // preserving the exact single-buffer order.
-            while self.pending.peek_below(watermark).is_some_and(|h| *h < p) {
+            while self.pending.peek_below(watermark).is_some_and(|h| h < p) {
                 let Some(h) = self.pending.pop_below(watermark) else {
                     break;
                 };
-                self.coord.process(&h.entry);
+                self.coord.process(&h);
             }
-            self.coord.process(&e);
+            self.coord.process(p);
         }
         // Leftover buffered entries below the watermark sort after every
         // entry released above; the batch tail joins the buffer.
         self.release_below(watermark);
-        for &(line, e) in &batch[cut..] {
-            self.pending.push(e.start, Pending::new(line, e));
+        for &p in &batch[cut..] {
+            self.pending.push(p.start, p);
         }
         self.peak_heap = self.peak_heap.max(self.pending.len());
         self.kept_scratch[shard] = batch;
@@ -574,7 +573,7 @@ impl StreamAnalyzer {
     /// Ends the stream and assembles the report.
     pub fn finalize(mut self) -> StreamReport {
         while let Some(p) = self.pending.pop() {
-            self.coord.process(&p.entry);
+            self.coord.process(&p);
         }
         let horizon = self
             .cfg
@@ -749,19 +748,16 @@ impl RangeStats {
     }
 }
 
-/// A kept entry, tagged with its text line number or `ltc` record ordinal.
-type Kept = (u64, LogEntry);
-
 /// Runs one job per parse shard — job `i` on shard `i`'s sketches and
 /// kept buffer, which it clears first — on scoped threads when there are
 /// several, and returns the results in shard order.
 fn fan_out<J: Send, R: Send>(
     shards: &mut [ShardSketches],
-    kept: &mut Vec<Vec<Kept>>,
+    kept: &mut Vec<Vec<Pending>>,
     jobs: Vec<J>,
-    work: impl Fn(J, &mut ShardSketches, &mut Vec<Kept>) -> R + Sync,
+    work: impl Fn(J, &mut ShardSketches, &mut Vec<Pending>) -> R + Sync,
 ) -> Vec<R> {
-    let run = |((shard, kept), job): ((&mut ShardSketches, &mut Vec<Kept>), J)| {
+    let run = |((shard, kept), job): ((&mut ShardSketches, &mut Vec<Pending>), J)| {
         // The job fills a buffer header on its own stack: the headers in
         // `kept` share a cache line, and a push writes its header's length.
         let mut buf = std::mem::take(kept);
@@ -799,7 +795,7 @@ fn parse_range(
     first_line: u64,
     horizon: u32,
     shard: &mut ShardSketches,
-    kept: &mut Vec<Kept>,
+    kept: &mut Vec<Pending>,
 ) -> RangeStats {
     let mut st = RangeStats::default();
     kept.reserve(offsets.len());
@@ -812,7 +808,7 @@ fn parse_range(
         match wms::parse_line_bytes(raw) {
             Ok(entry) => {
                 if st.keep(shard, &entry, horizon) {
-                    kept.push((line_no, entry));
+                    kept.push(Pending::new(line_no, &entry));
                 }
             }
             Err(mut err) => {
@@ -839,7 +835,7 @@ fn decode_ltc_block(
     horizon: u32,
     shard: &mut ShardSketches,
     block: &mut ltc::RecordBlock,
-    kept: &mut Vec<Kept>,
+    kept: &mut Vec<Pending>,
 ) -> Result<RangeStats, &'static str> {
     let header = ltc::parse_block_header(raw).ok_or("truncated block header")?;
     if header.payload_len != meta.payload_len || header.n_records != meta.n_records {
@@ -853,7 +849,7 @@ fn decode_ltc_block(
     kept.reserve(block.len());
     for (i, e) in block.entries().enumerate() {
         if st.keep(shard, &e, horizon) {
-            kept.push((first_record + i as u64, e));
+            kept.push(Pending::new(first_record + i as u64, &e));
         }
     }
     Ok(st)

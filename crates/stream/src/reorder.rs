@@ -1,13 +1,13 @@
 //! The second-bucket reorder queue: a min-queue over `(second, item)`
 //! for keys that are whole trace seconds.
 //!
-//! Three loops share it. The streaming engine buffers log entries (which
-//! arrive in roughly stop order) by start second and releases every
-//! entry below a look-ahead watermark in `(start, timestamp, line)`
-//! order. Both virtual-time executors (`lsw_replay::virt` and
-//! `lsw_edge::virt`) queue completions by stop second and, before each
-//! arrival, release every completion due at or before the arrival's
-//! second in `(stop, admission index)` order.
+//! Three loops share it. The streaming engine buffers kept log entries
+//! (which arrive in roughly stop order) as 32-byte `Pending` records by
+//! start second, and releases every entry below a look-ahead watermark in
+//! `(start, timestamp, line)` order. Both virtual-time executors
+//! (`lsw_replay::virt` and `lsw_edge::virt`) queue completions by stop
+//! second and, before each arrival, release every completion due at or
+//! before the arrival's second in `(stop, admission index)` order.
 //!
 //! Items live in a slab (with a free list), and each second owns a
 //! bucket: an intrusive `next` list whose head sits in a power-of-two
@@ -42,31 +42,42 @@ const RING_CAP: usize = 1 << 20;
 /// End-of-list / empty-bucket marker for slab indices.
 const NIL: u32 = u32::MAX;
 
-/// One log entry the streaming engine buffers, ordered by `(start,
-/// timestamp, line)`.
+/// One kept log entry the streaming engine buffers, ordered by `(start,
+/// timestamp, line)`: the fields the coordinator reads, 32 bytes instead
+/// of the whole entry (the shard sketches have folded the rest by the
+/// time it is buffered).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pending {
     pub(crate) start: u32,
     pub(crate) timestamp: u32,
     pub(crate) line: u64,
-    pub(crate) entry: LogEntry,
+    pub(crate) client: u32,
+    pub(crate) duration: u32,
+    pub(crate) cpu_util: f32,
 }
 
 impl Pending {
     /// `entry`, read at `line` (a text line number or an `ltc` record
     /// ordinal).
-    pub(crate) fn new(line: u64, entry: LogEntry) -> Self {
+    pub(crate) fn new(line: u64, entry: &LogEntry) -> Self {
         Self {
             start: entry.start,
             timestamp: entry.timestamp,
             line,
-            entry,
+            client: entry.client.0,
+            duration: entry.duration,
+            cpu_util: entry.cpu_util,
         }
+    }
+
+    /// Transfer stop time, as [`LogEntry::stop`].
+    pub(crate) fn stop(&self) -> u32 {
+        self.start.saturating_add(self.duration)
     }
 }
 
 // The line number is unique, so the key triple is a total order; the
-// payload entry never participates in comparisons.
+// payload fields never participate in comparisons.
 impl PartialEq for Pending {
     fn eq(&self, other: &Self) -> bool {
         (self.start, self.timestamp, self.line) == (other.start, other.timestamp, other.line)
@@ -336,9 +347,9 @@ mod tests {
             start,
             timestamp,
             line,
-            entry: lsw_trace::event::LogEntryBuilder::new()
-                .span(start, timestamp.saturating_sub(start))
-                .build(),
+            client: 0,
+            duration: timestamp.saturating_sub(start),
+            cpu_util: 0.0,
         }
     }
 
@@ -490,6 +501,14 @@ mod tests {
             check_against_heap(RING_CAP, &ops, engine_item);
             check_against_heap(RING_CAP, &ops, executor_item);
         }
+    }
+
+    #[test]
+    fn the_buffered_record_is_at_most_32_bytes() {
+        // A stop-ordered source buffers one look-ahead window of these
+        // (130,627 s on `paper7`), so the record sets the tap's footprint.
+        assert!(std::mem::size_of::<Pending>() <= 32);
+        assert!(std::mem::size_of::<Node<Pending>>() <= 40);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use lsw_replay::driver::{drive, DriveOutcome, DriverConfig};
 use lsw_replay::metrics::{Registry, Snapshot};
 use lsw_replay::server::{ReplayServer, ServerConfig};
 use lsw_sim::server::ServerStats;
-use lsw_stream::{MultiTap, StreamConfig, StreamReport};
+use lsw_stream::{MultiTap, StreamReport};
 use lsw_trace::schedule::Schedule;
 use parking_lot::Mutex;
 use std::io;
@@ -240,8 +240,9 @@ pub fn run_edge(
         upstream_busy: snapshot.value("edge.upstream_busy").unwrap_or(0),
     };
 
-    let tap = std::mem::replace(&mut *tap.lock(), MultiTap::new(StreamConfig::default(), 0));
-    let (tier_reports, merged) = tap.finalize();
+    // lsw::allow(L005): every other holder of `tap` is a relay finished above
+    let tap = Arc::into_inner(tap).expect("relays finished");
+    let (tier_reports, merged) = tap.into_inner().finalize();
 
     Ok(EdgeOutcome {
         tier_reports,

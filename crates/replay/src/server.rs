@@ -371,12 +371,13 @@ impl ReplayServer {
             join_or_propagate(h);
         }
         let admission = self.shared.gate.admission.lock().stats().clone();
-        let tap = std::mem::replace(
-            &mut *self.shared.tap.lock(),
-            MultiTap::new(StreamConfig::default(), 0),
-        );
+        // Move the tap out: a stand-in analyzer swapped in its place would
+        // allocate a whole client sample (3.5 MiB at the default
+        // `sample_k`) beside the one being finalized.
+        // lsw::allow(L005): every other holder of `shared` is a thread joined above
+        let shared = Arc::into_inner(self.shared).expect("server threads joined");
         ServeOutcome {
-            tap: tap.finalize().1,
+            tap: shared.tap.into_inner().finalize().1,
             admission,
             metrics: self.registry.snapshot(),
         }

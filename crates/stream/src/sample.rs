@@ -161,6 +161,13 @@ impl ClientSample {
         }
     }
 
+    /// Whether the sample is full and `h` lies above its threshold: such a
+    /// client is not sampled and, by monotonicity, never will be, so the
+    /// caller skips the table probe.
+    fn above_threshold(&self, h: u64) -> bool {
+        self.len >= self.k && self.max_hashes.peek().is_some_and(|&max_h| h > max_h)
+    }
+
     /// Observes one transfer by `client`; tallies it if sampled.
     pub fn observe_transfer(&mut self, client: u32) {
         self.observe_transfer_hashed(hash64(u64::from(client)), client);
@@ -170,6 +177,9 @@ impl ClientSample {
     /// already computed (the coordinator shares one hash per entry across
     /// every client-keyed structure).
     pub(crate) fn observe_transfer_hashed(&mut self, h: u64, client: u32) {
+        if self.above_threshold(h) {
+            return;
+        }
         if let Some(i) = self.find(h) {
             // find() only returns occupied slot indices.
             if let Some(slot) = self.slots[i].as_mut() {
@@ -201,6 +211,9 @@ impl ClientSample {
     /// chronological order, which the sessionizer guarantees.
     pub(crate) fn observe_session(&mut self, client: u32, start: u32, end: u32) {
         let h = hash64(u64::from(client));
+        if self.above_threshold(h) {
+            return;
+        }
         if let Some(i) = self.find(h) {
             // lsw::allow(L005): find() returned an occupied slot index
             let t = &mut self.slots[i].as_mut().expect("occupied slot").tally;

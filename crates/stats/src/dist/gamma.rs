@@ -7,7 +7,7 @@
 
 use super::{Continuous, ParamError, Sample};
 use crate::rng::{u01, u01_open0};
-use crate::special::{gamma_p, ln_gamma};
+use crate::special::gamma_p;
 use rand::Rng;
 
 /// Gamma distribution with shape `k > 0` and scale `theta > 0`.
@@ -70,40 +70,12 @@ impl Sample for Gamma {
 }
 
 impl Continuous for Gamma {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            return if self.k < 1.0 {
-                f64::INFINITY
-            } else if self.k == 1.0 {
-                1.0 / self.theta
-            } else {
-                0.0
-            };
-        }
-        ((self.k - 1.0) * (x / self.theta).ln()
-            - x / self.theta
-            - ln_gamma(self.k)
-            - self.theta.ln())
-        .exp()
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
         } else {
             gamma_p(self.k, x / self.theta)
         }
-    }
-
-    fn mean(&self) -> f64 {
-        self.k * self.theta
-    }
-
-    fn variance(&self) -> f64 {
-        self.k * self.theta * self.theta
     }
 }
 
@@ -165,19 +137,5 @@ mod tests {
         ] {
             assert!((g.cdf(x) - p).abs() < 1e-12, "x={x}");
         }
-    }
-
-    #[test]
-    fn pdf_integrates_to_cdf() {
-        let g = Gamma::new(3.0, 2.0).unwrap();
-        let (a, b) = (1.0, 12.0);
-        let n = 20_000;
-        let h = (b - a) / n as f64;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let x0 = a + i as f64 * h;
-            acc += 0.5 * (g.pdf(x0) + g.pdf(x0 + h)) * h;
-        }
-        assert!((acc - (g.cdf(b) - g.cdf(a))).abs() < 1e-6);
     }
 }

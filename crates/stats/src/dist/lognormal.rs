@@ -6,7 +6,7 @@
 
 use super::{Continuous, ParamError, Sample};
 use crate::rng::{u01, u01_open0};
-use crate::special::{norm_cdf, norm_pdf};
+use crate::special::norm_cdf;
 use rand::Rng;
 
 /// Lognormal distribution: `ln X ~ N(mu, sigma²)`.
@@ -44,27 +44,11 @@ impl Sample for LogNormal {
 }
 
 impl Continuous for LogNormal {
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        norm_pdf((x.ln() - self.mu) / self.sigma) / (x * self.sigma)
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
         }
         norm_cdf((x.ln() - self.mu) / self.sigma)
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-
-    fn variance(&self) -> f64 {
-        let s2 = self.sigma * self.sigma;
-        ((s2).exp_m1()) * (2.0 * self.mu + s2).exp()
     }
 }
 
@@ -99,17 +83,7 @@ mod tests {
         let d = LogNormal::new(-3.0, 2.0).unwrap();
         let mut rng = SeedStream::new(22).rng("lnorm2");
         assert!(d.sample_n(&mut rng, 10_000).iter().all(|&x| x > 0.0));
-        assert_eq!(d.pdf(-1.0), 0.0);
         assert_eq!(d.cdf(0.0), 0.0);
-    }
-
-    #[test]
-    fn closed_form_moments() {
-        let d = LogNormal::new(1.0, 0.75).unwrap();
-        // mean = exp(mu + sigma^2/2)
-        assert!((d.mean() - (1.0 + 0.5 * 0.5625f64).exp()).abs() < 1e-12);
-        // median = e^mu
-        assert!((d.cdf(1.0f64.exp()) - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -129,11 +103,10 @@ mod tests {
 
     #[test]
     fn paper_transfer_length_statistics() {
-        // Sanity numbers for the Table 2 transfer-length distribution:
-        // median e^4.383921 ≈ 80.15 s, mean ≈ e^{mu + sigma^2/2} ≈ 222 s.
+        // Sanity number for the Table 2 transfer-length distribution:
+        // median e^4.383921 ≈ 80.15 s.
         let d = LogNormal::new(paper::TRANSFER_LENGTH_MU, paper::TRANSFER_LENGTH_SIGMA).unwrap();
         assert!(d.cdf(79.65) < 0.5 && d.cdf(80.65) > 0.5);
-        assert!((d.mean() - 221.9).abs() < 2.0);
     }
 
     #[test]

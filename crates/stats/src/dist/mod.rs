@@ -1,4 +1,4 @@
-//! Probability distributions: sampling, densities, CDFs and moments.
+//! Probability distributions: sampling, CDFs and probability masses.
 //!
 //! All distributions are implemented from scratch on top of a raw uniform
 //! source. Continuous distributions implement [`Continuous`] (and therefore
@@ -82,22 +82,8 @@ pub trait Sample {
 
 /// A continuous real-valued distribution.
 pub trait Continuous: Sample {
-    /// Probability density at `x`.
-    fn pdf(&self, x: f64) -> f64;
-
     /// Cumulative distribution function `P[X <= x]`.
     fn cdf(&self, x: f64) -> f64;
-
-    /// Complementary CDF `P[X > x]`.
-    fn ccdf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
-    /// Distribution mean (may be `INFINITY` for very heavy tails).
-    fn mean(&self) -> f64;
-
-    /// Distribution variance (may be `INFINITY`).
-    fn variance(&self) -> f64;
 }
 
 /// A discrete distribution over non-negative integers.
@@ -107,15 +93,6 @@ pub trait Discrete {
 
     /// Probability mass at `k`.
     fn pmf(&self, k: u64) -> f64;
-
-    /// Cumulative mass `P[K <= k]`.
-    fn cdf_k(&self, k: u64) -> f64;
-
-    /// Distribution mean (may be `INFINITY`).
-    fn mean(&self) -> f64;
-
-    /// Distribution variance (may be `INFINITY`).
-    fn variance(&self) -> f64;
 }
 
 // NOTE: each discrete distribution also implements `Sample` (returning the

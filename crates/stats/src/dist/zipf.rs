@@ -21,10 +21,6 @@ pub struct ZipfTable {
     /// `cum[i]` = P[K <= i+1]; length `n`, last element is 1.0.
     cum: Vec<f64>,
     norm: f64,
-    /// Moments, computed once in the same O(n) construction pass — calling
-    /// `mean()` in a loop must not re-walk the table.
-    mean: f64,
-    variance: f64,
 }
 
 impl ZipfTable {
@@ -43,13 +39,8 @@ impl ZipfTable {
         }
         let mut cum = Vec::with_capacity(n as usize);
         let mut acc = 0.0;
-        let mut m1 = 0.0; // Σ k^{1-s}
-        let mut m2 = 0.0; // Σ k^{2-s}
         for k in 1..=n {
-            let w = (k as f64).powf(-s);
-            acc += w;
-            m1 += w * k as f64;
-            m2 += w * (k as f64) * (k as f64);
+            acc += (k as f64).powf(-s);
             cum.push(acc);
         }
         let norm = acc;
@@ -60,16 +51,7 @@ impl ZipfTable {
         if let Some(last) = cum.last_mut() {
             *last = 1.0;
         }
-        let mean = m1 / norm;
-        let variance = m2 / norm - mean * mean;
-        Ok(Self {
-            n,
-            s,
-            cum,
-            norm,
-            mean,
-            variance,
-        })
+        Ok(Self { n, s, cum, norm })
     }
 
     /// Number of ranks.
@@ -99,24 +81,6 @@ impl Discrete for ZipfTable {
             (k as f64).powf(-self.s) / self.norm
         }
     }
-
-    fn cdf_k(&self, k: u64) -> f64 {
-        if k == 0 {
-            0.0
-        } else if k >= self.n {
-            1.0
-        } else {
-            self.cum[(k - 1) as usize]
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    fn variance(&self) -> f64 {
-        self.variance
-    }
 }
 
 impl Sample for ZipfTable {
@@ -145,7 +109,6 @@ mod tests {
         for k in 1..=4 {
             assert!((d.pmf(k) - 0.25).abs() < 1e-12);
         }
-        assert!((d.mean() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -153,7 +116,7 @@ mod tests {
         let d = ZipfTable::new(1_000, 0.4704).unwrap();
         let total: f64 = (1..=1_000).map(|k| d.pmf(k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(d.cdf_k(1_000), 1.0);
+        assert_eq!(d.cum.last(), Some(&1.0));
     }
 
     #[test]
@@ -164,23 +127,6 @@ mod tests {
         // Ratio of masses follows the power law exactly.
         let ratio = d.pmf(1) / d.pmf(8);
         assert!((ratio - 8f64.powf(0.7194)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cached_moments_match_direct_sums() {
-        let d = ZipfTable::new(500, 0.4704).unwrap();
-        let mut norm = 0.0;
-        let mut num = 0.0;
-        let mut e2 = 0.0;
-        for k in 1..=500u64 {
-            norm += (k as f64).powf(-0.4704);
-            num += (k as f64).powf(1.0 - 0.4704);
-            e2 += (k as f64).powf(2.0 - 0.4704);
-        }
-        let mean = num / norm;
-        let var = e2 / norm - mean * mean;
-        assert!((d.mean() - mean).abs() < 1e-9 * mean.abs());
-        assert!((d.variance() - var).abs() < 1e-9 * var.abs());
     }
 
     #[test]
@@ -229,12 +175,14 @@ mod tests {
         let seeds = SeedStream::new(64);
         let mut a = seeds.rng("zipf-inverse");
         let mut b = seeds.rng("zipf-inverse");
+        // P[K <= k].
+        let cdf = |k: u64| if k == 0 { 0.0 } else { d.cum[(k - 1) as usize] };
         for _ in 0..5_000 {
             let k = d.sample_k(&mut a);
             let u = u01(&mut b);
-            assert!(u <= d.cdf_k(k), "rank {k}: u {u} above cdf {}", d.cdf_k(k));
+            assert!(u <= cdf(k), "rank {k}: u {u} above cdf {}", cdf(k));
             assert!(
-                k == 1 || d.cdf_k(k - 1) < u,
+                k == 1 || cdf(k - 1) < u,
                 "rank {k}: u {u} already reached at rank {}",
                 k - 1
             );
@@ -262,8 +210,6 @@ mod tests {
         let t2 = ZipfTable::new(1_000, 0.7).unwrap();
         assert_eq!(t1.cum, t2.cum);
         assert_eq!(t1.norm, t2.norm);
-        assert_eq!(t1.mean, t2.mean);
-        assert_eq!(t1.variance, t2.variance);
     }
 
     #[test]

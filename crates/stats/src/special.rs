@@ -43,11 +43,6 @@ pub(crate) fn norm_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal probability density function `φ(x)`.
-pub(crate) fn norm_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Natural logarithm of the gamma function, Lanczos approximation.
 ///
 /// Accurate to better than 1e-10 for `x > 0`.
@@ -239,20 +234,6 @@ mod tests {
         close(norm_cdf(1.0), 0.8413447460685429, 2e-7);
         close(norm_cdf(-1.959963984540054), 0.025, 2e-7);
         close(norm_cdf(3.0), 0.9986501019683699, 2e-7);
-    }
-
-    #[test]
-    fn norm_pdf_integrates_to_norm_cdf() {
-        // Trapezoid integration of the pdf should match the CDF difference.
-        let (a, b) = (-1.5, 2.0);
-        let n = 20_000;
-        let h = (b - a) / n as f64;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let x0 = a + i as f64 * h;
-            acc += 0.5 * (norm_pdf(x0) + norm_pdf(x0 + h)) * h;
-        }
-        close(acc, norm_cdf(b) - norm_cdf(a), 1e-6);
     }
 
     #[test]

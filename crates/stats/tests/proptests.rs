@@ -5,8 +5,7 @@
 //! histogram conservation, ECDF consistency, and fit round-trips.
 
 use lsw_stats::dist::{
-    Continuous, Discrete, Exponential, Geometric, LogNormal, Pareto, Poisson, Sample, Weibull,
-    Zeta, ZipfTable,
+    Continuous, Discrete, Exponential, LogNormal, Pareto, Sample, Weibull, Zeta, ZipfTable,
 };
 use lsw_stats::empirical::{Binning, Ecdf, Histogram, RankFrequency, Summary};
 use lsw_stats::fit::{fit_exponential, fit_lognormal, linear_regression};
@@ -15,8 +14,7 @@ use lsw_stats::rng::SeedStream;
 use lsw_stats::timeseries::{autocorrelation, bin_counts, fold_periodic};
 use proptest::prelude::*;
 
-/// Checks the Continuous contract on a grid: CDF in [0,1], monotone,
-/// pdf non-negative.
+/// Checks the Continuous contract on a grid: CDF in [0,1], monotone.
 fn check_continuous<D: Continuous>(d: &D, xs: &[f64]) {
     let mut prev = 0.0;
     let mut sorted = xs.to_vec();
@@ -25,7 +23,6 @@ fn check_continuous<D: Continuous>(d: &D, xs: &[f64]) {
         let c = d.cdf(x);
         assert!((0.0..=1.0).contains(&c), "cdf({x}) = {c} out of range");
         assert!(c + 1e-12 >= prev, "cdf not monotone at {x}: {c} < {prev}");
-        assert!(d.pdf(x) >= 0.0, "pdf({x}) negative");
         prev = c;
     }
 }
@@ -89,24 +86,6 @@ proptest! {
         for _ in 0..32 {
             prop_assert!(d.sample_k(&mut rng) >= 1);
         }
-    }
-
-    #[test]
-    fn poisson_cdf_monotone(lambda in 0.1..200.0f64) {
-        let d = Poisson::new(lambda).unwrap();
-        let mut prev = 0.0;
-        for k in 0..((lambda as u64 + 10) * 2) {
-            let c = d.cdf_k(k);
-            prop_assert!(c + 1e-9 >= prev);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&c));
-            prev = c;
-        }
-    }
-
-    #[test]
-    fn geometric_mean_round_trip(mean in 1.0..100.0f64) {
-        let d = Geometric::with_mean(mean).unwrap();
-        prop_assert!((d.mean() - mean).abs() < 1e-9);
     }
 
     #[test]

@@ -248,6 +248,23 @@ mod tests {
     }
 
     #[test]
+    fn the_streamed_reference_matches_one_batch() {
+        // One transfer at a time under the preset look-ahead releases in
+        // the order one batch of the whole schedule does; only the
+        // buffer's peak differs.
+        let s = schedule();
+        let streamed = reference_report(&s, StreamConfig::default());
+        let mut engine = StreamAnalyzer::new(StreamConfig::default());
+        engine.preset_lookahead(s.max_duration());
+        engine.ingest_entries(s.transfers.iter().map(|t| t.to_entry()));
+        let mut batched = engine.finalize();
+        assert_eq!(batched.memory.peak_heap_entries, 500);
+        assert!(streamed.memory.peak_heap_entries < 50);
+        batched.memory.peak_heap_entries = streamed.memory.peak_heap_entries;
+        assert_eq!(streamed.to_json(), batched.to_json());
+    }
+
+    #[test]
     fn perfect_replay_closes_the_loop() {
         let s = schedule();
         let reference = reference_report(&s, StreamConfig::default());

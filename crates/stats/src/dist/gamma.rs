@@ -103,6 +103,29 @@ mod tests {
     }
 
     #[test]
+    fn pdf_integrates_to_cdf() {
+        // The closed-form density, integrated by trapezoids, must match the
+        // CDF difference computed through `gamma_p`.
+        let g = Gamma::new(3.0, 2.0).unwrap();
+        let pdf = |x: f64| {
+            ((g.k - 1.0) * (x / g.theta).ln()
+                - x / g.theta
+                - crate::special::ln_gamma(g.k)
+                - g.theta.ln())
+            .exp()
+        };
+        let (a, b) = (1.0, 12.0);
+        let n = 20_000;
+        let h = (b - a) / n as f64;
+        let mut acc = 0.0;
+        for i in 0..n {
+            let x0 = a + i as f64 * h;
+            acc += 0.5 * (pdf(x0) + pdf(x0 + h)) * h;
+        }
+        assert!((acc - (g.cdf(b) - g.cdf(a))).abs() < 1e-6);
+    }
+
+    #[test]
     fn sample_moments_large_shape() {
         let g = Gamma::new(4.5, 2.0).unwrap();
         let mut rng = SeedStream::new(121).rng("gamma");

@@ -87,6 +87,19 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_moments() {
+        let d = LogNormal::new(1.0, 0.75).unwrap();
+        // mean = exp(mu + sigma^2/2)
+        let mut rng = SeedStream::new(23).rng("lnorm-mean");
+        let xs = d.sample_n(&mut rng, 200_000);
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let want = (1.0 + 0.5 * 0.5625f64).exp();
+        assert!((mean / want - 1.0).abs() < 0.01, "mean {mean} vs {want}");
+        // median = e^mu
+        assert!((d.cdf(1.0f64.exp()) - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
     fn cdf_known_values() {
         // Phi((ln x - mu) / sigma) at the paper's transfer length,
         // evaluated to 30 digits outside this crate. The tolerance is the

@@ -110,6 +110,15 @@ mod tests {
         assert!((d.pmf(2) - 4.5 * (-3.0f64).exp()).abs() < 1e-12);
     }
 
+    #[test]
+    fn cdf_is_pmf_partial_sum() {
+        // P[K <= k] = Q(k + 1, lambda), the regularized upper incomplete
+        // gamma function.
+        let d = Poisson::new(7.3).unwrap();
+        let direct: f64 = (0..=10).map(|k| d.pmf(k)).sum();
+        assert!((crate::special::gamma_q(11.0, 7.3) - direct).abs() < 1e-9);
+    }
+
     fn check_moments(lambda: f64, seed: u64, tol: f64) {
         let d = Poisson::new(lambda).unwrap();
         let mut rng = SeedStream::new(seed).rng("pois");

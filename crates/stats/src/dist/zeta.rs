@@ -91,6 +91,17 @@ mod tests {
     }
 
     #[test]
+    fn mean_finite_iff_alpha_above_two() {
+        let partial_mean = |d: &Zeta, n: u64| (1..=n).map(|k| k as f64 * d.pmf(k)).sum::<f64>();
+        // mean = ζ(2)/ζ(3) ≈ 1.3684 at α = 3.
+        let d = Zeta::new(3.0).unwrap();
+        assert!((partial_mean(&d, 100_000) - 1.36843).abs() < 1e-3);
+        // At α = 1.5 the partial means grow like √n without bound.
+        let d = Zeta::new(1.5).unwrap();
+        assert!(partial_mean(&d, 10_000) > 8.0 * partial_mean(&d, 100));
+    }
+
+    #[test]
     fn sample_frequencies_match_pmf() {
         let d = Zeta::new(paper::TRANSFERS_PER_SESSION_ALPHA).unwrap();
         let mut rng = SeedStream::new(71).rng("zeta");

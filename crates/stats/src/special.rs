@@ -237,6 +237,22 @@ mod tests {
     }
 
     #[test]
+    fn norm_pdf_integrates_to_norm_cdf() {
+        // Trapezoid integration of the density φ should match the CDF
+        // difference.
+        let norm_pdf = |x: f64| (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
+        let (a, b) = (-1.5, 2.0);
+        let n = 20_000;
+        let h = (b - a) / n as f64;
+        let mut acc = 0.0;
+        for i in 0..n {
+            let x0 = a + i as f64 * h;
+            acc += 0.5 * (norm_pdf(x0) + norm_pdf(x0 + h)) * h;
+        }
+        close(acc, norm_cdf(b) - norm_cdf(a), 1e-6);
+    }
+
+    #[test]
     fn ln_gamma_known_values() {
         close(ln_gamma(1.0), 0.0, 1e-10);
         close(ln_gamma(2.0), 0.0, 1e-10);

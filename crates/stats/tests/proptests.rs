@@ -5,7 +5,8 @@
 //! histogram conservation, ECDF consistency, and fit round-trips.
 
 use lsw_stats::dist::{
-    Continuous, Discrete, Exponential, LogNormal, Pareto, Sample, Weibull, Zeta, ZipfTable,
+    Continuous, Discrete, Exponential, Geometric, LogNormal, Pareto, Poisson, Sample, Weibull,
+    Zeta, ZipfTable,
 };
 use lsw_stats::empirical::{Binning, Ecdf, Histogram, RankFrequency, Summary};
 use lsw_stats::fit::{fit_exponential, fit_lognormal, linear_regression};
@@ -86,6 +87,27 @@ proptest! {
         for _ in 0..32 {
             prop_assert!(d.sample_k(&mut rng) >= 1);
         }
+    }
+
+    #[test]
+    fn poisson_cdf_monotone(lambda in 0.1..200.0f64) {
+        // Partial sums of the pmf: P[K <= k].
+        let d = Poisson::new(lambda).unwrap();
+        let mut c = 0.0;
+        for k in 0..((lambda as u64 + 10) * 2) {
+            let next = c + d.pmf(k);
+            prop_assert!(next >= c);
+            prop_assert!((0.0..=1.0 + 1e-9).contains(&next));
+            c = next;
+        }
+    }
+
+    #[test]
+    fn geometric_mean_round_trip(mean in 1.0..100.0f64) {
+        // Σ k P[K = k] over the support recovers the requested mean.
+        let d = Geometric::with_mean(mean).unwrap();
+        let m: f64 = (1..=20_000u64).map(|k| k as f64 * d.pmf(k)).sum();
+        prop_assert!((m - mean).abs() < 1e-9 * mean, "mean {} vs {}", m, mean);
     }
 
     #[test]

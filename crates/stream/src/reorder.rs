@@ -512,6 +512,24 @@ mod tests {
     }
 
     #[test]
+    fn the_record_keeps_what_the_coordinator_reads() {
+        use lsw_trace::event::LogEntryBuilder;
+        use lsw_trace::ids::ClientId;
+        for (start, duration) in [(100, 30), (u32::MAX - 5, 100)] {
+            let e = LogEntryBuilder::new()
+                .span(start, duration)
+                .client(ClientId(42))
+                .server(0.25, 200)
+                .build();
+            let p = Pending::new(9, &e);
+            assert_eq!((p.start, p.timestamp, p.line), (e.start, e.timestamp, 9));
+            assert_eq!((p.client, p.duration, p.cpu_util), (42, duration, 0.25));
+            // Saturates at the end of the `u32` range as the entry does.
+            assert_eq!(p.stop(), e.stop());
+        }
+    }
+
+    #[test]
     fn late_pushes_spill_and_release_in_order() {
         let mut buf = ReorderBuffer::with_span(63);
         buf.push(10, pending(10, 12, 1));

@@ -458,6 +458,24 @@ mod tests {
     }
 
     #[test]
+    fn a_full_sample_tallies_like_one_that_keeps_everyone() {
+        // Clients above a full sample's threshold skip the table probe;
+        // the bottom-k clients' tallies must still match a sample large
+        // enough to keep every client.
+        let mut small = ClientSample::new(16);
+        let mut all = ClientSample::new(4096);
+        for i in 0..20_000u32 {
+            let c = i.wrapping_mul(7919) % 2_000;
+            for s in [&mut small, &mut all] {
+                s.observe_transfer(c);
+                s.observe_session(c, i * 10, i * 10 + 5);
+            }
+        }
+        assert_eq!(all.len(), 2_000);
+        assert_eq!(small.sorted_entries(), all.sorted_entries()[..16].to_vec());
+    }
+
+    #[test]
     fn removal_keeps_probe_chains_sound() {
         // Force collisions and deletions, then verify every survivor is
         // still findable (backward-shift must not orphan entries).

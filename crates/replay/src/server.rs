@@ -372,8 +372,7 @@ impl ReplayServer {
         }
         let admission = self.shared.gate.admission.lock().stats().clone();
         // Move the tap out: a stand-in analyzer swapped in its place would
-        // allocate a whole client sample (3.5 MiB at the default
-        // `sample_k`) beside the one being finalized.
+        // allocate a second set of sketches beside the one being finalized.
         // lsw::allow(L005): every other holder of `shared` is a thread joined above
         let shared = Arc::into_inner(self.shared).expect("server threads joined");
         ServeOutcome {

@@ -256,7 +256,6 @@ pub struct OnlineConcurrency {
     /// and two adds instead of a div/mod pair.
     bin: usize,
     bin_end: u64,
-    peak_pending: usize,
 }
 
 impl Default for OnlineConcurrency {
@@ -274,7 +273,6 @@ impl Default for OnlineConcurrency {
             fold_weighted: [0; DAILY_BINS],
             bin: 0,
             bin_end: 900,
-            peak_pending: 0,
         }
     }
 }
@@ -295,9 +293,6 @@ impl OnlineConcurrency {
         self.peak = self.peak.max(self.level);
         let removal = stop.max(s).saturating_add(1);
         self.push_removal(removal);
-        self.peak_pending = self
-            .peak_pending
-            .max(self.wheel_pending as usize + self.overflow.len());
     }
 
     /// Files one pending removal at absolute second `r` (`r > t_cur`).
@@ -745,7 +740,6 @@ mod tests {
         for &(s, e) in &intervals {
             sweep.observe(s, e);
         }
-        assert!(sweep.peak_pending >= 2);
         sweep.finish(horizon);
         let mut expect: BTreeMap<u32, u64> = BTreeMap::new();
         for &c in batch.per_second() {

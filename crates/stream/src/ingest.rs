@@ -95,14 +95,16 @@ impl StreamConfig {
     /// Scales sketch sizes down to fit a memory budget (bytes).
     ///
     /// The budget governs *sketch* memory: the client sample (the largest
-    /// consumer, ~128 bytes per sampled client: a half-loaded slot table
-    /// preallocated at its k-determined capacity plus the threshold heap),
-    /// the per-shard HyperLogLogs and the read chunk. The reorder buffer
-    /// and active-session map are workload-bounded (one start cohort or
-    /// look-ahead window / one timeout window of state), not
-    /// budget-bounded.
+    /// consumer, at most ~128 bytes per sampled client: a slot table that
+    /// doubles as clients arrive and stays at least half empty, plus the
+    /// threshold heap), the per-shard HyperLogLogs and the read chunk.
+    /// The sample's share is a cap, not a reservation: a trace with fewer
+    /// distinct clients than `sample_k` costs only what it holds. The
+    /// reorder buffer and active-session map are workload-bounded (one
+    /// start cohort or look-ahead window / one timeout window of state),
+    /// not budget-bounded.
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        // Half the budget to the client sample at ~128 B/client.
+        // Cap the client sample at half the budget, ~128 B/client when full.
         self.sample_k = ((bytes / 2) / 128).clamp(1 << 10, 1 << 20);
         // A quarter to the HLL pair replicated per shard.
         while self.hll_precision > 10

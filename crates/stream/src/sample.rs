@@ -22,7 +22,10 @@
 //! the ingest coordinator's hottest per-entry lookup, so membership must
 //! be O(1), not a tree descent) plus a max-heap holding exactly the live
 //! hashes — the heap top *is* the bottom-k threshold, and an eviction
-//! always removes the top, so heap and table never disagree. Since
+//! always removes the top, so heap and table never disagree. The table
+//! starts small and doubles as distinct clients arrive, up to the cap
+//! `(2k).next_power_of_two()` that holds `k` entries at load 1/2: a sample
+//! costs what it has seen, and `k` only bounds it. Since
 //! SplitMix64 is a bijection on `u64`, distinct 32-bit client ids never
 //! collide and hash equality is key equality. Every observable (fits,
 //! estimates, merges, equality) reads the *sorted* contents, so the slot
@@ -68,18 +71,20 @@ pub struct ClientSample {
 }
 
 impl ClientSample {
+    /// Slots a new sample starts with.
+    const INITIAL_SLOTS: usize = 32;
+
     /// Creates a sample of at most `k` clients (min 16).
     ///
-    /// The slot table is allocated at its full k-determined capacity up
-    /// front: the sample can never exceed `k` live entries, so sizing by
-    /// `k` (not by data) keeps the footprint constant over the whole
-    /// stream — the memory a sample uses is decided by configuration, not
-    /// by how many distinct clients the trace happens to contain.
+    /// The slot table starts at 32 slots and doubles as clients arrive.
+    /// The sample never holds more than `k` live entries, so the table
+    /// never outgrows `(2k).next_power_of_two()` slots: `k` caps the
+    /// footprint, and a tap that sees few clients pays only for those.
     pub fn new(k: usize) -> Self {
         let k = k.max(16);
         Self {
             k,
-            slots: vec![None; (2 * k).next_power_of_two()],
+            slots: vec![None; Self::INITIAL_SLOTS],
             len: 0,
             max_hashes: BinaryHeap::new(),
         }
@@ -103,10 +108,11 @@ impl ClientSample {
         None
     }
 
-    /// Inserts a new entry (hash must be absent). The preallocated table
-    /// holds `k` entries at load <= 1/2, so growth never triggers in
-    /// practice; the guard keeps the structure sound regardless.
-    fn insert_entry(&mut self, entry: Entry) {
+    /// Inserts a new entry (hash must be absent), doubling the table first
+    /// when the entry would lift the load above 1/2. Callers evict before
+    /// inserting into a full sample, so `len <= k` and the table stops at
+    /// `(2k).next_power_of_two()` slots. Returns the entry's slot index.
+    fn insert_entry(&mut self, entry: Entry) -> usize {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -118,18 +124,57 @@ impl ClientSample {
         self.slots[i] = Some(entry);
         self.len += 1;
         self.max_hashes.push(entry.hash);
+        i
     }
 
+    /// Doubles the table in place and re-places every entry for the new
+    /// mask. Growing the allocation (a `realloc`, which moves a mapped
+    /// table by remapping its pages) instead of freeing the old table
+    /// keeps glibc's dynamic mmap threshold where it was: freeing a mapped
+    /// block raises the threshold to its size, and every later allocation
+    /// below that size then comes from the heap, where freed blocks stay
+    /// resident.
+    ///
+    /// Re-placement is an in-place rehash: every old entry starts
+    /// *pending*, and a pending entry moves to the first slot on its new
+    /// probe path that is empty or pending, trading places with a pending
+    /// occupant, which is placed next. A placed entry's path crosses only
+    /// placed slots, and those never change again, so every entry stays
+    /// reachable from its home.
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![None; new_cap]);
+        let old_cap = self.slots.len();
+        let new_cap = old_cap * 2;
+        self.slots.resize(new_cap, None);
         let mask = new_cap - 1;
-        for e in old.into_iter().flatten() {
-            let mut i = (e.hash as usize) & mask;
-            while self.slots[i].is_some() {
-                i = (i + 1) & mask;
+        let mut pending = vec![0u64; old_cap.div_ceil(64)];
+        for (i, slot) in self.slots[..old_cap].iter().enumerate() {
+            if slot.is_some() {
+                pending[i / 64] |= 1 << (i % 64);
             }
-            self.slots[i] = Some(e);
+        }
+        let is_pending =
+            |pending: &[u64], j: usize| j < old_cap && pending[j / 64] >> (j % 64) & 1 == 1;
+        for i in 0..old_cap {
+            while is_pending(&pending, i) {
+                let Some(e) = self.slots[i] else {
+                    break; // unreachable: pending slots are occupied
+                };
+                let mut j = (e.hash as usize) & mask;
+                while j != i && self.slots[j].is_some() && !is_pending(&pending, j) {
+                    j = (j + 1) & mask;
+                }
+                if j == i {
+                    pending[i / 64] &= !(1 << (i % 64));
+                } else if self.slots[j].is_none() {
+                    self.slots[j] = self.slots[i].take();
+                    pending[i / 64] &= !(1 << (i % 64));
+                } else {
+                    // `e` is placed at `j`; the pending entry it displaced
+                    // now sits at `i` and goes next.
+                    self.slots.swap(i, j);
+                    pending[j / 64] &= !(1 << (j % 64));
+                }
+            }
         }
     }
 
@@ -177,33 +222,36 @@ impl ClientSample {
     /// already computed (the coordinator shares one hash per entry across
     /// every client-keyed structure).
     pub(crate) fn observe_transfer_hashed(&mut self, h: u64, client: u32) {
+        if let Some(t) = self.admit(h, client) {
+            t.transfers += 1;
+        }
+    }
+
+    /// The tally of the client hashed `h`, which enters with an empty tally
+    /// if absent: a full sample evicts its top first, which lies above `h`
+    /// since `h` is neither above the threshold nor present. `None` when
+    /// the sample is full and `h` lies above its threshold.
+    fn admit(&mut self, h: u64, client: u32) -> Option<&mut ClientTally> {
         if self.above_threshold(h) {
-            return;
+            return None;
         }
-        if let Some(i) = self.find(h) {
-            // find() only returns occupied slot indices.
-            if let Some(slot) = self.slots[i].as_mut() {
-                slot.tally.transfers += 1;
-            }
-            return;
-        }
-        if self.len >= self.k {
-            match self.max_hashes.peek() {
-                Some(&max_h) if h < max_h => {
-                    self.max_hashes.pop();
-                    self.remove_hash(max_h);
+        let i = match self.find(h) {
+            Some(i) => i,
+            None => {
+                if self.len >= self.k {
+                    if let Some(max_h) = self.max_hashes.pop() {
+                        self.remove_hash(max_h);
+                    }
                 }
-                _ => return,
+                self.insert_entry(Entry {
+                    hash: h,
+                    client,
+                    tally: ClientTally::default(),
+                })
             }
-        }
-        self.insert_entry(Entry {
-            hash: h,
-            client,
-            tally: ClientTally {
-                transfers: 1,
-                ..ClientTally::default()
-            },
-        });
+        };
+        // find() and insert_entry() return occupied slot indices.
+        self.slots[i].as_mut().map(|e| &mut e.tally)
     }
 
     /// Records a closed session `[start, end]` for `client` (no-op when
@@ -215,14 +263,16 @@ impl ClientSample {
             return;
         }
         if let Some(i) = self.find(h) {
-            // lsw::allow(L005): find() returned an occupied slot index
-            let t = &mut self.slots[i].as_mut().expect("occupied slot").tally;
-            t.sessions += 1;
-            if let Some(prev_end) = t.last_end {
-                t.off_sum += u64::from(start.saturating_sub(prev_end));
-                t.off_n += 1;
+            // find() only returns occupied slot indices.
+            if let Some(slot) = self.slots[i].as_mut() {
+                let t = &mut slot.tally;
+                t.sessions += 1;
+                if let Some(prev_end) = t.last_end {
+                    t.off_sum += u64::from(start.saturating_sub(prev_end));
+                    t.off_n += 1;
+                }
+                t.last_end = Some(end);
             }
-            t.last_end = Some(end);
         }
     }
 
@@ -333,27 +383,23 @@ impl Sketch for ClientSample {
         self.observe_transfer(*item);
     }
 
+    /// Unions `other` into `self` and keeps the bottom k, evicting as it
+    /// goes so the table never outgrows its cap. `other` is walked in
+    /// ascending hash order: an entry evicted here is above `k` smaller
+    /// hashes already held, and once a full sample's threshold is below
+    /// the next hash, every later hash of `other` is too. The result
+    /// equals inserting all of `other` and then trimming to k.
     fn merge(&mut self, other: &Self) {
         assert_eq!(self.k, other.k, "cannot merge samples of different k");
         for oe in other.sorted_entries() {
-            if let Some(i) = self.find(oe.hash) {
-                // lsw::allow(L005): find() returned an occupied slot index
-                let t = &mut self.slots[i].as_mut().expect("occupied slot").tally;
-                t.transfers += oe.tally.transfers;
-                t.sessions += oe.tally.sessions;
-                t.off_sum += oe.tally.off_sum;
-                t.off_n += oe.tally.off_n;
-                t.last_end = t.last_end.max(oe.tally.last_end);
-            } else {
-                self.insert_entry(oe);
-            }
-        }
-        while self.len > self.k {
-            if let Some(max_h) = self.max_hashes.pop() {
-                self.remove_hash(max_h);
-            } else {
-                break; // unreachable: heap tracks every live hash
-            }
+            let Some(t) = self.admit(oe.hash, oe.client) else {
+                break;
+            };
+            t.transfers += oe.tally.transfers;
+            t.sessions += oe.tally.sessions;
+            t.off_sum += oe.tally.off_sum;
+            t.off_n += oe.tally.off_n;
+            t.last_end = t.last_end.max(oe.tally.last_end);
         }
     }
 
@@ -473,6 +519,160 @@ mod tests {
         }
         assert_eq!(all.len(), 2_000);
         assert_eq!(small.sorted_entries(), all.sorted_entries()[..16].to_vec());
+    }
+
+    /// Table slots a sample of `k` may hold at most.
+    fn cap_slots(k: usize) -> usize {
+        (2 * k.max(16)).next_power_of_two()
+    }
+
+    /// Table bytes of a sample whose table has `slots` slots and `live`
+    /// entries, as `bytes()` counts them.
+    fn table_bytes(slots: usize, live: usize) -> usize {
+        std::mem::size_of::<ClientSample>()
+            + slots * std::mem::size_of::<Option<Entry>>()
+            + live * 8
+    }
+
+    #[test]
+    fn a_growing_sample_keeps_the_bottom_k_of_an_oracle() {
+        // The oracle tallies every client in a BTreeMap keyed by hash; the
+        // sample must hold exactly its first k, with the same tallies, at
+        // every checkpoint of a stream whose table doubles 32 -> 2048.
+        use std::collections::BTreeMap;
+        let k = 1024;
+        let mut s = ClientSample::new(k);
+        let mut oracle: BTreeMap<u64, (u32, ClientTally)> = BTreeMap::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut doublings = 0;
+        for i in 0..60_000u32 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Early clients come from a small range so the table fills by
+            // doubling before distinct clients pass k and evictions start.
+            let range = 64 + i / 8;
+            let c = (state >> 33) as u32 % range;
+            let slots_before = s.slots.len();
+            s.observe_transfer(c);
+            if s.slots.len() > slots_before {
+                doublings += 1;
+            }
+            let t = &mut oracle
+                .entry(hash64(u64::from(c)))
+                .or_insert((c, ClientTally::default()))
+                .1;
+            t.transfers += 1;
+            if state >> 61 == 0 {
+                let (start, end) = (i * 10, i * 10 + 5);
+                s.observe_session(c, start, end);
+                t.sessions += 1;
+                if let Some(prev_end) = t.last_end {
+                    t.off_sum += u64::from(start - prev_end);
+                    t.off_n += 1;
+                }
+                t.last_end = Some(end);
+            }
+            if i % 1_000 == 999 {
+                let want: Vec<Entry> = oracle
+                    .iter()
+                    .take(k)
+                    .map(|(&hash, &(client, tally))| Entry {
+                        hash,
+                        client,
+                        tally,
+                    })
+                    .collect();
+                assert_eq!(s.sorted_entries(), want, "after {} observations", i + 1);
+                assert!(
+                    want.iter().all(|e| s.find(e.hash).is_some()),
+                    "an entry is lost"
+                );
+                let top = want.last().map(|e| e.hash);
+                assert_eq!(s.max_hashes.peek().copied(), top);
+                let estimate = if oracle.len() < k {
+                    oracle.len() as f64
+                } else {
+                    (k as f64 - 1.0) / (top.unwrap() as f64 / 18_446_744_073_709_551_616.0)
+                };
+                assert_eq!(s.distinct_estimate().to_bits(), estimate.to_bits());
+            }
+        }
+        assert!(oracle.len() > 4 * k, "the stream must evict");
+        assert_eq!(doublings, 6);
+        assert_eq!(s.slots.len(), cap_slots(k));
+    }
+
+    #[test]
+    fn growth_keeps_wrapping_clusters_reachable() {
+        // Every client's home is the last slot of the 32-slot table, so
+        // each table's probe runs wrap past its end, and each doubling
+        // re-places runs that wrap from the new upper half into the lower.
+        let clients: Vec<u32> = (0..)
+            .filter(|&c| hash64(u64::from(c)) & 31 == 31)
+            .take(300)
+            .collect();
+        let mut s = ClientSample::new(1024);
+        for (n, &c) in clients.iter().enumerate() {
+            s.observe_transfer(c);
+            for &seen in &clients[..=n] {
+                assert!(
+                    s.find(hash64(u64::from(seen))).is_some(),
+                    "client {seen} lost"
+                );
+            }
+        }
+        assert_eq!(s.slots.len(), 1024);
+        for &c in &clients {
+            s.observe_transfer(c);
+        }
+        assert_eq!(s.len(), clients.len());
+        assert!(s.sorted_entries().iter().all(|e| e.tally.transfers == 2));
+    }
+
+    #[test]
+    fn bytes_follow_the_clients_seen() {
+        let k = 1 << 15;
+        for n in [0usize, 1, 15, 16, 17, 100, 1_000, 5_000] {
+            let mut s = ClientSample::new(k);
+            for c in 0..n as u32 {
+                s.observe_transfer(c);
+                s.observe_transfer(c);
+            }
+            let slots = (2 * n).next_power_of_two().max(ClientSample::INITIAL_SLOTS);
+            assert!(
+                s.bytes() <= table_bytes(slots, n),
+                "{n} clients: {} B",
+                s.bytes()
+            );
+        }
+        assert!(ClientSample::new(k).bytes() < table_bytes(cap_slots(k), 0) / 1_000);
+    }
+
+    #[test]
+    fn no_sample_outgrows_its_cap() {
+        for k in [16usize, 100, 128] {
+            let cap = cap_slots(k);
+            let mut whole = ClientSample::new(k);
+            let mut a = ClientSample::new(k);
+            let mut b = ClientSample::new(k);
+            for c in 0..20_000u32 {
+                whole.observe_transfer(c);
+                let half = if c % 2 == 0 { &mut a } else { &mut b };
+                half.observe_transfer(c);
+                half.observe_session(c, c, c + 1);
+                whole.observe_session(c, c, c + 1);
+                assert!(half.slots.len() <= cap);
+            }
+            assert_eq!((a.len(), b.len()), (k, k));
+            // Two full samples: the union holds 2k entries, which an
+            // insert-then-trim merge would double the table for.
+            a.merge(&b);
+            assert!(a.slots.len() <= cap, "k={k}: {} slots", a.slots.len());
+            assert_eq!(a, whole);
+            assert_eq!(a.max_hashes.len(), k);
+            assert_eq!(a.max_hashes.peek(), whole.max_hashes.peek());
+        }
     }
 
     #[test]

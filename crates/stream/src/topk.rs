@@ -78,9 +78,6 @@ pub struct SpaceSaving<K: TopKey> {
     /// Linear-probe slots; length is a power of two kept at load <= 1/2.
     slots: Vec<Option<Slot<K>>>,
     len: usize,
-    /// True once any key has been evicted or truncated away; while false,
-    /// every reported count is exact.
-    saturated: bool,
 }
 
 impl<K: TopKey> SpaceSaving<K> {
@@ -90,7 +87,6 @@ impl<K: TopKey> SpaceSaving<K> {
             capacity: capacity.max(1),
             slots: (0..16).map(|_| None).collect(),
             len: 0,
-            saturated: false,
         }
     }
 
@@ -118,7 +114,6 @@ impl<K: TopKey> SpaceSaving<K> {
         // total order has a unique minimum, so slot iteration order is
         // immaterial. Removal rebuilds the table (evictions are rare and
         // the old B-tree victim scan was O(len) here too).
-        self.saturated = true;
         let Some(victim) = self
             .slots
             .iter()
@@ -226,9 +221,7 @@ impl<K: TopKey> SpaceSaving<K> {
 /// the canonical (key-sorted) counter list instead.
 impl<K: TopKey> PartialEq for SpaceSaving<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity
-            && self.saturated == other.saturated
-            && self.sorted_by_key() == other.sorted_by_key()
+        self.capacity == other.capacity && self.sorted_by_key() == other.sorted_by_key()
     }
 }
 
@@ -243,7 +236,6 @@ impl<K: TopKey> Sketch for SpaceSaving<K> {
     }
 
     fn merge(&mut self, other: &Self) {
-        self.saturated |= other.saturated;
         for s in other.slots.iter().flatten() {
             let mask = self.slots.len() - 1;
             let mut i = (s.hash as usize) & mask;
@@ -262,7 +254,6 @@ impl<K: TopKey> Sketch for SpaceSaving<K> {
             }
         }
         if self.len > self.capacity {
-            self.saturated = true;
             let keep = self.top();
             let mut cap = 16usize;
             while cap < (self.capacity + 1) * 2 {
@@ -301,8 +292,8 @@ mod tests {
                 ss.insert_key(&k);
             }
         }
-        assert!(!ss.saturated);
         let top = ss.top();
+        assert!(top.iter().all(|(_, c)| c.error == 0));
         assert_eq!(top[0], (7, Counter { count: 8, error: 0 }));
         assert_eq!(top.last().unwrap().0, 0);
     }
@@ -316,8 +307,9 @@ mod tests {
         for k in 10..30u32 {
             ss.insert_key(&k);
         }
-        assert!(ss.saturated);
         let top = ss.top();
+        assert_eq!(top.len(), 4);
+        assert!(top.iter().any(|(_, c)| c.error > 0));
         assert_eq!(top[0].0, 1, "heavy hitter must survive eviction");
         assert!(top[0].1.count >= 100);
     }

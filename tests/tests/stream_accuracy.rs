@@ -175,10 +175,27 @@ fn stream_matches_batch_on_28_day_workload() {
 
 #[test]
 fn sketch_memory_stays_flat_as_trace_grows() {
-    // 4x the trace days at the same rate: the sketch footprint must stay
-    // (nearly) flat — that is the whole point of the streaming engine.
-    let short = stream(&generate(2, 6_000, 8_000, 77), StreamConfig::default());
-    let long = stream(&generate(8, 6_000, 32_000, 77), StreamConfig::default());
+    // 4x the trace days at the same rate: once the client sample is full
+    // the sketch footprint must stay (nearly) flat — that is the whole
+    // point of the streaming engine. A `sample_k` below both traces'
+    // distinct clients fills the sample in both; a larger one holds every
+    // client seen, and those grow with the trace.
+    let (short_trace, long_trace) = (
+        generate(2, 6_000, 8_000, 77),
+        generate(8, 6_000, 32_000, 77),
+    );
+    let full = StreamConfig {
+        sample_k: 1 << 10,
+        ..StreamConfig::default()
+    };
+    let short = stream(&short_trace, full.clone());
+    let long = stream(&long_trace, full);
+    assert!(
+        short.sample_fraction < 1.0 && long.sample_fraction < 1.0,
+        "both samples must be full ({} and {} of the clients)",
+        short.sample_fraction,
+        long.sample_fraction
+    );
     assert!(
         long.summary.transfers > 3 * short.summary.transfers,
         "long trace should have ~4x the transfers ({} vs {})",
@@ -192,6 +209,19 @@ fn sketch_memory_stays_flat_as_trace_grows() {
     assert!(
         b < 1.5 * a,
         "sketch bytes grew with trace length: {a} -> {b}"
+    );
+    // The default `sample_k` is above this trace's distinct clients, so
+    // the sample is not full and follows them; `sample_k` still caps it.
+    // The whole footprint stays under the slot table alone of a full
+    // default sample: (2k).next_power_of_two() slots of 56 B.
+    let k = StreamConfig::default().sample_k;
+    let default_long = stream(&long_trace, StreamConfig::default());
+    assert_eq!(default_long.sample_fraction, 1.0);
+    let cap_table = ((2 * k).next_power_of_two() * 56) as u64;
+    assert!(
+        default_long.memory.sketch_bytes < cap_table,
+        "sketch bytes {} reach the cap's table, {cap_table}",
+        default_long.memory.sketch_bytes
     );
     // Absolute sanity: well under the in-RAM size of the long trace.
     assert!(long.memory.sketch_bytes < 64 << 20);

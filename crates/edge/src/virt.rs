@@ -14,13 +14,16 @@
 //! * a client whose feed the origin refused (`BUSY`) truncates — the
 //!   virtual executor propagates origin-tier refusals downstream just
 //!   like the ring does;
-//! * client and subscription completions share one second-bucket
-//!   [`ReorderBuffer`] keyed by stop second, the queue the flat executor
-//!   and the streaming engine use. Before each arrival every completion
-//!   due at or before its second is released in `(stop, admission index,
-//!   kind)` order, a subscription ahead of the client whose arrival
-//!   opened it. A completion names its arrival by a `u32` index into
-//!   `schedule.transfers`; a client's log entry is built on release.
+//! * every client is logged to its tier's tap and the merged tap when
+//!   it arrives, completed, rejected or truncated, since its fate is
+//!   decided then: the taps see start order
+//!   ([`MultiTap::ingest_start_ordered`]) and buffer one start-second
+//!   cohort, not a look-ahead window of completions;
+//! * an admitted client holds its relay slot, and an open subscription
+//!   its origin slot, until its stop second. Both wait on one
+//!   second-bucket [`ReorderBuffer`] keyed by stop second, the queue the
+//!   flat executor and the streaming engine use; before each arrival
+//!   every slot due at or before its second is freed.
 //!
 //! Determinism contract: no ambient time, no RNG, no I/O, integer
 //! arithmetic only; two runs over the same schedule and config produce
@@ -78,9 +81,8 @@ impl VirtualTopologyOutcome {
     }
 }
 
-/// A completion, queued as `(admission index, Done)` (the index into
-/// `schedule.transfers` of the arrival that admitted it), so within a
-/// second a subscription sorts before the client whose arrival opened it.
+/// An admission slot to free at its stop second. Slots on different
+/// servers are independent, so the order within a second is immaterial.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Done {
     /// A subscription finishing at the origin.
@@ -121,12 +123,11 @@ pub fn run_virtual_topology(
         })
         .collect();
     let mut tap = MultiTap::new(stream, relays);
-    let longest = schedule.max_duration();
-    tap.preset_lookahead(longest);
 
-    // Client stops lie within `longest` of the arrival in hand, so they
-    // all fit the queue's ring; only feeds that outlast it spill.
-    let mut due: ReorderBuffer<(u32, Done)> = ReorderBuffer::with_span(longest);
+    // Client stops lie within the longest duration of the arrival in
+    // hand, so they all fit the queue's ring; only feeds that outlast it
+    // spill.
+    let mut due: ReorderBuffer<Done> = ReorderBuffer::with_span(schedule.max_duration());
     let mut feeds: BTreeMap<(usize, u16), FeedState> = BTreeMap::new();
 
     let mut completed = 0u64;
@@ -136,24 +137,13 @@ pub fn run_virtual_topology(
     let mut origin_bytes = 0u64;
     let mut delivered_bytes = 0u64;
 
-    let mut release = |(index, done): (u32, Done),
-                       tiers: &mut [MediaServer],
-                       origin: &mut MediaServer,
-                       tap: &mut MultiTap| match done {
-        Done::Sub => origin.release(),
-        Done::Client { relay } => {
-            tiers[relay].release();
-            tap.ingest(relay, &schedule.transfers[index as usize].to_entry());
-            completed += 1;
-        }
-    };
-
-    // Transfers past index `u32::MAX` are never served; the shortfall shows
-    // in the closed-loop diff's transfer row.
-    for (index, t) in (0u32..).zip(&schedule.transfers) {
+    for t in &schedule.transfers {
         // Releases before arrivals at the same second.
         while let Some(done) = due.pop_through(t.start) {
-            release(done, &mut tiers, &mut origin, &mut tap);
+            match done {
+                Done::Sub => origin.release(),
+                Done::Client { relay } => tiers[relay].release(),
+            }
         }
         let relay = (topology.route(t) as usize).min(relays - 1);
         let object = t.object.0;
@@ -169,7 +159,7 @@ pub fn run_virtual_topology(
                         let sub = plan.subscription(u32::try_from(relay).unwrap_or(0));
                         if origin.request(sub.display_duration()) {
                             origin_bytes += plan.bytes;
-                            due.push(sub.stop(), (index, Done::Sub));
+                            due.push(sub.stop(), Done::Sub);
                             FeedState::Open
                         } else {
                             FeedState::Busy
@@ -183,27 +173,21 @@ pub fn run_virtual_topology(
             }
         };
 
+        let mut e = t.to_entry();
         if state == FeedState::Busy {
             // The origin refused the feed: this relay's clients for the
             // object truncate, exactly like an incomplete ring.
-            let mut e = t.to_entry();
             e.status = STATUS_TRUNCATED;
-            tap.ingest(relay, &e);
             truncated += 1;
-            continue;
-        }
-        if tiers[relay].request(t.display_duration()) {
+        } else if tiers[relay].request(t.display_duration()) {
             delivered_bytes += t.bytes;
-            due.push(t.stop(), (index, Done::Client { relay }));
+            completed += 1;
+            due.push(t.stop(), Done::Client { relay });
         } else {
-            let mut e = t.to_entry();
             e.status = STATUS_REJECTED;
-            tap.ingest(relay, &e);
             rejected += 1;
         }
-    }
-    while let Some(done) = due.pop() {
-        release(done, &mut tiers, &mut origin, &mut tap);
+        tap.ingest_start_ordered(relay, &e);
     }
 
     registry.counter("edge.completed").add(completed);
@@ -344,6 +328,52 @@ mod tests {
             &Registry::new(),
         );
         assert_eq!(edge.merged.to_json(), flat.tap.to_json());
+    }
+
+    /// Every tap — each relay tier and the merged one — holds at most
+    /// the largest start cohort, uncapped and when admission caps turn
+    /// clients away and the origin refuses feeds: every client is logged
+    /// at its arrival, in start order.
+    #[test]
+    fn every_tap_buffers_one_start_cohort() {
+        let s = live_heavy(300);
+        let mut per_start = BTreeMap::new();
+        for t in &s.transfers {
+            *per_start.entry(t.start).or_insert(0u64) += 1;
+        }
+        let cohort = per_start.into_values().max().unwrap_or(0);
+        assert_eq!(cohort, 6);
+        let topo: Topology = "origin:2:as".parse().expect("topology");
+        for (origin, relay) in [
+            (AdmissionPolicy::AcceptAll, AdmissionPolicy::AcceptAll),
+            (
+                AdmissionPolicy::RejectAbove { max_concurrent: 2 },
+                AdmissionPolicy::RejectAbove { max_concurrent: 4 },
+            ),
+        ] {
+            let out = run_virtual_topology(
+                &s,
+                &topo,
+                origin,
+                relay,
+                StreamConfig::default(),
+                &Registry::new(),
+            );
+            assert_eq!(out.completed + out.rejected + out.truncated, 300);
+            if origin != AdmissionPolicy::AcceptAll {
+                assert!(out.rejected > 0 && out.truncated > 0, "the caps must bite");
+            }
+            assert_eq!(out.tier_reports.len(), 2);
+            // Tiers 0 and 1, then the merged tap as 2.
+            for (i, r) in out.tier_reports.iter().chain([&out.merged]).enumerate() {
+                assert_eq!(r.accounting.late_entries, 0, "tap {i}");
+                assert!(
+                    r.memory.peak_heap_entries <= cohort,
+                    "tap {i} under {relay:?}: peak {}",
+                    r.memory.peak_heap_entries
+                );
+            }
+        }
     }
 
     /// One client transfer on a single-relay overlay.

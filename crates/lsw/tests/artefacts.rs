@@ -18,7 +18,9 @@
 //! virtual executors left the timing wheel), so a refactor of any layer
 //! these reach that moves a single byte fails here. The five reports were
 //! re-cut when the client sample's table began to grow with the clients
-//! seen: only their `sketch_bytes` values moved.
+//! seen: only their `sketch_bytes` values moved. The four replay reports
+//! were re-cut again when the virtual executors began to log each
+//! transfer at its arrival: only their `peak_heap_entries` values moved.
 //!
 //! The stream and replay reports record their shard count, which defaults
 //! to the thread count, so every command runs with `LSW_THREADS=2`.
@@ -35,21 +37,21 @@ use std::process::Command;
 const PINNED: [(&str, usize, u32); 6] = [
     ("generate --emit ltc", 43_620, 91_040_523),
     ("analyze --stream --json", 5_659, 1_348_436_908),
-    ("replay --virtual-time --json", 8_851, 1_361_648_316),
+    ("replay --virtual-time --json", 8_849, 1_633_383_157),
     (
         "replay --virtual-time --topology origin:2:as --json",
-        23_386,
-        1_720_047_993,
+        23_380,
+        1_136_136_078,
     ),
     (
         "replay --virtual-time --admission 4 --json",
-        7_997,
-        3_545_460_439,
+        7_995,
+        3_894_884_529,
     ),
     (
         "replay --virtual-time --topology origin:2:as --admission 4 --origin-admission 2 --json",
-        18_052,
-        61_642_445,
+        18_048,
+        2_918_515_383,
     ),
 ];
 

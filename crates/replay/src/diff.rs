@@ -16,14 +16,14 @@ use lsw_trace::schedule::Schedule;
 
 /// Characterizes a schedule directly — the reference end of the loop.
 ///
-/// Transfers go in one at a time, in schedule order, under a look-ahead
-/// preset to the longest transfer: the release is exact, and the
-/// analyzer buffers one look-ahead window of them, not the schedule.
+/// Transfers go in one at a time, in schedule (start) order, the order
+/// the virtual executors log them in: the analyzer releases below each
+/// start and buffers one start-second cohort, not a look-ahead window
+/// and not the schedule.
 pub fn reference_report(schedule: &Schedule, cfg: StreamConfig) -> StreamReport {
     let mut analyzer = StreamAnalyzer::new(cfg);
-    analyzer.preset_lookahead(schedule.max_duration());
     for t in &schedule.transfers {
-        analyzer.ingest_entry(&t.to_entry());
+        analyzer.ingest_start_ordered(&t.to_entry());
     }
     analyzer.finalize()
 }
@@ -248,20 +248,24 @@ mod tests {
     }
 
     #[test]
-    fn the_streamed_reference_matches_one_batch() {
-        // One transfer at a time under the preset look-ahead releases in
-        // the order one batch of the whole schedule does; only the
-        // buffer's peak differs.
+    fn the_start_ordered_reference_matches_the_preset_watermark() {
+        // The start-ordered reference releases in the order the stop-order
+        // watermark does under a look-ahead preset to the longest
+        // transfer; only the buffer's peak differs: one start cohort (two
+        // transfers share each start here) against one window.
         let s = schedule();
         let streamed = reference_report(&s, StreamConfig::default());
         let mut engine = StreamAnalyzer::new(StreamConfig::default());
         engine.preset_lookahead(s.max_duration());
-        engine.ingest_entries(s.transfers.iter().map(|t| t.to_entry()));
-        let mut batched = engine.finalize();
-        assert_eq!(batched.memory.peak_heap_entries, 500);
-        assert!(streamed.memory.peak_heap_entries < 50);
-        batched.memory.peak_heap_entries = streamed.memory.peak_heap_entries;
-        assert_eq!(streamed.to_json(), batched.to_json());
+        for t in &s.transfers {
+            engine.ingest_entry(&t.to_entry());
+        }
+        let mut preset = engine.finalize();
+        assert_eq!(streamed.accounting.late_entries, 0);
+        assert_eq!(streamed.memory.peak_heap_entries, 2);
+        assert!(preset.memory.peak_heap_entries > 2);
+        preset.memory.peak_heap_entries = streamed.memory.peak_heap_entries;
+        assert_eq!(streamed.to_json(), preset.to_json());
     }
 
     #[test]

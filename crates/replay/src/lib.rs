@@ -26,8 +26,10 @@
 //! `--virtual-time` swaps the wall [`clock`] for the log's own whole-second
 //! clock and runs the whole serve-and-replay exchange as a single-threaded
 //! event simulation ([`virt`]) over the same pacing, admission, logging,
-//! and tap code paths' semantics. No sockets, no threads, no ambient
-//! time: byte-identical reports on every run, at any `--shards` count.
+//! and tap code paths' semantics. A virtual transfer is logged when it
+//! arrives, since its fate is decided then, so that tap sees start order.
+//! No sockets, no threads, no ambient time: byte-identical reports on
+//! every run, at any `--shards` count.
 //!
 //! [`AdmissionPolicy`]: lsw_sim::server::AdmissionPolicy
 //! [`Schedule`]: lsw_trace::schedule::Schedule

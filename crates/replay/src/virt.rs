@@ -5,25 +5,26 @@
 //! are the wall harness's: transfers arrive in start order, pass the same
 //! admission model, are paced by an encoded rate that provably covers
 //! their byte budget within their duration (so every admitted transfer
-//! completes exactly on time with exactly its trace bytes), and are
-//! logged to the tap at completion time — rejections immediately, like
-//! the socket server.
+//! completes exactly on time with exactly its trace bytes). A transfer's
+//! fate is therefore decided the moment it arrives, and it is logged to
+//! the tap then, completed or rejected, in start order
+//! ([`StreamAnalyzer::ingest_start_ordered`]): the tap buffers one
+//! start-second cohort, not a look-ahead window of completions.
 //!
-//! The simulation runs on the log's own clock: whole trace seconds.
-//! Completions wait on the second-bucket [`ReorderBuffer`] the streaming
-//! engine reorders its input with, keyed by stop second, each item a
-//! `u32` index into `schedule.transfers` (the log entry is built when
-//! the completion is released). Before each arrival the executor
-//! releases every completion due at or before the arrival's second, in
-//! `(stop, admission index)` order. A zero-duration transfer is pushed
+//! The simulation runs on the log's own clock: whole trace seconds. An
+//! admitted transfer holds its admission slot until its stop: it waits
+//! on the second-bucket [`ReorderBuffer`] the streaming engine reorders
+//! its input with, keyed by stop second. Before each arrival the
+//! executor frees the slot of every transfer due at or before the
+//! arrival's second. A zero-duration transfer is pushed
 //! at the second just released (into the queue's spill once the cursor
 //! has walked it) and leaves before the next arrival, even one in the
 //! same second: the DES convention that a slot freed at `t` is available
 //! to a transfer starting at `t`.
 //!
 //! Determinism contract: the executor touches no ambient time, no RNG,
-//! and no I/O; completion order is the total order `(stop, admission
-//! index)`; all arithmetic is integer. Two runs over the same schedule
+//! and no I/O; the tap sees the schedule's own order; all arithmetic is
+//! integer. Two runs over the same schedule
 //! and [`StreamConfig`] produce byte-identical JSON reports, at any shard
 //! count (the tap's own determinism guarantee).
 
@@ -64,46 +65,32 @@ pub fn run_virtual(
         ..ServerConfig::default()
     });
     let mut tap = StreamAnalyzer::new(stream);
-    // Completions reach the tap in stop order; knowing the longest
-    // duration upfront makes the reorder-window release exact.
-    let longest = schedule.max_duration();
-    tap.preset_lookahead(longest);
-    // Completions carry `u32` indices into `schedule.transfers`. Transfers
-    // past index `u32::MAX` are never served, so `completed + rejected`
-    // falls short of the schedule and the closed-loop diff's transfer row
-    // fails.
-    let mut due: ReorderBuffer<u32> = ReorderBuffer::with_span(longest);
+    // One item per admitted transfer still holding its slot.
+    let mut due: ReorderBuffer<()> = ReorderBuffer::with_span(schedule.max_duration());
     let mut completed = 0u64;
     let mut rejected = 0u64;
     let mut bytes_served = 0u64;
-    let mut complete = |index: u32, server: &mut MediaServer, tap: &mut StreamAnalyzer| {
-        server.release();
-        tap.ingest_entry(&schedule.transfers[index as usize].to_entry());
-        completed += 1;
-    };
 
-    for (index, t) in (0u32..).zip(&schedule.transfers) {
+    for t in &schedule.transfers {
         // Releases before arrivals at the same second: a slot freed at
         // `t` is available to a transfer starting at `t` (the DES
         // convention).
-        while let Some(i) = due.pop_through(t.start) {
-            complete(i, &mut server, &mut tap);
+        while due.pop_through(t.start).is_some() {
+            server.release();
         }
+        let mut e = t.to_entry();
         if server.request(t.display_duration()) {
             // The encoded rate covers the budget within the duration
             // (`Schedule::object_rates`), so the transfer completes at
             // its scheduled stop with exactly its trace bytes.
             bytes_served += t.bytes;
-            due.push(t.stop(), index);
+            completed += 1;
+            due.push(t.stop(), ());
         } else {
-            let mut e = t.to_entry();
             e.status = STATUS_REJECTED;
-            tap.ingest_entry(&e);
             rejected += 1;
         }
-    }
-    while let Some(i) = due.pop() {
-        complete(i, &mut server, &mut tap);
+        tap.ingest_start_ordered(&e);
     }
 
     completed_c.add(completed);
@@ -155,19 +142,43 @@ mod tests {
         assert_eq!(out.admission.accepted, 300);
     }
 
+    /// The most transfers that share one start second.
+    fn largest_start_cohort(s: &Schedule) -> u64 {
+        let mut counts = std::collections::BTreeMap::new();
+        for t in &s.transfers {
+            *counts.entry(t.start).or_insert(0u64) += 1;
+        }
+        counts.into_values().max().unwrap_or(0)
+    }
+
     #[test]
-    fn the_reference_buffers_one_look_ahead_window() {
-        // Transfers last at most 15 s over a 1,000 s span, so a window
-        // holds a few dozen of them; a buffer that held the schedule
-        // would peak at all 300.
-        let r = crate::diff::reference_report(&schedule(), StreamConfig::default());
+    fn the_reference_and_the_tap_buffer_one_start_cohort() {
+        // Three transfers share each start and each lasts up to 15 s, so
+        // a look-ahead window would hold several cohorts; a start-ordered
+        // feed holds one, whatever the durations.
+        let s = schedule();
+        let cohort = largest_start_cohort(&s);
+        assert_eq!(cohort, 3);
+        let r = crate::diff::reference_report(&s, StreamConfig::default());
         assert_eq!(r.accounting.kept, 300);
         assert_eq!(r.accounting.late_entries, 0);
         assert!(
-            r.memory.peak_heap_entries < 150,
-            "peak {}",
+            r.memory.peak_heap_entries <= cohort,
+            "reference peak {}",
             r.memory.peak_heap_entries
         );
+        for admission in [
+            AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::RejectAbove { max_concurrent: 4 },
+        ] {
+            let out = run_virtual(&s, admission, StreamConfig::default(), &Registry::new());
+            assert_eq!(out.tap.accounting.late_entries, 0);
+            assert!(
+                out.tap.memory.peak_heap_entries <= cohort,
+                "{admission:?}: tap peak {}",
+                out.tap.memory.peak_heap_entries
+            );
+        }
     }
 
     #[test]

@@ -25,11 +25,14 @@
 //! pieces fold back in line order and release once per chunk or block:
 //! through `release_batch`, or, for a container whose footer certifies
 //! start order, straight to the coordinator. The tap entry points
-//! (`ingest_entry`, `ingest_entries`, `ingest_below`) run the same keep
-//! step on each entry and push it into the buffer; the first two release
-//! on the stop-order watermark, `ingest_below` also no further than a
-//! bound its caller supplies (a live server's in-flight starts,
-//! `tap::InFlight`).
+//! (`ingest_entry`, `ingest_below`, `ingest_start_ordered`) run the same
+//! keep step on each entry and push it into the buffer. `ingest_entry`
+//! releases on the stop-order watermark, `ingest_below` also no further
+//! than a bound its caller supplies (a live server's in-flight starts,
+//! `tap::InFlight`), and `ingest_start_ordered` below the entry's own
+//! start, for a caller that feeds entries in start order (a virtual-time
+//! executor logging each transfer as it arrives): its buffer holds one
+//! start cohort, whatever the durations.
 //!
 //! Per-entry sketches are commutative monoids over the entry multiset
 //! (max registers, integer counts, fixed-point sums), shard states merge
@@ -53,7 +56,6 @@ use lsw_trace::event::LogEntry;
 use lsw_trace::ltc;
 use lsw_trace::sanitize::{classify, RejectReason};
 use lsw_trace::wms;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 
 /// All knobs of the streaming engine.
@@ -314,20 +316,19 @@ impl StreamAnalyzer {
     /// precede it, inferring the window from the longest duration *seen
     /// so far* — so an entry whose duration breaks the running record can
     /// arrive late and be clamped. A tap that knows the longest transfer
-    /// it will ever deliver (e.g. `lsw-replay`, which extracted the whole
-    /// schedule) can declare it upfront and make the release exact.
+    /// it will ever deliver can declare it upfront and make the release
+    /// exact. A caller that can feed in start order needs no look-ahead
+    /// at all ([`ingest_start_ordered`](Self::ingest_start_ordered)).
     pub fn preset_lookahead(&mut self, max_duration: u32) {
         self.seen.max_dur = self.seen.max_dur.max(max_duration);
     }
 
-    /// Ingests one already-decoded entry — the tap entry point for live
-    /// sources (the `lsw-replay` serving harness feeds each completed
-    /// transfer here as its connection drains). The entry flows through
+    /// Ingests one already-decoded entry, in any order the stop-order
+    /// watermark covers (a completion-ordered feed). The entry flows through
     /// the same keep step and reorder buffer as the file sources, so a tap
     /// stream and the equivalent log text produce the same report. The
     /// watermark release runs after every entry, so the buffer holds one
-    /// look-ahead window of entries, 40 B each, however many are fed
-    /// (`lsw_replay::reference_report` feeds a whole schedule this way).
+    /// look-ahead window of entries, 40 B each, however many are fed.
     pub fn ingest_entry(&mut self, e: &LogEntry) {
         self.tap_entry(e);
         self.settle(self.watermark(false));
@@ -347,28 +348,34 @@ impl StreamAnalyzer {
         self.settle(bound.min(self.watermark(false)));
     }
 
-    /// Ingests a batch of already-decoded entries (see
-    /// [`ingest_entry`](Self::ingest_entry)), deferring the look-ahead
-    /// watermark release to the end of the batch: the whole batch is
-    /// buffered until then, so its peak grows with the batch, not the
-    /// window. Takes entries by reference or by value.
-    pub fn ingest_entries<I>(&mut self, entries: I)
-    where
-        I: IntoIterator,
-        I::Item: Borrow<LogEntry>,
-    {
-        // A batch of known length sizes the buffer once: no doubling
-        // copies, and no old and new slab resident at once.
-        let entries = entries.into_iter();
-        self.pending.reserve(entries.size_hint().0);
-        for e in entries {
-            self.tap_entry(e.borrow());
+    /// Ingests one already-decoded entry from a feed whose starts never
+    /// decrease: `lsw_replay::reference_report`, and the virtual-time
+    /// executors, which log every transfer the moment it arrives. The
+    /// caller's order is the release rule: every buffered entry below
+    /// this start leaves first, so the buffer holds one start-second
+    /// cohort (released in `(timestamp, line)` order), however long the
+    /// transfers last.
+    ///
+    /// A kept start below an earlier one breaks that promise. The
+    /// buffered cohort is then released ahead of it, and the coordinator
+    /// clamps it and counts it in `late_entries`, never reorders it.
+    pub fn ingest_start_ordered(&mut self, e: &LogEntry) {
+        let cohort = self.seen.max_start;
+        self.release_below(e.start);
+        let Some(p) = self.keep_entry(e) else {
+            return;
+        };
+        if p.start < cohort {
+            self.release_all();
+            self.coord.process(&p);
+        } else {
+            self.pending.push(p.start, p);
+            self.peak_heap = self.peak_heap.max(self.pending.len());
         }
-        self.settle(self.watermark(false));
     }
 
     /// Records the buffer's high-water mark, then releases below
-    /// `watermark`: the tail of every tap entry point.
+    /// `watermark`: the tail of `ingest_entry` and `ingest_below`.
     fn settle(&mut self, watermark: u32) {
         self.peak_heap = self.peak_heap.max(self.pending.len());
         self.release_below(watermark);
@@ -377,13 +384,21 @@ impl StreamAnalyzer {
     /// Keeps one decoded entry into shard 0 and buffers it (callers then
     /// [`settle`](Self::settle)).
     fn tap_entry(&mut self, e: &LogEntry) {
+        if let Some(p) = self.keep_entry(e) {
+            self.pending.push(p.start, p);
+        }
+    }
+
+    /// Counts one decoded entry as the next line and runs the keep step
+    /// into shard 0; returns its record if it was kept.
+    fn keep_entry(&mut self, e: &LogEntry) -> Option<Pending> {
         let line = self.next_line;
         self.next_line += 1;
         self.lines_total += 1;
         let horizon = self.cfg.horizon.unwrap_or(u32::MAX);
-        if self.seen.keep(&mut self.shards[0], e, horizon) {
-            self.pending.push(e.start, Pending::new(line, e));
-        }
+        self.seen
+            .keep(&mut self.shards[0], e, horizon)
+            .then(|| Pending::new(line, e))
     }
 
     /// Streams an in-memory `ltc` container image through the engine.
@@ -491,6 +506,13 @@ impl StreamAnalyzer {
         }
     }
 
+    /// Releases every buffered entry into the coordinator.
+    fn release_all(&mut self) {
+        while let Some(p) = self.pending.pop() {
+            self.coord.process(&p);
+        }
+    }
+
     fn ingest_chunk(&mut self, text: &[u8], first_line: u64) {
         // Line boundaries as byte offsets into `text`, in a scratch buffer
         // whose allocation survives across chunks — the shard handoff
@@ -574,9 +596,7 @@ impl StreamAnalyzer {
 
     /// Ends the stream and assembles the report.
     pub fn finalize(mut self) -> StreamReport {
-        while let Some(p) = self.pending.pop() {
-            self.coord.process(&p);
-        }
+        self.release_all();
         let horizon = self
             .cfg
             .horizon
@@ -925,8 +945,8 @@ mod tests {
         let text = neutral(text.finalize());
 
         let mut tap = StreamAnalyzer::new(StreamConfig::default());
-        for batch in entries.chunks(37) {
-            tap.ingest_entries(batch);
+        for e in &entries {
+            tap.ingest_start_ordered(e);
         }
         assert_eq!(text, neutral(tap.finalize()));
 

@@ -180,11 +180,6 @@ impl<T: Ord + Copy> ReorderBuffer<T> {
         self.len() == 0
     }
 
-    /// Makes room for `additional` more items in one allocation.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.slab.reserve(additional);
-    }
-
     /// Buffers `item` at `second`.
     pub fn push(&mut self, second: u32, item: T) {
         let sec = u64::from(second);

@@ -19,14 +19,17 @@
 //! — the differential test in `crates/edge` pins byte-equality against
 //! a direct single-tier ingest.
 //!
-//! **Live release.** A virtual executor logs completions in exact stop
-//! order, so [`MultiTap::ingest`] may release on the engine's stop-order
-//! watermark (`max stop − max duration`). A serving node over real
-//! sockets cannot: a transfer's completion moves with its connect time,
-//! so a transfer that lasts the maximum duration and reaches the tap a
-//! few trace seconds late is already below that watermark. A server does
-//! know which admitted transfers it still has open, though, and none of
-//! them can log a start below its own. [`InFlight`] holds that set, and
+//! **Live release.** A virtual executor decides each transfer's fate
+//! (completed, rejected or truncated) when it arrives, and logs it then,
+//! in start order, so [`MultiTap::ingest_start_ordered`] releases below
+//! each arrival's start and every tap holds one start cohort. A serving
+//! node over real sockets learns a transfer's fate only when it ends,
+//! and its completion moves with its connect time, so even the
+//! engine's stop-order watermark (`max stop − max duration`) would
+//! clamp a transfer that lasts the maximum duration and reaches the tap
+//! a few trace seconds late. A server does know which admitted
+//! transfers it still has open, though, and none of them can log a
+//! start below its own. [`InFlight`] holds that set, and
 //! a live node reports to the tap through [`MultiTap::admit`] and
 //! [`MultiTap::log`], which never release at or above
 //! [`InFlight::bound`]: exact in any completion order. They stop at the
@@ -104,24 +107,16 @@ impl MultiTap {
         }
     }
 
-    /// Presets every tap's reorder look-ahead (see
-    /// [`StreamAnalyzer::preset_lookahead`]).
-    pub fn preset_lookahead(&mut self, max_duration: u32) {
-        for t in &mut self.tiers {
-            t.preset_lookahead(max_duration);
-        }
-        self.merged.preset_lookahead(max_duration);
-    }
-
-    /// Ingests one completion logged in exact stop order (a virtual
-    /// executor) into tier `tier`'s tap and the merged aggregate.
-    /// Out-of-range tiers feed only the aggregate, so a misrouted entry
-    /// can skew a per-tier view but never the closed-loop diff.
-    pub fn ingest(&mut self, tier: usize, e: &LogEntry) {
+    /// Ingests one transfer logged in start order (a virtual executor,
+    /// at arrival) into tier `tier`'s tap and the merged aggregate (see
+    /// [`StreamAnalyzer::ingest_start_ordered`]). Out-of-range tiers feed
+    /// only the aggregate, so a misrouted entry can skew a per-tier view
+    /// but never the closed-loop diff.
+    pub fn ingest_start_ordered(&mut self, tier: usize, e: &LogEntry) {
         if let Some(t) = self.tiers.get_mut(tier) {
-            t.ingest_entry(e);
+            t.ingest_start_ordered(e);
         }
-        self.merged.ingest_entry(e);
+        self.merged.ingest_start_ordered(e);
     }
 
     /// A live node admitted a transfer that started at `start`: nothing
@@ -132,8 +127,8 @@ impl MultiTap {
 
     /// Logs one transfer a live node finished, into tier `tier`'s tap and
     /// the merged aggregate (out-of-range tiers as in
-    /// [`ingest`](Self::ingest)), releasing no further than the in-flight
-    /// bound ([`StreamAnalyzer::ingest_below`]).
+    /// [`ingest_start_ordered`](Self::ingest_start_ordered)), releasing no
+    /// further than the in-flight bound ([`StreamAnalyzer::ingest_below`]).
     /// `admitted` says whether the transfer went through
     /// [`admit`](Self::admit); a refused one was never in flight.
     pub fn log(&mut self, tier: usize, e: &LogEntry, admitted: bool) {
@@ -193,8 +188,8 @@ mod tests {
         let mut direct = StreamAnalyzer::new(StreamConfig::default());
         let mut multi = MultiTap::new(StreamConfig::default(), 3);
         for (i, e) in es.iter().enumerate() {
-            direct.ingest_entry(e);
-            multi.ingest(i % 3, e);
+            direct.ingest_start_ordered(e);
+            multi.ingest_start_ordered(i % 3, e);
         }
         let (tiers, merged) = multi.finalize();
         assert_eq!(tiers.len(), 3);
@@ -206,9 +201,8 @@ mod tests {
     fn tier_reports_partition_the_stream() {
         let es = entries();
         let mut multi = MultiTap::new(StreamConfig::default(), 2);
-        multi.preset_lookahead(13);
         for (i, e) in es.iter().enumerate() {
-            multi.ingest(i % 2, e);
+            multi.ingest_start_ordered(i % 2, e);
         }
         let (tiers, merged) = multi.finalize();
         let kept: u64 = tiers.iter().map(|t| t.accounting.kept).sum();
@@ -284,7 +278,9 @@ mod tests {
             }
         }
         let mut reference = StreamAnalyzer::new(StreamConfig::default());
-        reference.ingest_entries(&es);
+        for e in &es {
+            reference.ingest_start_ordered(e);
+        }
         let neutral = |mut r: StreamReport| {
             r.memory.peak_heap_entries = 0;
             r.to_json()
@@ -332,7 +328,9 @@ mod tests {
         let es = entries();
         let mut multi = MultiTap::new(StreamConfig::default(), 2);
         let mut direct = StreamAnalyzer::new(StreamConfig::default());
-        direct.ingest_entries(&es);
+        for e in &es {
+            direct.ingest_start_ordered(e);
+        }
         for e in &es {
             multi.admit(e.start);
         }
@@ -343,7 +341,13 @@ mod tests {
         let kept: u64 = tiers.iter().map(|t| t.accounting.kept).sum();
         assert_eq!(kept, merged.accounting.kept);
         assert_eq!(merged.accounting.late_entries, 0);
-        assert_eq!(merged.to_json(), direct.finalize().to_json());
+        // Logged in reverse, the live tap holds the whole stream until the
+        // last close; the start-ordered one holds a start cohort.
+        assert_eq!(merged.memory.peak_heap_entries, es.len() as u64);
+        let mut direct = direct.finalize();
+        assert_eq!(direct.memory.peak_heap_entries, 4);
+        direct.memory.peak_heap_entries = merged.memory.peak_heap_entries;
+        assert_eq!(merged.to_json(), direct.to_json());
     }
 
     /// An out-of-range tier index still reaches the aggregate.
@@ -352,7 +356,7 @@ mod tests {
         let es = entries();
         let mut multi = MultiTap::new(StreamConfig::default(), 1);
         for e in &es {
-            multi.ingest(9, e);
+            multi.ingest_start_ordered(9, e);
         }
         let (tiers, merged) = multi.finalize();
         assert_eq!(tiers[0].accounting.kept, 0);

@@ -289,8 +289,9 @@ impl Schedule {
         self.transfers.iter().map(|t| t.bytes).sum()
     }
 
-    /// The longest transfer duration — the look-ahead window a
-    /// completion-ordered tap needs to restore start order exactly.
+    /// The longest transfer duration — the span of the virtual executors'
+    /// slot queues, and the look-ahead window a completion-ordered tap
+    /// needs to restore start order exactly.
     pub fn max_duration(&self) -> u32 {
         self.transfers.iter().map(|t| t.duration).max().unwrap_or(0)
     }
